@@ -1,13 +1,14 @@
 """Core graph machinery: immutable unweighted graphs, deterministic BFS
-primitives with minimum-id tie-breaking, canonical shortest paths, weighted
-distances for emulators, and seeded random-graph generation.
+primitives with minimum-id tie-breaking, canonical shortest paths, batched
+scipy distance matrices (hop counts, and weighted Dijkstra rows for
+emulators), and seeded random-graph generation.
 
-All distances are hop counts; unreachable is the sentinel ``UNREACHED``.
+Distances are hop counts, or emulator weights in the weighted matrices;
+unreachable is the sentinel ``UNREACHED``.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -131,13 +132,6 @@ class Emulator:
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for (u, v), w in sorted(self.weights.items()):
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
 
     def __repr__(self) -> str:
         return f"Emulator(n={self.n}, size={self.size})"
@@ -380,31 +374,17 @@ def path_is_valid(g: Graph, path: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# weighted distances (emulators)
-# ---------------------------------------------------------------------------
-
-
-def weighted_sssp(h: Emulator, root: int) -> list[int]:
-    """Exact single-source distances in a weighted emulator (UNREACHED if cut off)."""
-    if not (0 <= root < h.n):
-        raise ValueError(f"root {root} out of range [0,{h.n})")
-    adj = h.adjacency()
-    dist = [UNREACHED] * h.n
-    heap = [(0, root)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if dist[u] >= 0:
-            continue
-        dist[u] = d
-        for v, w in adj[u]:
-            if dist[v] < 0:
-                heapq.heappush(heap, (d + w, v))
-    return dist
-
-
-# ---------------------------------------------------------------------------
 # bulk distance matrices (verification fan-out)
 # ---------------------------------------------------------------------------
+
+
+def _check_roots(n: int, sources: Sequence[int]) -> np.ndarray:
+    """Sources as an int64 index array; scipy would wrap -1 to vertex n-1."""
+    roots = np.asarray(sources, dtype=np.int64).reshape(-1)
+    bad = (roots < 0) | (roots >= n)
+    if bad.any():
+        raise ValueError(f"root {roots[bad][0]} out of range [0,{n})")
+    return roots
 
 
 def to_csr(g: Graph) -> csr_matrix:
@@ -427,11 +407,36 @@ def hop_distance_matrix(g: Graph, sources: Optional[Sequence[int]] = None) -> np
         return np.zeros((0, 0), dtype=np.int32)
     if sources is not None and len(sources) == 0:
         return np.zeros((0, g.n), dtype=np.int32)
-    indices = None if sources is None else np.asarray(sources, dtype=np.int64)
+    indices = None if sources is None else _check_roots(g.n, sources)
     dmat = _sparse_dijkstra(to_csr(g), directed=False, unweighted=True, indices=indices)
     dmat = np.atleast_2d(dmat)
     out = np.where(np.isfinite(dmat), dmat, UNREACHED).astype(np.int32)
     return out
+
+
+def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
+    """Exact weighted distances from each source in an emulator as an int
+    matrix, from one batched scipy Dijkstra over a CSR that holds each
+    unordered pair once.  Unreachable entries are UNREACHED.  Rows follow
+    the order of `sources`."""
+    roots = _check_roots(h.n, sources)
+    if len(roots) == 0:
+        return np.zeros((0, h.n), dtype=np.int64)
+    ends = np.fromiter(
+        (x for pair in h.weights for x in pair), dtype=np.int64, count=2 * h.size
+    ).reshape(-1, 2)
+    weights = np.fromiter(h.weights.values(), dtype=np.float64, count=h.size)
+    if weights.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
+        raise ValueError("emulator weights too large for exact distances")
+    csr = csr_matrix((weights, (ends[:, 0], ends[:, 1])), shape=(h.n, h.n))
+    dmat = np.atleast_2d(_sparse_dijkstra(csr, directed=False, indices=roots))
+    return np.where(np.isfinite(dmat), dmat, UNREACHED).astype(np.int64)
+
+
+def weighted_sssp(h: Emulator, root: int) -> list[int]:
+    """Exact single-source distances in a weighted emulator (UNREACHED if cut
+    off): one row of `emulator_distance_matrix`."""
+    return emulator_distance_matrix(h, [root])[0].tolist()
 
 
 # ---------------------------------------------------------------------------

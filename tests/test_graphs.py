@@ -12,6 +12,7 @@ from spanlab import (
     canonical_path,
     dump_emulator,
     dump_graph,
+    emulator_distance_matrix,
     hop_distance_matrix,
     load_emulator,
     load_graph,
@@ -189,6 +190,19 @@ def test_weighted_sssp_matches_relaxation_oracle():
     got = weighted_sssp(em, 0)
     for v in range(32):
         assert (got[v] == -1 and want[v] == float("inf")) or got[v] == want[v]
+    # matrix rows follow the given (unsorted, repeated) source order
+    roots = [5, 0, 31, 5]
+    mat = emulator_distance_matrix(em, roots)
+    assert mat.shape == (4, 32)
+    assert mat.tolist() == [as_int_grid([bellman_ford(em, r)])[0] for r in roots]
+    assert emulator_distance_matrix(em, []).shape == (0, 32)
+
+
+def test_emulator_distances_refuse_inexact_weights():
+    em = Emulator(3, [(0, 1, 2**52), (1, 2, 2**52)])
+    with pytest.raises(ValueError, match="too large"):
+        weighted_sssp(em, 0)
+    assert weighted_sssp(Emulator(3, [(0, 1, 2**51), (1, 2, 2**51)]), 0)[2] == 2**52
 
 
 # ---------------------------------------------------------------------------

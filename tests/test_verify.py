@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from spanlab import (
@@ -18,8 +19,9 @@ from spanlab import (
     subsetwise_spec,
     verify_emulator,
     verify_spanner,
+    weighted_sssp,
 )
-from oracles import floyd_warshall
+from oracles import bellman_ford, floyd_warshall
 
 INF = float("inf")
 
@@ -151,6 +153,143 @@ def test_emulator_overshoot_flagged(path3):
     em = Emulator(3, [(0, 1, 1), (1, 2, 9)])
     rep = verify_emulator(path3, em, [0], beta=2)
     assert (0, 2, 2, 10) in rep.classes["additive-upper"].violations
+
+
+def _oracle_emulator_report(g, em, sources, beta):
+    """The full sandwich report rebuilt from the cubic and relaxation oracles."""
+    dg = floyd_warshall(g)
+    want = {"lower_pairs": 0, "upper_pairs": 0, "max_mult": 0.0, "max_add": 0.0,
+            "lower": [], "upper": [], "skipped": 0}
+    for s in sorted(set(sources)):
+        dh = bellman_ford(em, s)
+        for v in range(g.n):
+            a, b = dg[s][v], dh[v]
+            if v == s:
+                continue
+            if a == INF:
+                if b == INF:
+                    want["skipped"] += 1
+                else:
+                    want["lower_pairs"] += 1
+                    want["lower"].append((s, v, -1, b))
+                continue
+            want["lower_pairs"] += 1
+            want["upper_pairs"] += 1
+            want["max_mult"] = max(want["max_mult"], b / a)
+            want["max_add"] = max(want["max_add"], b - a)
+            if b > a + beta:
+                want["upper"].append((s, v, a, None if b == INF else b))
+            if b < a:
+                want["lower"].append((s, v, a, b))
+    return want
+
+
+def _assert_matches_oracle(g, em, sources, beta):
+    rep = verify_emulator(g, em, sources, beta)
+    want = _oracle_emulator_report(g, em, sources, beta)
+    lower = rep.classes["lower-sandwich"]
+    upper = rep.classes["additive-upper"]
+    assert (lower.alpha, lower.beta, upper.alpha, upper.beta) == (1, 0, 1, beta)
+    assert lower.pairs == want["lower_pairs"]
+    assert upper.pairs == want["upper_pairs"]
+    assert (lower.max_mult, lower.max_add) == (0.0, 0.0)
+    assert upper.max_mult == want["max_mult"]
+    assert upper.max_add == want["max_add"]
+    assert lower.violations == want["lower"]
+    assert upper.violations == want["upper"]
+    assert rep.skipped_unreachable == want["skipped"]
+    assert rep.size == em.size
+    return rep
+
+
+def _perturbed_emulator(g, rng, mode):
+    """Host edges at unit weight, then dropped (cut-off pairs), reweighted
+    (overshoot) or joined by random shortcuts (undershoot, bridging)."""
+    triples = []
+    for u, v in g.sorted_edges():
+        if mode == 1 and rng.random() < 0.3:
+            continue
+        w = int(rng.integers(1, 5)) if mode == 2 and rng.random() < 0.3 else 1
+        triples.append((u, v, w))
+    if mode == 3:
+        for _ in range(int(rng.integers(1, 6))):
+            u, v = (int(x) for x in rng.integers(0, g.n, size=2))
+            if u != v:
+                triples.append((u, v, int(rng.integers(1, 4))))
+    return Emulator(g.n, triples)
+
+
+def test_emulator_report_matches_oracles_on_random_instances():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for t in range(80):
+        n = int(rng.integers(2, 25))
+        g = random_graph(n, float(rng.uniform(0.03, 0.3)), int(rng.integers(1 << 30)))
+        em = _perturbed_emulator(g, rng, t % 4)
+        sources = [int(x) for x in rng.integers(0, n, size=int(rng.integers(1, 7)))]
+        for beta in (0, 2):
+            rep = _assert_matches_oracle(g, em, sources, beta)
+            for label, cls in rep.classes.items():
+                kinds.update((label, dg < 0, dh is None) for _, _, dg, dh in cls.violations)
+    # every violation kind the verifier can report was exercised
+    assert kinds == {
+        ("lower-sandwich", False, False),
+        ("lower-sandwich", True, False),
+        ("additive-upper", False, False),
+        ("additive-upper", False, True),
+    }
+
+
+def test_emulator_bridging_host_components_undershoots():
+    g = Graph(5, [(0, 1), (2, 3)])
+    em = Emulator(5, [(0, 1, 1), (2, 3, 1), (1, 2, 1)])
+    rep = _assert_matches_oracle(g, em, [0], beta=2)
+    lower = rep.classes["lower-sandwich"]
+    assert lower.violations == [(0, 2, -1, 2), (0, 3, -1, 3)]
+    assert lower.pairs == 3
+    assert rep.skipped_unreachable == 1  # vertex 4 is cut off on both sides
+    assert rep.classes["additive-upper"].violations == []
+    assert rep.to_dict()["classes"][1]["violations"][0]["dist_g"] == -1
+
+
+def test_emulator_isolating_a_vertex_is_unbounded(path3):
+    em = Emulator(3, [(0, 1, 1)])
+    rep = _assert_matches_oracle(path3, em, [0], beta=2)
+    upper = rep.classes["additive-upper"]
+    assert upper.violations == [(0, 2, 2, None)]
+    assert upper.max_mult == INF and upper.max_add == INF
+    cls = {c["class"]: c for c in rep.to_dict()["classes"]}["additive-upper"]
+    assert cls["max_mult"] is None and cls["violations"][0]["dist_h"] is None
+
+
+def test_emulator_duplicate_sources_count_once(petersen):
+    em = Emulator(10, [(u, v, 1) for u, v in petersen.edges] + [(0, 7, 1)])
+    rep = _assert_matches_oracle(petersen, em, [7, 0, 7, 0, 0], beta=2)
+    assert rep.to_dict() == verify_emulator(petersen, em, [0, 7], 2).to_dict()
+    assert rep.classes["additive-upper"].pairs == 2 * 9
+
+
+def test_emulator_beta_zero_demands_exact_distances(path3):
+    em = Emulator(3, [(0, 1, 1), (1, 2, 2)])
+    tight = _assert_matches_oracle(path3, em, [0, 2], beta=0)
+    assert tight.classes["additive-upper"].violations == [
+        (0, 2, 2, 3), (2, 0, 2, 3), (2, 1, 1, 2)
+    ]
+    assert tight.classes["additive-upper"].max_add == 1
+    assert _assert_matches_oracle(path3, em, [0, 2], beta=1).ok
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_verifiers_reject_out_of_range_sources(path3, bad):
+    msg = rf"root {bad} out of range \[0,3\)"
+    em = Emulator(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match=msg):
+        verify_emulator(path3, em, [0, bad], beta=2)
+    for spec in (additive_spec(0), subsetwise_spec(0)):
+        with pytest.raises(ValueError, match=msg):
+            verify_spanner(path3, _as_spanner(path3), [bad, 1], spec)
+    with pytest.raises(ValueError, match=msg):
+        weighted_sssp(em, bad)
 
 
 # ---------------------------------------------------------------------------
