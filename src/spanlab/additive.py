@@ -86,35 +86,6 @@ def classify_pairs(g: Graph, sources: SourceSet, params: AdditiveParams) -> list
     return out
 
 
-def compute_value(
-    path: Sequence[int],
-    source: int,
-    clustering: HubClustering,
-    current: Spanner,
-) -> int:
-    """Number of clusters a candidate path brings strictly closer to the
-    source than the current spanner does (distance along the path vs BFS in
-    the spanner)."""
-    if not path or path[0] != source:
-        raise ValueError("path must start at the source")
-    sub = Graph(current.n, current.edges)
-    dist = bfs_distances(sub, [source])
-    first_pos: dict[int, int] = {}
-    for pos, x in enumerate(path):
-        cid = clustering.cluster_index[x]
-        if cid >= 0 and cid not in first_pos:
-            first_pos[cid] = pos
-    value = 0
-    for cid, pos in first_pos.items():
-        spanner_d = min(
-            (dist[m] for m in clustering.clusters[cid] if dist[m] >= 0),
-            default=_INF,
-        )
-        if pos < spanner_d:
-            value += 1
-    return value
-
-
 # ---------------------------------------------------------------------------
 # path buying
 # ---------------------------------------------------------------------------
@@ -208,6 +179,18 @@ def _enforce_cluster_cap(walk: list[int], gc: HubClustering) -> list[int]:
         walk = walk[: a_pos + 1] + mid + walk[b_pos:]
 
 
+def _path_value(path: Sequence[int], cluster_index: Sequence[int], cdist: Sequence[float]) -> int:
+    """Number of clusters the path reaches strictly earlier than the current
+    spanner does: a cluster's first position along the path against cdist,
+    the spanner distance from the source to its nearest member."""
+    first_pos: dict[int, int] = {}
+    for pos, x in enumerate(path):
+        cid = cluster_index[x]
+        if cid >= 0 and cid not in first_pos:
+            first_pos[cid] = pos
+    return sum(1 for cid, pos in first_pos.items() if pos < cdist[cid])
+
+
 def _missing_positions(path: Sequence[int], spanner: set) -> list[int]:
     return [
         i
@@ -264,12 +247,7 @@ def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
             level = 0
             while True:
                 cost = _check_candidate(path, s, v, level, base_dist, params, gc, spanner)
-                first_pos: dict[int, int] = {}
-                for pos, x in enumerate(path):
-                    cid = gc.cluster_index[x]
-                    if cid >= 0 and cid not in first_pos:
-                        first_pos[cid] = pos
-                value = sum(1 for cid, pos in first_pos.items() if pos < cdist[cid])
+                value = _path_value(path, gc.cluster_index, cdist)
                 if cost <= 3.0 * phi * value + _EPS:
                     if cost:
                         new_edges = [
@@ -340,6 +318,7 @@ def build_sourcewise_additive(
     long paths with high probability; if a long pair still exceeds +2k the
     sample is redrawn up to `retries` times.
     """
+    sources.check_host(g)
     params = additive_params(g, sources, k)
     n = g.n
     heavy = _heavy_flags(g, params.heavy_degree)
@@ -426,6 +405,7 @@ def build_sourcewise_emulator2(g: Graph, sources: SourceSet) -> Emulator:
     """Weighted +2 emulator on source/vertex pairs: the clustering subgraph
     at unit weight plus one exact-distance shortcut from each source to the
     nearest vertex of every cluster."""
+    sources.check_host(g)
     gc = hub_clustering(g, sources.epsilon / 2.0)
     triples = [(u, v, 1) for (u, v) in gc.g_c]
     for s in sources.vertices:
@@ -487,6 +467,7 @@ def build_sourcewise_additive4(g: Graph, sources: SourceSet) -> Spanner:
     """Additive +4 spanner on source/vertex pairs, intended for source sets
     of size at least n^(2/3): clustering subgraph plus a +2 subsetwise
     spanner over the hubs and the sources together."""
+    sources.check_host(g)
     n = g.n
     if len(sources) < n ** (2.0 / 3.0) - 1e-9:
         warnings.warn(

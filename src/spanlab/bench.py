@@ -6,9 +6,10 @@ both run these functions, so the grid lives in exactly one place.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .verify import (
 
 # soft size-ratio caps; a ratio above 5x the cap is a hard failure
 RATIO_CAPS = {"hybrid": 100.0, "swmult": 100.0, "swadd": 200.0}
+RETRIES = 2          # tree-root resamples allowed per swadd build
+LB_CANDIDATES = 20   # random sparse candidates refuted per lower-bound instance
 
 
 def degree8_p(n: int) -> float:
@@ -92,274 +95,155 @@ def format_rows(rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# criteria 1, 2 and the hybrid slice of 8
+# criteria 1-6: one table of construction grids
 # ---------------------------------------------------------------------------
 
 
-def _center_pair_violations(g: Graph, sp: Spanner) -> int:
-    """Exact-or-bounded distances between the recorded split-level centers."""
-    low = sp.meta["centers_low"]
-    high = sp.meta["centers_high"]
-    if not low or not high:
+def _center_pair_violations(g: Graph, sp: Spanner, row_key: str, col_key: str, far: int) -> int:
+    """Distances between the recorded (row, column) vertex pairs: exact up
+    to the suffix budget ell, at most far * (d + 1) - ell beyond it."""
+    rows = sp.meta[row_key]
+    cols = sp.meta[col_key]
+    if not rows or not cols:
         return 0
     ell = sp.meta["suffix_len"]
-    t = sp.meta["t"]
-    dg = hop_distance_matrix(g, low)[:, high].astype(np.int64)
-    dh = hop_distance_matrix(sp.subgraph(), low)[:, high].astype(np.int64)
+    dg = hop_distance_matrix(g, rows)[:, cols].astype(np.int64)
+    dh = hop_distance_matrix(sp.subgraph(), rows)[:, cols].astype(np.int64)
     reach = dg >= 0
-    near = reach & (dg <= ell)
-    far = reach & (dg > ell)
-    bad_near = near & (dh != dg)
-    bad_far = far & ((dh < 0) | (dh > 2 * t * (dg + 1) - ell))
+    bad_near = reach & (dg <= ell) & (dh != dg)
+    bad_far = reach & (dg > ell) & ((dh < 0) | (dh > far * (dg + 1) - ell))
     return int(bad_near.sum() + bad_far.sum())
 
 
-def run_hybrid_grid(fast: bool = False):
-    sizes = (64,) if fast else (128, 256, 512)
-    ks = (2,) if fast else (2, 3, 4)
-    seeds = (1,) if fast else (1, 2, 3)
+def _sum(rows, key: Optional[str] = None) -> int:
+    return sum(r.violations if key is None else r.extra[key] for r in rows)
+
+
+@dataclass(frozen=True)
+class Case:
+    """One construction grid and the criteria its rows decide.
+
+    `full` and `fast` are (sizes, ks, eps targets, seeds); each instance
+    is a degree-8 G(n, p) with the lowest ceil(n**eps) ids as sources (no
+    sources when eps is None).  `check` returns the stretch report plus
+    the row's extra fields; each criterion is (number, name, pass rule per
+    row, detail over the rows).
+    """
+
+    construction: str
+    formula: str
+    full: tuple
+    fast: tuple
+    build: Callable
+    check: Callable
+    criteria: tuple
+
+
+CASES = (
+    Case(
+        "hybrid", "hybrid",
+        full=((128, 256, 512), (2, 3, 4), (None,), (1, 2, 3)),
+        fast=((64,), (2,), (None,), (1,)),
+        build=lambda g, src, k, seed: build_hybrid(g, k, seed),
+        check=lambda g, src, h, k: (
+            verify_spanner(g, h, None, hybrid_spec(k)),
+            {"center_pair_violations": _center_pair_violations(
+                g, h, "centers_low", "centers_high", 2 * h.meta["t"])},
+        ),
+        criteria=(
+            (1, "hybrid stretch (adjacent <= 2k-1, others <= k*d)",
+             lambda r: r.violations == 0,
+             lambda rows: f"{_sum(rows)} violations"),
+            (2, "hybrid center pairs (exact within suffix budget, bounded beyond)",
+             lambda r: r.extra["center_pair_violations"] == 0,
+             lambda rows: f"{_sum(rows, 'center_pair_violations')} center-pair violations"),
+        ),
+    ),
+    Case(
+        "swmult", "swmult",
+        full=((128, 256, 512), (2, 3, 4), (0.25, 0.5), (1, 2, 3)),
+        fast=((64,), (2,), (0.5,), (1,)),
+        build=build_sourcewise_mult,
+        check=lambda g, src, h, k: (
+            verify_spanner(g, h, src.vertices, sourcewise_mult_spec(k)),
+            {"center_pair_violations": _center_pair_violations(
+                g, h, "sources", "centers", 2 * (k - 1))},
+        ),
+        criteria=(
+            (3, "sourcewise multiplicative stretch (adjacent <= 2k-1, others <= (2k-2)*d)",
+             lambda r: r.violations == 0 and r.extra["center_pair_violations"] == 0,
+             lambda rows: f"{_sum(rows)} stretch violations, "
+             f"{_sum(rows, 'center_pair_violations')} center-pair violations"),
+        ),
+    ),
+    Case(
+        "swadd", "swadd",
+        full=((256, 512), (1, 2), (0.5,), (1, 2, 3)),
+        fast=((64,), (1,), (0.5,), (1,)),
+        build=lambda g, src, k, seed: build_sourcewise_additive(g, src, k, seed, retries=RETRIES),
+        check=lambda g, src, h, k: (
+            verify_spanner(g, h, src.vertices, additive_spec(2 * k)),
+            {"attempts": h.meta["attempts"], "long_violations": h.meta["long_violations"]},
+        ),
+        criteria=(
+            (4, f"additive sourcewise (+2k on all source pairs, <= {RETRIES} resamples)",
+             lambda r: r.violations == 0 and r.extra["attempts"] <= RETRIES + 1
+             and r.extra["long_violations"] == 0,
+             lambda rows: f"{_sum(rows)} violations, "
+             f"{sum(r.extra['attempts'] - 1 for r in rows)} resamples used"),
+        ),
+    ),
+    Case(
+        "emulator2", "emu2",
+        full=((256, 512), (None,), (0.5,), (1, 2, 3)),
+        fast=((64,), (None,), (0.5,), (1,)),
+        build=lambda g, src, k, seed: build_sourcewise_emulator2(g, src),
+        check=lambda g, src, h, k: (verify_emulator(g, h, src.vertices, beta=2), {}),
+        criteria=(
+            (5, "+2 sourcewise emulator (sandwich bound, size ratio <= 20)",
+             lambda r: r.violations == 0 and r.ratio <= 20.0,
+             lambda rows: f"{_sum(rows)} violations, "
+             f"worst ratio {max(r.ratio for r in rows):.3f}"),
+        ),
+    ),
+    Case(
+        "sw4", "sw4",
+        full=((512,), (None,), (2 / 3,), (1, 2, 3)),
+        fast=((64,), (None,), (2 / 3,), (1,)),
+        build=lambda g, src, k, seed: build_sourcewise_additive4(g, src),
+        check=lambda g, src, h, k: (verify_spanner(g, h, src.vertices, additive_spec(4)), {}),
+        criteria=(
+            (6, "+4 sourcewise spanner for large source sets (size ratio <= 20)",
+             lambda r: r.violations == 0 and r.ratio <= 20.0,
+             lambda rows: f"{_sum(rows)} violations"),
+        ),
+    ),
+)
+
+
+def run_case(case: Case, fast: bool = False) -> list[GridRow]:
+    """Build and check every instance of one construction grid."""
     rows = []
-    stretch_ok = True
-    centers_ok = True
-    for n in sizes:
-        for k in ks:
-            for seed in seeds:
-                g = random_graph(n, degree8_p(n), seed)
-                t0 = time.perf_counter()
-                sp = build_hybrid(g, k, seed)
-                rep = verify_spanner(g, sp, None, hybrid_spec(k))
-                center_bad = _center_pair_violations(g, sp)
-                dt = time.perf_counter() - t0
-                ratio = size_report(sp, "hybrid", n, k=k)
-                stretch_ok &= rep.ok
-                centers_ok &= center_bad == 0
-                rows.append(
-                    GridRow(
-                        "hybrid", n, k, None, seed, sp.size, ratio,
-                        rep.max_mult(), rep.max_add(), rep.n_violations, dt,
-                        extra={"center_pair_violations": center_bad},
-                    )
-                )
-    return rows, stretch_ok, centers_ok
-
-
-def criterion_hybrid(rows, stretch_ok) -> CriterionOutcome:
-    total_viol = sum(r.violations for r in rows)
-    return CriterionOutcome(
-        1,
-        "hybrid stretch (adjacent <= 2k-1, others <= k*d)",
-        stretch_ok,
-        f"{len(rows)} builds, {total_viol} violations",
-        rows,
-    )
-
-
-def criterion_hybrid_centers(rows, centers_ok) -> CriterionOutcome:
-    total = sum(r.extra["center_pair_violations"] for r in rows)
-    return CriterionOutcome(
-        2,
-        "hybrid center pairs (exact within suffix budget, bounded beyond)",
-        centers_ok,
-        f"{len(rows)} builds, {total} center-pair violations",
-        rows,
-    )
-
-
-# ---------------------------------------------------------------------------
-# criterion 3 and the swmult slice of 8
-# ---------------------------------------------------------------------------
-
-
-def _source_center_violations(g: Graph, sp: Spanner) -> int:
-    sources = sp.meta["sources"]
-    centers = sp.meta["centers"]
-    if not sources or not centers:
-        return 0
-    ell = sp.meta["suffix_len"]
-    k = sp.meta["k"]
-    dg = hop_distance_matrix(g, sources)[:, centers].astype(np.int64)
-    dh = hop_distance_matrix(sp.subgraph(), sources)[:, centers].astype(np.int64)
-    reach = dg >= 0
-    near = reach & (dg <= ell)
-    far = reach & (dg > ell)
-    bad_near = near & (dh != dg)
-    bad_far = far & ((dh < 0) | (dh > 2 * (k - 1) * (dg + 1) - ell))
-    return int(bad_near.sum() + bad_far.sum())
-
-
-def run_swmult_grid(fast: bool = False):
-    sizes = (64,) if fast else (128, 256, 512)
-    ks = (2,) if fast else (2, 3, 4)
-    eps_targets = (0.5,) if fast else (0.25, 0.5)
-    seeds = (1,) if fast else (1, 2, 3)
-    rows = []
-    ok = True
-    centers_ok = True
-    for n in sizes:
-        for k in ks:
-            for eps in eps_targets:
-                for seed in seeds:
-                    g = random_graph(n, degree8_p(n), seed)
-                    src = SourceSet.from_ids(pick_sources(n, eps), n)
-                    t0 = time.perf_counter()
-                    sp = build_sourcewise_mult(g, src, k, seed)
-                    rep = verify_spanner(g, sp, src.vertices, sourcewise_mult_spec(k))
-                    bad_centers = _source_center_violations(g, sp)
-                    dt = time.perf_counter() - t0
-                    ratio = size_report(sp, "swmult", n, k=k, epsilon=src.epsilon)
-                    ok &= rep.ok
-                    centers_ok &= bad_centers == 0
-                    rows.append(
-                        GridRow(
-                            "swmult", n, k, src.epsilon, seed, sp.size, ratio,
-                            rep.max_mult(), rep.max_add(), rep.n_violations, dt,
-                            extra={
-                                "eps_target": eps,
-                                "n_sources": len(src),
-                                "center_pair_violations": bad_centers,
-                            },
-                        )
-                    )
-    return rows, ok, centers_ok
-
-
-def criterion_swmult(rows, ok, centers_ok) -> CriterionOutcome:
-    total = sum(r.violations for r in rows)
-    bad_centers = sum(r.extra["center_pair_violations"] for r in rows)
-    return CriterionOutcome(
-        3,
-        "sourcewise multiplicative stretch (adjacent <= 2k-1, others <= (2k-2)*d)",
-        ok and centers_ok,
-        f"{len(rows)} builds, {total} stretch violations, {bad_centers} center-pair violations",
-        rows,
-    )
-
-
-# ---------------------------------------------------------------------------
-# criterion 4 and the swadd slice of 8
-# ---------------------------------------------------------------------------
-
-
-def run_swadd_grid(fast: bool = False, retries: int = 2):
-    sizes = (64,) if fast else (256, 512)
-    ks = (1,) if fast else (1, 2)
-    seeds = (1,) if fast else (1, 2, 3)
-    eps = 0.5
-    rows = []
-    ok = True
-    for n in sizes:
-        for k in ks:
-            for seed in seeds:
-                g = random_graph(n, degree8_p(n), seed)
-                src = SourceSet.from_ids(pick_sources(n, eps), n)
-                t0 = time.perf_counter()
-                sp = build_sourcewise_additive(g, src, k, seed, retries=retries)
-                rep = verify_spanner(g, sp, src.vertices, additive_spec(2 * k))
-                dt = time.perf_counter() - t0
-                ratio = size_report(sp, "swadd", n, k=k, epsilon=src.epsilon)
-                within_budget = sp.meta["attempts"] <= retries + 1
-                ok &= rep.ok and within_budget and sp.meta["long_violations"] == 0
-                rows.append(
-                    GridRow(
-                        "swadd", n, k, src.epsilon, seed, sp.size, ratio,
-                        rep.max_mult(), rep.max_add(), rep.n_violations, dt,
-                        extra={
-                            "attempts": sp.meta["attempts"],
-                            "long_pairs": sp.meta["long_pairs"],
-                            "short_pairs": sp.meta["short_pairs"],
-                        },
-                    )
-                )
-    return rows, ok
-
-
-def criterion_swadd(rows, ok, retries: int = 2) -> CriterionOutcome:
-    total = sum(r.violations for r in rows)
-    resamples = sum(r.extra["attempts"] - 1 for r in rows)
-    return CriterionOutcome(
-        4,
-        f"additive sourcewise (+2k on all source pairs, <= {retries} resamples)",
-        ok,
-        f"{len(rows)} builds, {total} violations, {resamples} resamples used",
-        rows,
-    )
-
-
-# ---------------------------------------------------------------------------
-# criteria 5 and 6
-# ---------------------------------------------------------------------------
-
-
-def run_emulator_grid(fast: bool = False):
-    sizes = (64,) if fast else (256, 512)
-    seeds = (1,) if fast else (1, 2, 3)
-    eps = 0.5
-    rows = []
-    ok = True
-    for n in sizes:
-        for seed in seeds:
-            g = random_graph(n, degree8_p(n), seed)
-            src = SourceSet.from_ids(pick_sources(n, eps), n)
-            t0 = time.perf_counter()
-            em = build_sourcewise_emulator2(g, src)
-            rep = verify_emulator(g, em, src.vertices, beta=2)
-            dt = time.perf_counter() - t0
-            ratio = size_report(em, "emu2", n, epsilon=src.epsilon)
-            ok &= rep.ok and ratio <= 20.0
-            rows.append(
-                GridRow(
-                    "emulator2", n, None, src.epsilon, seed, em.size, ratio,
-                    rep.max_mult(), rep.max_add(), rep.n_violations, dt,
-                )
+    for n, k, eps, seed in itertools.product(*(case.fast if fast else case.full)):
+        g = random_graph(n, degree8_p(n), seed)
+        src = None if eps is None else SourceSet.from_ids(pick_sources(n, eps), n)
+        epsilon = None if src is None else src.epsilon
+        t0 = time.perf_counter()
+        h = case.build(g, src, k, seed)
+        rep, extra = case.check(g, src, h, k)
+        dt = time.perf_counter() - t0
+        ratio = size_report(h, case.formula, n, k=k, epsilon=epsilon)
+        rows.append(
+            GridRow(
+                case.construction, n, k, epsilon, seed, h.size, ratio,
+                rep.max_mult(), rep.max_add(), rep.n_violations, dt, extra,
             )
-    return rows, ok
+        )
+    return rows
 
 
-def criterion_emulator(rows, ok) -> CriterionOutcome:
-    total = sum(r.violations for r in rows)
-    worst = max((r.ratio for r in rows), default=0.0)
-    return CriterionOutcome(
-        5,
-        "+2 sourcewise emulator (sandwich bound, size ratio <= 20)",
-        ok,
-        f"{len(rows)} builds, {total} violations, worst ratio {worst:.3f}",
-        rows,
-    )
-
-
-def run_sw4_grid(fast: bool = False):
-    cases = [(64, 16)] if fast else [(512, 64)]
-    seeds = (1,) if fast else (1, 2, 3)
-    rows = []
-    ok = True
-    for n, n_sources in cases:
-        for seed in seeds:
-            g = random_graph(n, degree8_p(n), seed)
-            src = SourceSet.from_ids(range(n_sources), n)
-            t0 = time.perf_counter()
-            sp = build_sourcewise_additive4(g, src)
-            rep = verify_spanner(g, sp, src.vertices, additive_spec(4))
-            dt = time.perf_counter() - t0
-            ratio = size_report(sp, "sw4", n, epsilon=src.epsilon)
-            ok &= rep.ok and ratio <= 20.0
-            rows.append(
-                GridRow(
-                    "sw4", n, None, src.epsilon, seed, sp.size, ratio,
-                    rep.max_mult(), rep.max_add(), rep.n_violations, dt,
-                )
-            )
-    return rows, ok
-
-
-def criterion_sw4(rows, ok) -> CriterionOutcome:
-    total = sum(r.violations for r in rows)
-    return CriterionOutcome(
-        6,
-        "+4 sourcewise spanner for large source sets (size ratio <= 20)",
-        ok,
-        f"{len(rows)} builds, {total} violations",
-        rows,
-    )
+def _outcome(number, name, rows, passes, detail) -> CriterionOutcome:
+    return CriterionOutcome(number, name, all(passes(r) for r in rows), detail, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +251,11 @@ def criterion_sw4(rows, ok) -> CriterionOutcome:
 # ---------------------------------------------------------------------------
 
 
-def run_lowerbound_grid(candidates_per_instance: int = 20):
+def run_lowerbound_check() -> list[GridRow]:
     import warnings as _warnings
 
     triples = [(16, 2, 1.0), (8, 3, 1.0), (16, 2, 0.5)]
     rows = []
-    ok = True
     for r, k, eps in triples:
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
@@ -381,14 +264,13 @@ def run_lowerbound_grid(candidates_per_instance: int = 20):
         expect_v = n1 ** k + k * n2 * n1 ** (k - 1)
         expect_e = k * (n1 ** k) * n2
         counts_ok = lg.graph.n == expect_v and lg.graph.m == expect_e
-        ok &= counts_ok
         t0 = time.perf_counter()
         edge_list = lg.graph.sorted_edges()
         budget = expect_e // k - 1
         found = 0
         certified = 0
         rng = np.random.default_rng(20_000 + 97 * r + k)
-        for _ in range(candidates_per_instance):
+        for _ in range(LB_CANDIDATES):
             keep_idx = rng.choice(len(edge_list), size=budget, replace=False)
             h = Spanner(lg.graph.n, frozenset(edge_list[i] for i in keep_idx), {})
             report = lb_audit(lg, h)
@@ -397,7 +279,6 @@ def run_lowerbound_grid(candidates_per_instance: int = 20):
             if report["certified"]:
                 certified += 1
         dt = time.perf_counter() - t0
-        ok &= found == candidates_per_instance and certified == candidates_per_instance
         rows.append(
             GridRow(
                 "lowerbound", lg.graph.n, k, eps, None, lg.graph.m, None,
@@ -407,44 +288,23 @@ def run_lowerbound_grid(candidates_per_instance: int = 20):
                     "counts_ok": counts_ok,
                     "chains_found": found,
                     "certified": certified,
-                    "candidates": candidates_per_instance,
                 },
             )
         )
-    return rows, ok
-
-
-def criterion_lowerbound(rows, ok) -> CriterionOutcome:
-    return CriterionOutcome(
-        7,
-        "layered lower-bound family (exact counts; every sparse candidate refuted)",
-        ok,
-        "; ".join(
-            f"r={r.extra['r']},k={r.k}: counts_ok={r.extra['counts_ok']}, "
-            f"certified {r.extra['certified']}/{r.extra['candidates']}"
-            for r in rows
-        ),
-        rows,
-    )
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: size-ratio soft caps over the rows of criteria 1, 3, 4
+# criterion 8: size-ratio soft caps over the hybrid, swmult and swadd rows
 # ---------------------------------------------------------------------------
 
 
-def criterion_ratios(hybrid_rows, swmult_rows, swadd_rows) -> CriterionOutcome:
-    groups = [
-        ("hybrid", hybrid_rows),
-        ("swmult", swmult_rows),
-        ("swadd", swadd_rows),
-    ]
+def criterion_ratios(rows) -> CriterionOutcome:
     hard_ok = True
     warnings = []
     details = []
-    for name, rows in groups:
-        cap = RATIO_CAPS[name]
-        worst = max((r.ratio for r in rows), default=0.0)
+    for name, cap in RATIO_CAPS.items():
+        worst = max((r.ratio for r in rows if r.construction == name), default=0.0)
         details.append(f"{name}: worst {worst:.3f} vs cap {cap:g}")
         if worst > 5 * cap:
             hard_ok = False
@@ -507,9 +367,8 @@ def oracle_suite_graphs() -> list[tuple[str, Graph]]:
     ]
 
 
-def run_oracle_check():
+def run_oracle_check() -> list[GridRow]:
     rows = []
-    ok = True
     for name, g in oracle_suite_graphs():
         t0 = time.perf_counter()
         want = floyd_warshall_oracle(g)
@@ -519,7 +378,6 @@ def run_oracle_check():
             list(want[r]) == bfs_distances(g, [r]) for r in range(g.n)
         )
         dt = time.perf_counter() - t0
-        ok &= matrix_ok and bfs_ok
         rows.append(
             GridRow(
                 "oracle", g.n, None, None, None, g.m, None, 0.0, 0.0,
@@ -527,17 +385,7 @@ def run_oracle_check():
                 extra={"graph": name, "matrix_ok": matrix_ok, "bfs_ok": bfs_ok},
             )
         )
-    return rows, ok
-
-
-def criterion_oracle(rows, ok) -> CriterionOutcome:
-    return CriterionOutcome(
-        9,
-        "oracle self-consistency (BFS == cubic all-pairs on every suite graph)",
-        ok,
-        f"{len(rows)} graphs checked",
-        rows,
-    )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -546,24 +394,37 @@ def criterion_oracle(rows, ok) -> CriterionOutcome:
 
 
 def run_all(fast: bool = False) -> tuple[list[CriterionOutcome], list[GridRow]]:
-    hybrid_rows, c1_ok, c2_ok = run_hybrid_grid(fast)
-    swmult_rows, c3_ok, c3_centers_ok = run_swmult_grid(fast)
-    swadd_rows, c4_ok = run_swadd_grid(fast)
-    emu_rows, c5_ok = run_emulator_grid(fast)
-    sw4_rows, c6_ok = run_sw4_grid(fast)
-    lb_rows, c7_ok = run_lowerbound_grid()
-    oracle_rows, c9_ok = run_oracle_check()
-
-    outcomes = [
-        criterion_hybrid(hybrid_rows, c1_ok),
-        criterion_hybrid_centers(hybrid_rows, c2_ok),
-        criterion_swmult(swmult_rows, c3_ok, c3_centers_ok),
-        criterion_swadd(swadd_rows, c4_ok),
-        criterion_emulator(emu_rows, c5_ok),
-        criterion_sw4(sw4_rows, c6_ok),
-        criterion_lowerbound(lb_rows, c7_ok),
-        criterion_ratios(hybrid_rows, swmult_rows, swadd_rows),
-        criterion_oracle(oracle_rows, c9_ok),
+    outcomes = []
+    grid_rows = []
+    for case in CASES:
+        rows = run_case(case, fast)
+        grid_rows += rows
+        for number, name, passes, detail in case.criteria:
+            outcomes.append(
+                _outcome(number, name, rows, passes, f"{len(rows)} builds, {detail(rows)}")
+            )
+    lb_rows = run_lowerbound_check()
+    oracle_rows = run_oracle_check()
+    outcomes += [
+        _outcome(
+            7,
+            "layered lower-bound family (exact counts; every sparse candidate refuted)",
+            lb_rows,
+            lambda r: r.extra["counts_ok"]
+            and r.extra["chains_found"] == r.extra["certified"] == LB_CANDIDATES,
+            "; ".join(
+                f"r={r.extra['r']},k={r.k}: counts_ok={r.extra['counts_ok']}, "
+                f"certified {r.extra['certified']}/{LB_CANDIDATES}"
+                for r in lb_rows
+            ),
+        ),
+        criterion_ratios(grid_rows),
+        _outcome(
+            9,
+            "oracle self-consistency (BFS == cubic all-pairs on every suite graph)",
+            oracle_rows,
+            lambda r: r.violations == 0,
+            f"{len(oracle_rows)} graphs checked",
+        ),
     ]
-    all_rows = hybrid_rows + swmult_rows + swadd_rows + emu_rows + sw4_rows + lb_rows + oracle_rows
-    return outcomes, all_rows
+    return outcomes, grid_rows + lb_rows + oracle_rows

@@ -192,7 +192,7 @@ def _finish_build(args, g, obj, ratio, started) -> int:
 def cmd_build_hybrid(args) -> int:
     g = _load_graph_file(args.infile)
     t0 = time.perf_counter()
-    sp = build_hybrid(g, args.k, args.seed, suffix_both=args.suffix_both)
+    sp = build_hybrid(g, args.k, args.seed)
     ratio = size_report(sp, "hybrid", g.n, k=args.k)
     return _finish_build(args, g, sp, ratio, t0)
 
@@ -403,7 +403,6 @@ def build_parser() -> _Parser:
 
     p = build.add_parser("hybrid", help="two-regime multiplicative spanner")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--suffix-both", action="store_true", help="keep both suffix ends")
     _io_args(p)
     p.set_defaults(func=cmd_build_hybrid)
 

@@ -6,7 +6,6 @@ clustering with hub stars used by the additive constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graphs import UNREACHED, Graph, bfs, norm_edge
 from .util import ceil_int, subrng
@@ -50,45 +49,6 @@ class ClusterSequence:
 
     def clusters_at(self, tau: int) -> dict[int, list[int]]:
         return self.levels[tau].clusters()
-
-    def dump_assignments(self) -> str:
-        """Diagnostic text dump: one 'tau u center dist' line per assignment."""
-        lines = []
-        for level in self.levels:
-            for u, z in enumerate(level.assignment):
-                if z >= 0:
-                    lines.append(f"{level.tau} {u} {z} {level.center_dist[u]}")
-        return "\n".join(lines) + "\n"
-
-
-def nearest_center(
-    g: Graph, u: int, centers, radius: int
-) -> Optional[int]:
-    """Minimum-id center among those closest to u, or None beyond the radius."""
-    center_set = set(centers)
-    if not center_set:
-        raise ValueError("center set must be non-empty")
-    if u in center_set:
-        return u
-    seen = [False] * g.n
-    seen[u] = True
-    frontier = [u]
-    depth = 0
-    while frontier and depth < radius:
-        depth += 1
-        nxt = []
-        hits = []
-        for v in frontier:
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-                    if w in center_set:
-                        hits.append(w)
-        if hits:
-            return min(hits)
-        frontier = nxt
-    return None
 
 
 def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:

@@ -6,7 +6,7 @@ between center pairs and between cluster pairs at complementary levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .clustering import cluster_sequence
 from .graphs import (
@@ -71,34 +71,15 @@ def _closest_target(dist, owner, targets) -> Optional[int]:
     return None if best is None else best[2]
 
 
-def closest_pair_path(g: Graph, c1: Iterable[int], c2: Iterable[int]) -> Optional[list[int]]:
-    """Shortest path between the closest (u1 in c1, u2 in c2) pair.
-
-    Ties resolved by (distance, u1 id, u2 id); the path itself follows
-    owner-consistent canonical BFS parents from the c1 side.  Returns None
-    when the sets live in different components; overlapping sets yield a
-    single-vertex path.
-    """
-    c1s = sorted(set(c1))
-    c2s = sorted(set(c2))
-    if not c1s or not c2s:
-        raise ValueError("both vertex sets must be non-empty")
-    res = bfs(g, c1s)
-    u2 = _closest_target(res.dist, res.owner, c2s)
-    if u2 is None:
-        return None
-    return trace_owner_path(g, res, u2)
-
-
-def build_hybrid(g: Graph, k: int, seed: int, suffix_both: bool = False) -> Spanner:
+def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
     """Assemble the two-regime spanner.
 
     Phase one is the level clustering at density exponent 1/k.  Phase two
     adds, for every center pair across the split levels, the last
     `suffix_len` edges of their canonical shortest path (anchored at the
-    higher-level center; `suffix_both` keeps both ends).  Phase three does
-    the same for every ordered cluster pair at complementary levels, with a
-    shorter 2k-1 budget away from the split levels.
+    higher-level center).  Phase three does the same for every ordered
+    cluster pair at complementary levels, with a shorter 2k-1 budget away
+    from the split levels.
     """
     params = hybrid_params(k)
     cs = cluster_sequence(g, k, 1.0 / k, seed)
@@ -124,8 +105,6 @@ def build_hybrid(g: Graph, k: int, seed: int, suffix_both: bool = False) -> Span
             if path is None or len(path) < 2:
                 continue
             e2 |= path_suffix(path, params.suffix_len, anchor=z_j)
-            if suffix_both:
-                e2 |= path_suffix(path, params.suffix_len, anchor=z_i)
 
     # Cluster pairs at complementary levels.
     e3: set = set()
@@ -160,8 +139,6 @@ def build_hybrid(g: Graph, k: int, seed: int, suffix_both: bool = False) -> Span
                 else:
                     path = trace_owner_path(g, res, u2)
                 e3 |= path_suffix(path, ell, anchor=u2)
-                if suffix_both:
-                    e3 |= path_suffix(path, ell, anchor=path[0])
 
     edges = hk | e2 | e3
     meta = {
@@ -172,7 +149,6 @@ def build_hybrid(g: Graph, k: int, seed: int, suffix_both: bool = False) -> Span
         "t": params.t,
         "t_prime": params.t_prime,
         "suffix_len": params.suffix_len,
-        "suffix_both": suffix_both,
         "phase_edges": {
             "clustering": len(hk),
             "center_paths": len(e2),

@@ -36,6 +36,12 @@ class SourceSet:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    def check_host(self, g: Graph) -> None:
+        """Reject a host graph of another size: every parameter derives
+        from epsilon, which is only meaningful for the n it was built with."""
+        if self.n != g.n:
+            raise ValueError(f"source set is for n={self.n} but the graph has n={g.n}")
+
 
 @dataclass(frozen=True)
 class SwParams:
@@ -57,6 +63,7 @@ def build_sourcewise_mult(g: Graph, sources: SourceSet, k: int, seed: int) -> Sp
     (source, level-(k-1) center) pair keep the last `suffix_len` edges of
     their canonical shortest path, anchored at the center.
     """
+    sources.check_host(g)
     params = sw_params(k, sources, g.n)
     cs = cluster_sequence(g, k, params.mu, seed)
     hk = set(cs.spanner_edges)

@@ -183,6 +183,8 @@ def verify_spanner(
     """BFS in the host and in the candidate from every relevant root; exact
     max stretches per pair class plus every violating pair.  Pairs the host
     graph cannot connect are skipped (and counted)."""
+    if h.n != g.n:
+        raise ValueError("candidate and graph disagree on the vertex count")
     if not h.edges <= g.edges:
         raise ValueError("candidate is not a subgraph of the host graph")
     if spec.scope in (SOURCEWISE, SETWISE):

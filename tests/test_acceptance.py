@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion at its stated tolerance, one
 pass/fail line per criterion (run with `pytest -s` to see them inline).
 
-Grid definitions live in spanlab.bench so `spanlab bench` runs the exact
-same checks from the command line.
+The grid runs once, through the same spanlab.bench.run_all that
+`spanlab bench` calls, so the two can never disagree.
 """
 
 from __future__ import annotations
@@ -10,6 +10,11 @@ from __future__ import annotations
 import pytest
 
 from spanlab import bench
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    return {oc.number: oc for oc in bench.run_all()[0]}
 
 
 def _report(outcome):
@@ -20,62 +25,37 @@ def _report(outcome):
     assert outcome.passed, f"criterion {outcome.number}: {outcome.detail}"
 
 
-@pytest.fixture(scope="module")
-def hybrid_results():
-    return bench.run_hybrid_grid()
+def test_criterion_1_hybrid_stretch(outcomes):
+    _report(outcomes[1])
 
 
-@pytest.fixture(scope="module")
-def swmult_results():
-    return bench.run_swmult_grid()
+def test_criterion_2_hybrid_center_pairs(outcomes):
+    _report(outcomes[2])
 
 
-@pytest.fixture(scope="module")
-def swadd_results():
-    return bench.run_swadd_grid()
+def test_criterion_3_sourcewise_multiplicative(outcomes):
+    _report(outcomes[3])
 
 
-def test_criterion_1_hybrid_stretch(hybrid_results):
-    rows, stretch_ok, _ = hybrid_results
-    _report(bench.criterion_hybrid(rows, stretch_ok))
+def test_criterion_4_additive_sourcewise(outcomes):
+    _report(outcomes[4])
 
 
-def test_criterion_2_hybrid_center_pairs(hybrid_results):
-    rows, _, centers_ok = hybrid_results
-    _report(bench.criterion_hybrid_centers(rows, centers_ok))
+def test_criterion_5_emulator_sandwich(outcomes):
+    _report(outcomes[5])
 
 
-def test_criterion_3_sourcewise_multiplicative(swmult_results):
-    rows, ok, centers_ok = swmult_results
-    _report(bench.criterion_swmult(rows, ok, centers_ok))
+def test_criterion_6_plus4_sourcewise(outcomes):
+    _report(outcomes[6])
 
 
-def test_criterion_4_additive_sourcewise(swadd_results):
-    rows, ok = swadd_results
-    _report(bench.criterion_swadd(rows, ok))
+def test_criterion_7_lowerbound_family(outcomes):
+    _report(outcomes[7])
 
 
-def test_criterion_5_emulator_sandwich():
-    rows, ok = bench.run_emulator_grid()
-    _report(bench.criterion_emulator(rows, ok))
+def test_criterion_8_size_ratio_caps(outcomes):
+    _report(outcomes[8])
 
 
-def test_criterion_6_plus4_sourcewise():
-    rows, ok = bench.run_sw4_grid()
-    _report(bench.criterion_sw4(rows, ok))
-
-
-def test_criterion_7_lowerbound_family():
-    rows, ok = bench.run_lowerbound_grid()
-    _report(bench.criterion_lowerbound(rows, ok))
-
-
-def test_criterion_8_size_ratio_caps(hybrid_results, swmult_results, swadd_results):
-    _report(
-        bench.criterion_ratios(hybrid_results[0], swmult_results[0], swadd_results[0])
-    )
-
-
-def test_criterion_9_oracle_self_consistency():
-    rows, ok = bench.run_oracle_check()
-    _report(bench.criterion_oracle(rows, ok))
+def test_criterion_9_oracle_self_consistency(outcomes):
+    _report(outcomes[9])

@@ -8,7 +8,6 @@ from spanlab import (
     HubClustering,
     Graph,
     SourceSet,
-    Spanner,
     additive_params,
     bfs_distances,
     build_sourcewise_additive,
@@ -17,7 +16,6 @@ from spanlab import (
     build_subsetwise_plus2,
     hub_clustering,
     classify_pairs,
-    compute_value,
     canonical_path,
     random_graph,
     weighted_sssp,
@@ -25,8 +23,10 @@ from spanlab import (
 from spanlab.additive import (
     AdditiveParams,
     _buy_short_paths,
+    _check_candidate,
     _enforce_cluster_cap,
     _heavy_flags,
+    _path_value,
     _remove_cycles,
 )
 from oracles import floyd_warshall, recount_heavy
@@ -116,33 +116,41 @@ def _hand_clustering(n, clusters, hubs):
     )
 
 
+def _value(path, clustering, n, spanner_edges):
+    """_path_value with cdist recomputed by the cubic oracle: the spanner
+    distance from the path's source to each cluster's nearest member."""
+    dist = floyd_warshall(Graph(n, spanner_edges))[path[0]]
+    cdist = [min(dist[m] for m in mem) for mem in clustering.clusters]
+    return _path_value(path, clustering.cluster_index, cdist)
+
+
 def test_value_zero_without_clustered_vertices():
     clustering = _hand_clustering(8, [[6, 7]], [5])
-    current = Spanner(8, frozenset({(0, 1), (1, 2)}), {})
-    assert compute_value([0, 1, 2], 0, clustering, current) == 0
+    assert _value([0, 1, 2], clustering, 8, {(0, 1), (1, 2)}) == 0
 
 
 def test_value_zero_when_spanner_already_optimal():
     g = random_graph(48, 0.15, 4)
     clustering = hub_clustering(g, 0.4)
-    full = Spanner(g.n, g.edges, {})
     for s, v in [(0, 20), (3, 41)]:
         path = canonical_path(g, s, v)
-        assert compute_value(path, s, clustering, full) == 0
+        assert _value(path, clustering, g.n, g.edges) == 0
 
 
 def test_value_one_on_hand_built_instance():
     # spanner reaches the cluster {5,6,7} only via the chain 0-8-9-10-11-5
     # (distance 5); the candidate path touches member 6 at position 3
     clustering = _hand_clustering(12, [[5, 6, 7]], [4])
-    current = Spanner(12, frozenset({(0, 8), (8, 9), (9, 10), (10, 11), (5, 11)}), {})
-    assert compute_value([0, 1, 2, 6], 0, clustering, current) == 1
+    current = {(0, 8), (8, 9), (9, 10), (10, 11), (5, 11)}
+    assert _value([0, 1, 2, 6], clustering, 12, current) == 1
 
 
 def test_value_requires_source_anchor():
+    # the buyer's candidate check rejects a path that leaves the source
     clustering = _hand_clustering(4, [[2]], [1])
-    with pytest.raises(ValueError):
-        compute_value([1, 2], 0, clustering, Spanner(4, frozenset(), {}))
+    params = AdditiveParams(k=1, epsilon=0.5, heavy_degree=2, long_threshold=1, level_factor=2.0)
+    with pytest.raises(RuntimeError, match="endpoints drifted"):
+        _check_candidate([1, 2], 0, 2, 0, 1, params, clustering, set())
 
 
 # ---------------------------------------------------------------------------

@@ -7,29 +7,11 @@ from spanlab import (
     hub_clustering,
     cluster_sequence,
     hop_distance_matrix,
-    nearest_center,
     random_graph,
 )
 from oracles import floyd_warshall
 
 INF = float("inf")
-
-
-# ---------------------------------------------------------------------------
-# nearest_center
-# ---------------------------------------------------------------------------
-
-
-def test_nearest_center_tie_breaks_by_index(path3):
-    assert nearest_center(path3, 1, {0, 2}, radius=1) == 0
-
-
-def test_nearest_center_self(cycle5):
-    assert nearest_center(cycle5, 3, {3, 0}, radius=0) == 3
-
-
-def test_nearest_center_radius_exceeded(cycle5):
-    assert nearest_center(cycle5, 3, {0}, radius=1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +94,12 @@ def test_k1_mu1_rebuilds_the_graph(petersen):
 def test_petersen_audit_and_golden_dump(petersen):
     cs = cluster_sequence(petersen, 2, 0.5, 3)
     _audit_levels(petersen, cs)
-    golden = (
-        "0 0 0 0\n0 1 1 0\n0 2 2 0\n0 3 3 0\n0 4 4 0\n"
-        "0 5 5 0\n0 6 6 0\n0 7 7 0\n0 8 8 0\n0 9 9 0\n"
-        "1 0 4 1\n1 3 4 1\n1 4 4 0\n1 6 9 1\n1 7 9 1\n1 9 9 0\n"
-    )
-    assert cs.dump_assignments() == golden
+    golden = [
+        (list(range(10)), [0] * 10),
+        ([4, -1, -1, 4, 4, -1, 9, 9, -1, 9], [1, -1, -1, 1, 0, -1, 1, 1, -1, 0]),
+        ([-1] * 10, [-1] * 10),
+    ]
+    assert _assignments(cs) == golden
 
 
 def test_random_graph_audits():
@@ -127,12 +109,17 @@ def test_random_graph_audits():
         _audit_levels(g, cs)
 
 
+def _assignments(cs):
+    """(assignment, center_dist) per level: the whole clustering outcome."""
+    return [(level.assignment, level.center_dist) for level in cs.levels]
+
+
 def test_determinism():
     g = random_graph(60, 0.1, 4)
     a = cluster_sequence(g, 2, 0.5, 9)
     b = cluster_sequence(g, 2, 0.5, 9)
     assert a.spanner_edges == b.spanner_edges
-    assert a.dump_assignments() == b.dump_assignments()
+    assert _assignments(a) == _assignments(b)
 
 
 def _level_clustered(cs, ell):

@@ -4,14 +4,16 @@ import pytest
 
 from spanlab import (
     Graph,
+    bfs,
     build_hybrid,
-    closest_pair_path,
     hybrid_params,
     path_is_valid,
     path_suffix,
     random_graph,
     size_bound,
+    trace_owner_path,
 )
+from spanlab.hybrid import _closest_target
 from conftest import random_tree
 from oracles import floyd_warshall
 
@@ -71,29 +73,36 @@ def test_suffix_rejects_interior_anchor():
 
 
 # ---------------------------------------------------------------------------
-# closest_pair_path
+# closest cluster pairs: the bfs -> _closest_target -> trace_owner_path chain
+# that build_hybrid runs for every multi-member cluster
 # ---------------------------------------------------------------------------
+
+
+def _closest_pair_path(g, c1, c2):
+    res = bfs(g, sorted(c1))
+    u2 = _closest_target(res.dist, res.owner, sorted(c2))
+    return None if u2 is None else trace_owner_path(g, res, u2)
 
 
 def test_closest_pair_adjacent_clusters():
     # two triangles joined by edges (2,3) and (1,4): min-id closest pair is (1,4)
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (1, 4)])
-    p = closest_pair_path(g, {0, 1, 2}, {3, 4, 5})
+    p = _closest_pair_path(g, {0, 1, 2}, {3, 4, 5})
     assert p == [1, 4]
 
 
 def test_closest_pair_equal_sets(cycle5):
-    assert closest_pair_path(cycle5, {1, 3}, {1, 3}) == [1]
+    assert _closest_pair_path(cycle5, {1, 3}, {1, 3}) == [1]
 
 
 def test_closest_pair_path_graph_ends():
     g = Graph(5, [(i, i + 1) for i in range(4)])
-    assert closest_pair_path(g, {0}, {4}) == [0, 1, 2, 3, 4]
+    assert _closest_pair_path(g, {0}, {4}) == [0, 1, 2, 3, 4]
 
 
 def test_closest_pair_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
-    assert closest_pair_path(g, {0, 1}, {2, 3}) is None
+    assert _closest_pair_path(g, {0, 1}, {2, 3}) is None
 
 
 def test_closest_pair_matches_brute_force():
@@ -110,7 +119,7 @@ def test_closest_pair_matches_brute_force():
             ),
             default=None,
         )
-        p = closest_pair_path(g, c1, c2)
+        p = _closest_pair_path(g, c1, c2)
         if best is None:
             assert p is None
         else:
@@ -172,13 +181,6 @@ def test_medium_random_graph_no_violations_and_size():
 def test_deterministic_per_seed():
     g = random_graph(80, 0.1, 3)
     assert build_hybrid(g, 2, 5).edges == build_hybrid(g, 2, 5).edges
-
-
-def test_suffix_both_is_a_superset():
-    g = random_graph(80, 0.1, 3)
-    base = build_hybrid(g, 2, 5)
-    both = build_hybrid(g, 2, 5, suffix_both=True)
-    assert base.edges <= both.edges
 
 
 def test_meta_counts_consistent():

@@ -89,3 +89,22 @@ def test_additive_deeper_level_budget():
         sp = build_sourcewise_additive(g, src, 3, seed, retries=2)
         assert sp.meta["long_violations"] == 0
         assert verify_spanner(g, sp, src.vertices, additive_spec(6)).ok
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g, src: build_sourcewise_mult(g, src, 2, 1),
+        lambda g, src: build_sourcewise_additive(g, src, 1, 1),
+        build_sourcewise_emulator2,
+        build_sourcewise_additive4,
+    ],
+    ids=["swmult", "swadd", "emulator2", "sw4"],
+)
+def test_builders_reject_source_set_of_another_graph(build):
+    # a source set's epsilon, and every parameter derived from it, is only
+    # meaningful for the n it was built with
+    g = random_graph(50, 0.1, 1)
+    for n in (10_000, 49):
+        with pytest.raises(ValueError, match="source set is for n="):
+            build(g, SourceSet.from_ids(range(4), n))

@@ -64,6 +64,15 @@ def test_non_subgraph_candidate_rejected(cycle5):
         verify_spanner(cycle5, rogue, None, hybrid_spec(2))
 
 
+@pytest.mark.parametrize("delta", [1, -1])
+def test_candidate_vertex_count_must_match(petersen, delta):
+    other = Spanner(petersen.n + delta, frozenset(petersen.edges), {})
+    with pytest.raises(ValueError, match="disagree on the vertex count"):
+        verify_spanner(petersen, other, None, hybrid_spec(2))
+    with pytest.raises(ValueError, match="disagree on the vertex count"):
+        verify_spanner(petersen, other, [0, 1], additive_spec(0))
+
+
 def test_sourcewise_scope_requires_sources(cycle5):
     with pytest.raises(ValueError, match="source"):
         verify_spanner(cycle5, _as_spanner(cycle5), None, sourcewise_mult_spec(2))
