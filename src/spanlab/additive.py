@@ -76,13 +76,16 @@ def classify_pairs(g: Graph, sources: SourceSet, params: AdditiveParams) -> list
     heavy = _heavy_flags(g, params.heavy_degree)
     out: list[PairClass] = []
     for s in sources.vertices:
-        dist = bfs_distances(g, [s])
+        res = bfs(g, [s])
+        dist, parent = res.dist, res.parent
+        # In BFS order each parent's count is final before a child reads it;
+        # the extra last slot is the zero that parent UNREACHED (-1) reads.
+        count = [0] * (g.n + 1)
+        for v in sorted(range(g.n), key=dist.__getitem__):
+            count[v] = heavy[v] + count[parent[v]]
         for v in range(g.n):
-            if dist[v] < 0:
-                continue
-            path = trace_parent_path(g, dist, v)
-            hc = sum(1 for x in path if heavy[x])
-            out.append(PairClass(s, v, hc, hc >= params.long_threshold))
+            if dist[v] >= 0:
+                out.append(PairClass(s, v, count[v], count[v] >= params.long_threshold))
     return out
 
 
@@ -91,9 +94,27 @@ def classify_pairs(g: Graph, sources: SourceSet, params: AdditiveParams) -> list
 # ---------------------------------------------------------------------------
 
 
+def _adjacency(n: int, edges) -> list[set]:
+    adj: list[set] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _insert_edges(spanner: set, adj: list[set], new_edges, rows) -> list[list[int]]:
+    """Add normalized edges to a growing spanner and repair every distance
+    row in place; returns, per row, the vertices whose distance improved."""
+    for u, v in new_edges:
+        spanner.add((u, v))
+        adj[u].add(v)
+        adj[v].add(u)
+    return [_relax_new_edges(adj, row, new_edges) for row in rows]
+
+
 def _bfs_dist_sets(adj: list[set], source: int) -> list[float]:
     dist = [_INF] * len(adj)
-    dist[source] = 0.0
+    dist[source] = 0  # int hops keep cached rows small; unreached stays _INF
     queue = deque([source])
     while queue:
         u = queue.popleft()
@@ -226,10 +247,7 @@ def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
     the path does not improve."""
     n = g.n
     spanner: set = set(base_edges)
-    adj: list[set] = [set() for _ in range(n)]
-    for u, v in spanner:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(n, spanner)
     phi = params.level_factor
     k = params.k
     stats = {"paths_bought": 0, "edges_bought": 0, "levels": [0] * (k + 1)}
@@ -254,11 +272,7 @@ def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
                             norm_edge(path[i - 1], path[i])
                             for i in _missing_positions(path, spanner)
                         ]
-                        for u, w in new_edges:
-                            spanner.add((u, w))
-                            adj[u].add(w)
-                            adj[w].add(u)
-                        improved = _relax_new_edges(adj, dist_h, new_edges)
+                        [improved] = _insert_edges(spanner, adj, new_edges, [dist_h])
                         for x in improved:
                             cid = gc.cluster_index[x]
                             if cid >= 0 and dist_h[x] < cdist[cid]:
@@ -319,6 +333,8 @@ def build_sourcewise_additive(
     sample is redrawn up to `retries` times.
     """
     sources.check_host(g)
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
     params = additive_params(g, sources, k)
     n = g.n
     heavy = _heavy_flags(g, params.heavy_degree)
@@ -348,7 +364,7 @@ def build_sourcewise_additive(
     edges: set = set()
     attempts = 0
     long_violations = 0
-    for attempt in range(max(0, retries) + 1):
+    for attempt in range(retries + 1):
         attempts = attempt + 1
         rng = subrng(seed, "tree-roots", attempt)
         roots = [v for v in range(n) if rng.random() < sample_prob]
@@ -433,23 +449,24 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     kappa = math.log(len(zs)) / math.log(n) if n >= 2 else 0.0
     gc = hub_clustering(g, kappa / 2.0)
     edges: set = set(gc.g_c)
+    adj = _adjacency(n, edges)
 
     dist_g = {z: bfs_distances(g, [z]) for z in zs}
     order = sorted(
         ((dist_g[a][b], a, b) for a in zs for b in zs if a < b and dist_g[a][b] >= 0)
     )
-    dist_cache: dict[int, list[int]] = {}
+    # spanner distances per source, kept exact by repair after every purchase
+    rows: dict[int, list[float]] = {}
     bought = 0
     for dg, a, b in order:
-        row = dist_cache.get(a)
+        row = rows.get(a)
         if row is None:
-            row = bfs_distances(Graph(n, edges), [a])
-            dist_cache[a] = row
-        if row[b] < 0 or row[b] > dg + 2:
+            row = rows[a] = _bfs_dist_sets(adj, a)
+        if row[b] > dg + 2:
             path = trace_parent_path(g, dist_g[a], b)
-            edges |= {norm_edge(x, y) for x, y in zip(path, path[1:])}
+            new_edges = {norm_edge(x, y) for x, y in zip(path, path[1:])} - edges
+            _insert_edges(edges, adj, new_edges, rows.values())
             bought += 1
-            dist_cache.clear()
 
     meta = {
         "construction": "subsetwise2",

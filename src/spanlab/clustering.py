@@ -103,18 +103,8 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
                 if 0 <= d <= tau:
                     assignment[u] = res.owner[u]
                     center_dist[u] = d
-            # Forest parents must stay inside the owner's cluster: pick the
-            # minimum-id neighbor one hop closer with the same owner.
-            for u in range(n):
-                d = center_dist[u]
-                if d >= 1:
-                    root = assignment[u]
-                    for w in g.adj[u]:
-                        if res.dist[w] == d - 1 and res.owner[w] == root:
-                            forest.add(norm_edge(u, w))
-                            break
-                    else:
-                        raise RuntimeError("forest adoption failed (internal bug)")
+                    if d >= 1:  # the canonical parent shares u's owner
+                        forest.add(norm_edge(u, res.parent[u]))
 
         delta = [u for u in range(n) if in_all_prev[u] and assignment[u] < 0]
         q_edges: set = set()
@@ -155,13 +145,6 @@ class HubClustering:
     hubs: list[int]
     g_c: set
     cluster_index: list[int]   # cluster id per vertex, or UNREACHED
-
-    @property
-    def count(self) -> int:
-        return len(self.clusters)
-
-    def cluster_of(self, v: int) -> int:
-        return self.cluster_index[v]
 
 
 def hub_clustering(g: Graph, gamma: float) -> HubClustering:

@@ -255,9 +255,10 @@ def dump_emulator(h: Emulator) -> str:
 class BfsResult:
     """Distances plus canonical parents and owning roots.
 
-    parent[v] is the minimum-id neighbor one hop closer to the roots
-    (UNREACHED for roots and unreachable vertices).  owner[v] is the nearest
-    root, ties broken by minimum root id.
+    owner[v] is the nearest root, ties broken by minimum root id.
+    parent[v] is the minimum-id neighbor one hop closer to the roots among
+    those with the same owner as v (UNREACHED for roots and unreachable
+    vertices); with one root that is the minimum-id closer neighbor.
     """
 
     dist: list[int]
@@ -265,16 +266,21 @@ class BfsResult:
     owner: list[int]
 
 
-def bfs_distances(g: Graph, roots: Iterable[int]) -> list[int]:
-    """Hop distance from the nearest root; UNREACHED where disconnected."""
+def _root_list(n: int, roots: Iterable[int]) -> list[int]:
     rootlist = sorted(set(roots))
     if not rootlist:
         raise ValueError("root set must be non-empty")
+    for r in rootlist:
+        if not (0 <= r < n):
+            raise ValueError(f"root {r} out of range [0,{n})")
+    return rootlist
+
+
+def bfs_distances(g: Graph, roots: Iterable[int]) -> list[int]:
+    """Hop distance from the nearest root; UNREACHED where disconnected."""
     dist = [UNREACHED] * g.n
     queue = deque()
-    for r in rootlist:
-        if not (0 <= r < g.n):
-            raise ValueError(f"root {r} out of range [0,{g.n})")
+    for r in _root_list(g.n, roots):
         dist[r] = 0
         queue.append(r)
     adj = g.adj
@@ -289,33 +295,36 @@ def bfs_distances(g: Graph, roots: Iterable[int]) -> list[int]:
 
 
 def bfs(g: Graph, roots: Iterable[int]) -> BfsResult:
-    """Multi-root BFS with canonical parents and minimum-id owners."""
-    rootlist = sorted(set(roots))
-    dist = bfs_distances(g, rootlist)
+    """Multi-root BFS with canonical parents and minimum-id owners.
+
+    Layer-synchronous: each frontier is scanned in (owner, id) order, so the
+    first vertex to reach v is the lexicographic minimum of (owner[w], w)
+    over v's closer neighbors w.
+    """
+    rootlist = _root_list(g.n, roots)
+    dist = [UNREACHED] * g.n
     parent = [UNREACHED] * g.n
     owner = [UNREACHED] * g.n
     for r in rootlist:
+        dist[r] = 0
         owner[r] = r
-
-    # Bucket vertices by distance so owners propagate layer by layer.
-    maxd = max(dist)
-    layers: list[list[int]] = [[] for _ in range(maxd + 1)]
-    for v in range(g.n):
-        if dist[v] > 0:
-            layers[dist[v]].append(v)
     adj = g.adj
-    for d in range(1, maxd + 1):
-        for v in layers[d]:
-            best_parent = UNREACHED
-            best_owner = g.n
-            for w in adj[v]:
-                if dist[w] == d - 1:
-                    if best_parent < 0:
-                        best_parent = w  # adjacency sorted: first hit is min id
-                    if owner[w] < best_owner:
-                        best_owner = owner[w]
-            parent[v] = best_parent
-            owner[v] = best_owner
+    frontier = rootlist
+    d = 0
+    while frontier:
+        d += 1
+        nxt: list[int] = []
+        for u in frontier:
+            o = owner[u]
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    parent[v] = u
+                    owner[v] = o
+                    nxt.append(v)
+        nxt.sort()
+        nxt.sort(key=owner.__getitem__)  # stable: (owner, id) order
+        frontier = nxt
     return BfsResult(dist, parent, owner)
 
 
@@ -340,22 +349,14 @@ def trace_parent_path(g: Graph, dist: Sequence[int], target: int) -> Optional[li
 
 
 def trace_owner_path(g: Graph, res: BfsResult, target: int) -> Optional[list[int]]:
-    """Like trace_parent_path but stays within the target's owning root."""
+    """Owner-to-target path along the canonical parents of `res`; it stays
+    within the target's owning root.  None if unreachable."""
     if res.dist[target] < 0:
         return None
-    dist, owner = res.dist, res.owner
+    parent = res.parent
     path = [target]
-    v = target
-    root = owner[target]
-    while dist[v] > 0:
-        d1 = dist[v] - 1
-        for w in g.adj[v]:
-            if dist[w] == d1 and owner[w] == root:
-                v = w
-                break
-        else:
-            raise RuntimeError("owner-consistent descent failed (internal bug)")
-        path.append(v)
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
     path.reverse()
     return path
 

@@ -108,7 +108,6 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
 
     # Cluster pairs at complementary levels.
     e3: set = set()
-    multi_cache: dict[tuple, object] = {}
     for tau in range(k):
         sigma = k - 1 - tau
         ell = params.suffix_len if tau in (params.t, params.t_prime) else params.edge_budget
@@ -118,17 +117,13 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
             continue
         target_sets = [sorted(side2[z]) for z in sorted(side2)]
         for z1 in sorted(side1):
-            members = sorted(side1[z1])
+            members = side1[z1]
             if len(members) == 1:
                 dist = dist_from(members[0])
                 owner = None
                 res = None
             else:
-                key = tuple(members)
-                res = multi_cache.get(key)
-                if res is None:
-                    res = bfs(g, members)
-                    multi_cache[key] = res
+                res = bfs(g, members)
                 dist, owner = res.dist, res.owner
             for targets in target_sets:
                 u2 = _closest_target(dist, owner, targets)

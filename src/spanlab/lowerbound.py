@@ -14,6 +14,21 @@ from .graphs import Graph, Spanner, bfs_distances, norm_edge
 from .util import ceil_int
 
 
+def _level_radices(k: int, width1: int, width2: int, level: int) -> list[int]:
+    """Coordinate ranges (a_1..a_k) of the vertices on one level."""
+    return [width1 if level == 1 else width2] + [width1] * (k - 1)
+
+
+def _rank(coords, radices) -> int:
+    """Mixed-radix index of 1-based coordinates within their level."""
+    acc = 0
+    for a, radix in zip(coords, radices):
+        if not 1 <= a <= radix:
+            raise ValueError(f"coordinate {a} out of range [1,{radix}]")
+        acc = acc * radix + (a - 1)
+    return acc
+
+
 @dataclass
 class LayeredGraph:
     """k+1 vertex levels with coordinate-replacement bipartite connections.
@@ -36,16 +51,10 @@ class LayeredGraph:
     level_offsets: list[int]
 
     def radices(self, level: int) -> list[int]:
-        first = self.width1 if level == 1 else self.width2
-        return [first] + [self.width1] * (self.k - 1)
+        return _level_radices(self.k, self.width1, self.width2, level)
 
     def vertex_id(self, level: int, coords) -> int:
-        acc = 0
-        for a, radix in zip(coords, self.radices(level)):
-            if not 1 <= a <= radix:
-                raise ValueError(f"coordinate {a} out of range [1,{radix}]")
-            acc = acc * radix + (a - 1)
-        return self.level_offsets[level - 1] + acc
+        return self.level_offsets[level - 1] + _rank(coords, self.radices(level))
 
 
 def build_lb_graph(
@@ -85,34 +94,24 @@ def build_lb_graph(
     levels: list[int] = []
     coords: list[tuple] = []
     for level in range(1, k + 2):
-        first = width1 if level == 1 else width2
-        radices = [first] + [width1] * (k - 1)
         tuples = [()]
-        for radix in radices:
+        for radix in _level_radices(k, width1, width2, level):
             tuples = [t + (a,) for t in tuples for a in range(1, radix + 1)]
         for t in tuples:
             levels.append(level)
             coords.append(t)
-
-    def vid(level: int, cs) -> int:
-        first = width1 if level == 1 else width2
-        radices = [first] + [width1] * (k - 1)
-        acc = 0
-        for a, radix in zip(cs, radices):
-            acc = acc * radix + (a - 1)
-        return level_offsets[level - 1] + acc
 
     edges: list[tuple[int, int]] = []
     for u in range(total):
         level = levels[u]
         if level > k:
             continue
-        span = width2 if level == 1 else width1
         cs = coords[u]
         i = level - 1  # 0-based coordinate rewritten by this level's edges
-        for c in range(1, span + 1):
+        radices = _level_radices(k, width1, width2, level + 1)
+        for c in range(1, radices[i] + 1):
             nxt = cs[:i] + (c,) + cs[i + 1:]
-            edges.append((u, vid(level + 1, nxt)))
+            edges.append((u, level_offsets[level] + _rank(nxt, radices)))
 
     graph = Graph(total, edges)
     expected_m = k * size1 * width2
@@ -147,6 +146,8 @@ def find_missing_chain(lg: LayeredGraph, h: Spanner) -> Optional[MissingChain]:
     Guaranteed to succeed when the candidate keeps fewer than |E|/k edges;
     returns None when every chain has a surviving edge.
     """
+    if h.n != lg.graph.n:
+        raise ValueError("candidate and graph disagree on the vertex count")
     if not h.edges <= lg.graph.edges:
         raise ValueError("candidate is not a subgraph of the layered instance")
     k = lg.k

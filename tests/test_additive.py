@@ -89,6 +89,22 @@ def test_threshold_one_makes_any_heavy_path_long():
     assert not by_target[0].is_long      # path [0] avoids it
 
 
+def test_pair_classes_list_reachable_pairs_in_source_then_target_order():
+    # two components: sources only pair with the vertices they reach
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+    src = SourceSet.from_ids([5, 1], 7)
+    params = AdditiveParams(
+        k=1, epsilon=src.epsilon, heavy_degree=2, long_threshold=2, level_factor=2.0
+    )
+    pcs = classify_pairs(g, src, params)
+    assert [(pc.source, pc.target) for pc in pcs] == [
+        (1, 0), (1, 1), (1, 2), (1, 3), (5, 4), (5, 5), (5, 6)
+    ]
+    # degree-2 vertices 1, 2 and 5 are heavy; counts include both endpoints
+    assert [pc.heavy_count for pc in pcs] == [1, 1, 2, 2, 1, 1, 1]
+    assert [pc.is_long for pc in pcs] == [False, False, True, True, False, False, False]
+
+
 def test_heavy_counts_match_path_recount():
     g = random_graph(256, 0.1, 6)
     src = SourceSet.from_ids(range(10), 256)
@@ -284,6 +300,14 @@ def test_short_pairs_hold_without_any_sampled_trees():
         for v in targets:
             assert 0 <= dh[v] <= dg[v] + 2 * k
     assert stats["levels"][0] >= 1
+
+
+def test_negative_retries_rejected():
+    g = random_graph(64, 0.1, 3)
+    src = SourceSet.from_ids(range(8), 64)
+    for retries in (-1, -5):
+        with pytest.raises(ValueError, match="retries"):
+            build_sourcewise_additive(g, src, 1, 1, retries=retries)
 
 
 def test_builder_is_deterministic():

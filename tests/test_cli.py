@@ -114,6 +114,18 @@ def test_swadd_end_to_end(tmp_path):
     ) == 0
 
 
+def test_swadd_negative_retries_exits_1(tmp_path, capsys):
+    g = _gen_random(tmp_path)
+    src = _sources_file(tmp_path, range(8))
+    out = tmp_path / "sa.el"
+    assert main(
+        ["build", "swadd", "--k", "1", "--sources", src, "--seed", "2",
+         "--retries", "-3", "--in", g, "--out", str(out)]
+    ) == 1
+    assert "retries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_emulator_end_to_end(tmp_path):
     g = _gen_random(tmp_path)
     src = _sources_file(tmp_path, range(8))

@@ -18,6 +18,7 @@ from spanlab import (
     load_graph,
     path_is_valid,
     random_graph,
+    trace_owner_path,
     weighted_sssp,
 )
 from conftest import random_tree
@@ -104,6 +105,70 @@ def test_bfs_multi_root_owner_tie(path3):
 def test_bfs_rejects_empty_roots(cycle5):
     with pytest.raises(ValueError):
         bfs_distances(cycle5, [])
+
+
+def test_bfs_rejects_empty_and_out_of_range_roots(cycle5):
+    with pytest.raises(ValueError, match="non-empty"):
+        bfs(cycle5, [])
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            bfs(cycle5, [0, bad])
+
+
+def _multi_root_instances():
+    rng = np.random.default_rng(31)
+    for seed in range(40):
+        n = int(rng.integers(8, 40))
+        g = random_graph(n, float(rng.choice([0.06, 0.12, 0.25])), seed)
+        size = int(rng.integers(2, 7))
+        yield g, sorted(int(r) for r in rng.choice(n, size=size, replace=False))
+
+
+def _oracle_owner_and_parent(g, roots):
+    """Nearest root (minimum id on ties) and the minimum-id closer neighbor
+    with that owner, from cubic all-pairs distances."""
+    fw = floyd_warshall(g)
+    dist = [min(fw[r][v] for r in roots) for v in range(g.n)]
+    owner = [
+        min((r for r in roots if fw[r][v] == dist[v]), default=-1)
+        if dist[v] < float("inf") else -1
+        for v in range(g.n)
+    ]
+    parent = [-1] * g.n
+    for v in range(g.n):
+        if 0 < dist[v] < float("inf"):
+            parent[v] = min(
+                w for w in g.adj[v] if dist[w] == dist[v] - 1 and owner[w] == owner[v]
+            )
+    return as_int_grid([dist])[0], owner, parent
+
+
+def test_bfs_multi_root_parents_match_oracle():
+    checked = 0
+    for g, roots in _multi_root_instances():
+        dist, owner, parent = _oracle_owner_and_parent(g, roots)
+        res = bfs(g, roots)
+        assert res.dist == dist
+        assert res.owner == owner
+        assert res.parent == parent
+        checked += sum(1 for p in parent if p >= 0)
+    assert checked > 500
+
+
+def test_trace_owner_path_is_the_oracle_descent():
+    for g, roots in _multi_root_instances():
+        dist, owner, parent = _oracle_owner_and_parent(g, roots)
+        res = bfs(g, roots)
+        for v in range(g.n):
+            if dist[v] < 0:
+                assert trace_owner_path(g, res, v) is None
+                continue
+            want = [v]
+            while parent[want[-1]] >= 0:
+                want.append(parent[want[-1]])
+            want.reverse()
+            assert want[0] == owner[v] and len(want) - 1 == dist[v]
+            assert trace_owner_path(g, res, v) == want
 
 
 def test_bfs_parent_is_min_id_closer_neighbor(cycle5):

@@ -153,6 +153,15 @@ def test_candidate_not_subgraph_rejected():
         find_missing_chain(lg, h)
 
 
+def test_audit_rejects_candidate_of_another_vertex_count():
+    lg = _quiet_build(16, 2, 1.0)
+    edges = frozenset(lg.graph.sorted_edges()[:60])
+    for n in (lg.graph.n + 7, lg.graph.n + 1):
+        with pytest.raises(ValueError, match="vertex count"):
+            lb_audit(lg, Spanner(n, edges, {}))
+    assert lb_audit(lg, Spanner(lg.graph.n, edges, {}))["certified"]
+
+
 def test_audit_certifies_sparse_candidates():
     lg = _quiet_build(16, 2, 1.0)
     edge_list = lg.graph.sorted_edges()
