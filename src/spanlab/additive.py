@@ -18,6 +18,7 @@ from .graphs import (
     Spanner,
     bfs,
     bfs_distances,
+    hop_distance_matrix,
     norm_edge,
     trace_parent_path,
 )
@@ -358,7 +359,8 @@ def build_sourcewise_additive(
     long_by_source: dict[int, list[int]] = {}
     for s, v in long_pairs:
         long_by_source.setdefault(s, []).append(v)
-    dist_g_rows = {s: bfs_distances(g, [s]) for s in long_by_source}
+    long_sources = list(long_by_source)
+    dist_g = hop_distance_matrix(g, long_sources) if long_by_source else None
 
     sample_prob = min(1.0, 9.0 * params.heavy_degree / n)
     edges: set = set()
@@ -377,13 +379,10 @@ def build_sourcewise_additive(
         edges = light_edges | tree_edges | bought
         long_violations = 0
         if long_by_source:
-            sub = Graph(n, edges)
-            for s, vs in long_by_source.items():
-                dist_h = bfs_distances(sub, [s])
-                dg = dist_g_rows[s]
-                long_violations += sum(
-                    1 for v in vs if dist_h[v] < 0 or dist_h[v] > dg[v] + 2 * k
-                )
+            dist_h = hop_distance_matrix(Spanner(n, frozenset(edges)), long_sources)
+            for i, vs in enumerate(long_by_source.values()):
+                dh, dg = dist_h[i, vs], dist_g[i, vs]
+                long_violations += int(((dh < 0) | (dh > dg + 2 * k)).sum())
         if long_violations == 0:
             break
 

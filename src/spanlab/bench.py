@@ -108,7 +108,7 @@ def _center_pair_violations(g: Graph, sp: Spanner, row_key: str, col_key: str, f
         return 0
     ell = sp.meta["suffix_len"]
     dg = hop_distance_matrix(g, rows)[:, cols].astype(np.int64)
-    dh = hop_distance_matrix(sp.subgraph(), rows)[:, cols].astype(np.int64)
+    dh = hop_distance_matrix(sp, rows)[:, cols].astype(np.int64)
     reach = dg >= 0
     bad_near = reach & (dg <= ell) & (dh != dg)
     bad_far = reach & (dg > ell) & ((dh < 0) | (dh > far * (dg + 1) - ell))

@@ -1,7 +1,7 @@
 """Core graph machinery: immutable unweighted graphs, deterministic BFS
-primitives with minimum-id tie-breaking, canonical shortest paths, batched
-scipy distance matrices (hop counts, and weighted Dijkstra rows for
-emulators), and seeded random-graph generation.
+primitives with minimum-id tie-breaking, canonical shortest paths, one
+batched scipy distance core fed from edge sets (hop rows of a graph or
+spanner, weighted rows of an emulator), and seeded random-graph generation.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -68,14 +69,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def subgraph(self, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Graph on the same vertex set keeping only the given edges."""
-        kept = [norm_edge(u, v) for u, v in edges]
-        for e in kept:
-            if e not in self.edges:
-                raise ValueError(f"edge {e} not present in host graph")
-        return Graph(self.n, kept)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -101,9 +94,6 @@ class Spanner:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    def subgraph(self) -> Graph:
-        return Graph(self.n, self.edges)
 
 
 class Emulator:
@@ -388,50 +378,40 @@ def _check_roots(n: int, sources: Sequence[int]) -> np.ndarray:
     return roots
 
 
-def to_csr(g: Graph) -> csr_matrix:
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    for v in range(g.n):
-        indptr[v + 1] = indptr[v] + len(g.adj[v])
-    indices = np.fromiter(
-        (w for v in range(g.n) for w in g.adj[v]), dtype=np.int64, count=int(indptr[-1])
-    )
-    data = np.ones(len(indices), dtype=np.int8)
-    return csr_matrix((data, indices, indptr), shape=(g.n, g.n))
+def _distance_rows(
+    n: int, pairs: Collection, weights: Optional[Iterable], sources: Optional[Sequence[int]]
+) -> np.ndarray:
+    """Exact distances over the undirected edge set `pairs` from each source
+    (default: all vertices), as float64 rows that follow the order of
+    `sources`; UNREACHED where cut off.  Unit weights when `weights` is
+    None, else one weight per pair in iteration order.  One batched scipy
+    Dijkstra over a CSR that holds each unordered pair once."""
+    roots = None if sources is None else _check_roots(n, sources)
+    if (n if roots is None else len(roots)) == 0:
+        return np.zeros((0, n))
+    ends = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+    data = np.ones(len(ends)) if weights is None else np.fromiter(weights, np.float64, len(ends))
+    if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
+        raise ValueError("emulator weights too large for exact distances")
+    csr = csr_matrix((data, (ends[:, 0], ends[:, 1])), shape=(n, n))
+    dmat = _sparse_dijkstra(csr, directed=False, unweighted=weights is None, indices=roots)
+    dmat[np.isinf(dmat)] = UNREACHED
+    return dmat
 
 
-def hop_distance_matrix(g: Graph, sources: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Hop distances from each source (default: all vertices) as an int matrix.
-
-    Unreachable entries are UNREACHED.  Rows follow the order of `sources`.
-    """
-    if g.n == 0:
-        return np.zeros((0, 0), dtype=np.int32)
-    if sources is not None and len(sources) == 0:
-        return np.zeros((0, g.n), dtype=np.int32)
-    indices = None if sources is None else _check_roots(g.n, sources)
-    dmat = _sparse_dijkstra(to_csr(g), directed=False, unweighted=True, indices=indices)
-    dmat = np.atleast_2d(dmat)
-    out = np.where(np.isfinite(dmat), dmat, UNREACHED).astype(np.int32)
-    return out
+def hop_distance_matrix(
+    g: Graph | Spanner, sources: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Hop distances from each source (default: all vertices) over the edges
+    of a Graph or a Spanner, as an int32 matrix; UNREACHED where cut off.
+    Rows follow the order of `sources`."""
+    return _distance_rows(g.n, g.edges, None, sources).astype(np.int32)
 
 
 def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
-    """Exact weighted distances from each source in an emulator as an int
-    matrix, from one batched scipy Dijkstra over a CSR that holds each
-    unordered pair once.  Unreachable entries are UNREACHED.  Rows follow
-    the order of `sources`."""
-    roots = _check_roots(h.n, sources)
-    if len(roots) == 0:
-        return np.zeros((0, h.n), dtype=np.int64)
-    ends = np.fromiter(
-        (x for pair in h.weights for x in pair), dtype=np.int64, count=2 * h.size
-    ).reshape(-1, 2)
-    weights = np.fromiter(h.weights.values(), dtype=np.float64, count=h.size)
-    if weights.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
-        raise ValueError("emulator weights too large for exact distances")
-    csr = csr_matrix((weights, (ends[:, 0], ends[:, 1])), shape=(h.n, h.n))
-    dmat = np.atleast_2d(_sparse_dijkstra(csr, directed=False, indices=roots))
-    return np.where(np.isfinite(dmat), dmat, UNREACHED).astype(np.int64)
+    """Exact weighted distances from each source in an emulator as an int64
+    matrix; UNREACHED where cut off.  Rows follow the order of `sources`."""
+    return _distance_rows(h.n, h.weights, h.weights.values(), sources).astype(np.int64)
 
 
 def weighted_sssp(h: Emulator, root: int) -> list[int]:

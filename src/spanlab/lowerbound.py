@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Spanner, bfs_distances, norm_edge
+from .graphs import Graph, Spanner, hop_distance_matrix, norm_edge
 from .util import ceil_int
 
 
@@ -186,8 +186,8 @@ def lb_audit(lg: LayeredGraph, h: Spanner) -> dict:
             "note": "no all-missing chain; candidate not refuted",
         }
     v1, vlast = chain.vertices[0], chain.vertices[-1]
-    dist_graph = bfs_distances(lg.graph, [v1])[vlast]
-    dh = bfs_distances(Graph(lg.graph.n, h.edges), [v1])[vlast]
+    dist_graph = int(hop_distance_matrix(lg.graph, [v1])[0, vlast])
+    dh = int(hop_distance_matrix(h, [v1])[0, vlast])
     dist_candidate = None if dh < 0 else dh
     certified = dist_graph <= lg.k and (dist_candidate is None or dist_candidate >= 3 * lg.k)
     return {

@@ -180,9 +180,9 @@ def verify_spanner(
     sources: Optional[Sequence[int]],
     spec: StretchSpec,
 ) -> StretchReport:
-    """BFS in the host and in the candidate from every relevant root; exact
-    max stretches per pair class plus every violating pair.  Pairs the host
-    graph cannot connect are skipped (and counted)."""
+    """Hop rows in the host and in the candidate's edge set from every
+    relevant root; exact max stretches per pair class plus every violating
+    pair.  Pairs the host graph cannot connect are skipped (and counted)."""
     if h.n != g.n:
         raise ValueError("candidate and graph disagree on the vertex count")
     if not h.edges <= g.edges:
@@ -191,11 +191,13 @@ def verify_spanner(
         if sources is None:
             raise ValueError(f"spec {spec.name!r} needs a source set")
         roots = sorted(set(sources))
+        if not roots:
+            raise ValueError("source set must be non-empty")
     else:
         roots = list(range(g.n))
 
     dg = hop_distance_matrix(g, roots)
-    dh = hop_distance_matrix(h.subgraph(), roots)
+    dh = hop_distance_matrix(h, roots)
 
     nrows = len(roots)
     adjacency = np.zeros((nrows, g.n), dtype=bool)

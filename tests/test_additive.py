@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +22,7 @@ from spanlab import (
     random_graph,
     weighted_sssp,
 )
+from spanlab import additive
 from spanlab.additive import (
     AdditiveParams,
     _buy_short_paths,
@@ -277,6 +280,49 @@ def test_long_pairs_are_served_by_sampled_trees():
     assert sp.meta["attempts"] <= 4
     assert sp.meta["long_violations"] == 0
     assert _additive_violations(g, sp.edges, src.vertices, 2) == 0
+
+
+def _hub_chain(spine: int, hub_leaves: int, spine_leaves: int):
+    """Path of heavy spine vertices, each clustered around its own private
+    hub (hubs take the lowest ids), with a two-hop detour through a light
+    vertex beside every spine edge and pendant leaves for degree."""
+    hubs, path = range(spine), range(spine, 2 * spine)
+    edges = [(path[i], path[i + 1]) for i in range(spine - 1)]
+    edges += [(hubs[i], path[i]) for i in range(spine)]
+    nxt = 2 * spine
+    for i in range(spine - 1):
+        edges += [(path[i], nxt), (nxt, path[i + 1])]
+        nxt += 1
+    for i in range(spine):
+        for end, count in ((hubs[i], hub_leaves), (path[i], spine_leaves)):
+            edges += [(end, leaf) for leaf in range(nxt, nxt + count)]
+            nxt += count
+    return Graph(nxt, edges)
+
+
+def test_long_check_counts_pairs_beyond_plus_2k(monkeypatch):
+    # With no sampled trees and no bought paths the output is the light
+    # edges plus the clustering; the cut spine edges leave long pairs 1-3
+    # hops over their host distance, so the +2k bound splits them.
+    g = _hub_chain(spine=12, hub_leaves=20, spine_leaves=18)  # n=491
+    src = SourceSet.from_ids(range(g.n), g.n)
+    def buy_nothing(g, sources, short_targets, gc, base_edges, params):
+        return set(base_edges), {"edges_bought": 0, "levels": []}
+
+    no_draws = SimpleNamespace(random=lambda: 1.0)
+    monkeypatch.setattr(additive, "subrng", lambda *labels: no_draws)
+    monkeypatch.setattr(additive, "_buy_short_paths", buy_nothing)
+    sp = build_sourcewise_additive(g, src, 1, seed=0)
+    sub = Graph(g.n, sp.edges)
+    pcs = classify_pairs(g, src, additive_params(g, src, 1))
+    long_pairs = [(pc.source, pc.target) for pc in pcs if pc.is_long]
+    sources = {s for s, _ in long_pairs}
+    rows = {s: (bfs_distances(g, [s]), bfs_distances(sub, [s])) for s in sources}
+    excess = Counter(rows[s][1][v] - rows[s][0][v] for s, v in long_pairs)
+    assert sorted(excess) == [1, 2, 3]
+    assert sp.meta["long_pairs"] == sum(excess.values())
+    assert sp.meta["long_violations"] == excess[3]
+    assert sp.meta["attempts"] == 1
 
 
 def test_short_pairs_hold_without_any_sampled_trees():

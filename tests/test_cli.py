@@ -223,6 +223,19 @@ def test_candidate_vertex_count_mismatch_exits_1(tmp_path):
     assert main(["verify", "--graph", g, "--candidate", str(other), "--spec", "hybrid:k=2"]) == 1
 
 
+def test_audit_candidate_vertex_count_mismatch_exits_1(tmp_path, capsys):
+    paths = _gen_lb(tmp_path)
+    g = load_graph((tmp_path / "lb.el").read_text())
+    other = tmp_path / "other.el"
+    lines = [f"p {g.n + 1} {g.m}"] + [f"{u} {v}" for u, v in g.sorted_edges()]
+    other.write_text("\n".join(lines) + "\n")
+    assert main(
+        ["audit", "lb", "--graph", paths["graph"], "--meta", paths["meta"],
+         "--candidate", str(other)]
+    ) == 1
+    assert "disagree on the vertex count" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

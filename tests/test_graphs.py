@@ -7,6 +7,7 @@ from spanlab import (
     Emulator,
     Graph,
     GraphFormatError,
+    Spanner,
     bfs,
     bfs_distances,
     canonical_path,
@@ -303,3 +304,51 @@ def test_hop_distance_matrix_agrees_with_bfs():
     sub = hop_distance_matrix(g, [4, 9])
     assert list(sub[0]) == bfs_distances(g, [4])
     assert list(sub[1]) == bfs_distances(g, [9])
+
+
+def _split_instances():
+    """Seeded graphs with isolated vertices and several components, each
+    with a random edge subset as a Spanner."""
+    rng = np.random.default_rng(21)
+    for seed in range(12):
+        parts = [random_graph(int(rng.integers(2, 14)), 0.3, 100 * seed + i) for i in range(3)]
+        edges, base = [], 0
+        for part in parts:
+            edges += [(u + base, v + base) for u, v in part.edges]
+            base += part.n + int(rng.integers(0, 3))  # isolated vertices between parts
+        order = rng.permutation(base)  # interleave the parts' ids
+        g = Graph(base, [(int(order[u]), int(order[v])) for u, v in edges])
+        kept = frozenset(e for e in g.edges if rng.random() < 0.7)
+        yield g, Spanner(g.n, kept, {})
+
+
+def test_hop_rows_read_a_spanner_edge_set():
+    for g, sp in _split_instances():
+        want = as_int_grid(floyd_warshall(Graph(g.n, sp.edges)))
+        got = hop_distance_matrix(sp)
+        assert got.dtype == np.int32 and got.tolist() == want
+        assert hop_distance_matrix(Graph(g.n, sp.edges)).tolist() == want
+        assert hop_distance_matrix(g).tolist() == as_int_grid(floyd_warshall(g))
+        roots = [g.n - 1, 0, g.n // 2, 0]
+        assert hop_distance_matrix(sp, roots).tolist() == [want[r] for r in roots]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_distance_matrices_keep_shapes_and_dtypes(n):
+    g = Graph(n, [(0, 1), (1, 2)] if n == 3 else [])
+    em = Emulator(n, [(0, 1, 2)] if n == 3 else [])
+    assert hop_distance_matrix(g).shape == (n, n)
+    assert hop_distance_matrix(g).dtype == np.int32
+    for sources in ([], ()):
+        assert hop_distance_matrix(g, sources).shape == (0, n)
+        assert hop_distance_matrix(g, sources).dtype == np.int32
+        assert emulator_distance_matrix(em, sources).shape == (0, n)
+        assert emulator_distance_matrix(em, sources).dtype == np.int64
+    if n:
+        roots = [n - 1, 0, n - 1]  # repeated and unsorted: rows follow the list
+        hop = hop_distance_matrix(g, roots)
+        emu = emulator_distance_matrix(em, roots)
+        assert hop.shape == emu.shape == (3, n)
+        assert hop.dtype == np.int32 and emu.dtype == np.int64
+        assert hop.tolist() == [bfs_distances(g, [r]) for r in roots]
+        assert emu.tolist() == [weighted_sssp(em, r) for r in roots]

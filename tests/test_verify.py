@@ -78,6 +78,33 @@ def test_sourcewise_scope_requires_sources(cycle5):
         verify_spanner(cycle5, _as_spanner(cycle5), None, sourcewise_mult_spec(2))
 
 
+@pytest.mark.parametrize("spec", [additive_spec(2), subsetwise_spec(2)])
+def test_empty_source_set_rejected(cycle5, spec):
+    # no pair to check is not a pass
+    with pytest.raises(ValueError, match="source set must be non-empty"):
+        verify_spanner(cycle5, Spanner(cycle5.n, frozenset(), {}), [], spec)
+
+
+def test_candidate_is_measured_from_its_edges(monkeypatch):
+    g = random_graph(40, 0.15, 3)
+    h = _as_spanner(g, sorted(g.edges)[::2])
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    reports = [
+        verify_spanner(g, h, None, hybrid_spec(2)),
+        verify_spanner(g, h, [0, 7, 31], additive_spec(2)),
+        verify_spanner(g, h, [0, 7, 31], subsetwise_spec(2)),
+    ]
+    assert built == []
+    assert not reports[0].ok  # the candidate really was measured
+
+
 def test_sourcewise_scope_counts_all_source_pairs():
     g = random_graph(30, 0.2, 1)
     rep = verify_spanner(g, _as_spanner(g), [0, 5], additive_spec(2))
