@@ -290,5 +290,7 @@ def size_bound(
 def size_report(
     h, formula: str, n: int, k: Optional[int] = None, epsilon: Optional[float] = None
 ) -> float:
-    """Edge count of a spanner or emulator divided by its nominal bound."""
-    return h.size / size_bound(formula, n, k=k, epsilon=epsilon)
+    """Edge count of a spanner or emulator divided by its nominal bound;
+    0.0 when the bound is 0, which happens only for n = 0 (no edges)."""
+    bound = size_bound(formula, n, k=k, epsilon=epsilon)
+    return h.size / bound if bound else 0.0

@@ -72,6 +72,23 @@ def test_hybrid_end_to_end(tmp_path):
     assert {c["class"] for c in v["classes"]} == {"adjacent", "nonadjacent"}
 
 
+def test_hybrid_on_empty_host_exits_0(tmp_path):
+    g = tmp_path / "empty.el"
+    g.write_text("p 0 0\n")
+    out, report, vreport = tmp_path / "h.el", tmp_path / "h.json", tmp_path / "v.json"
+    assert main(
+        ["build", "hybrid", "--k", "2", "--seed", "1", "--in", str(g),
+         "--out", str(out), "--report", str(report)]
+    ) == 0
+    rep = json.loads(report.read_text())
+    assert rep["size"] == 0 and rep["size_ratio"] == 0.0
+    assert main(
+        ["verify", "--graph", str(g), "--candidate", str(out),
+         "--spec", "hybrid:k=2", "--report", str(vreport)]
+    ) == 0
+    assert json.loads(vreport.read_text())["bound_ratio"] == 0.0
+
+
 def test_verify_flags_violations_with_exit_2(tmp_path, cycle5):
     from spanlab import dump_graph
 

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from spanlab import (
     Graph,
     bfs,
     build_hybrid,
+    cluster_sequence,
     hybrid_params,
+    norm_edge,
     path_is_valid,
     path_suffix,
     random_graph,
     size_bound,
     trace_owner_path,
 )
-from spanlab.hybrid import _closest_target
+from spanlab import hybrid
+from spanlab.hybrid import adjacency_csr, closest_pairs, hop_rows, suffix_walk
 from conftest import random_tree
 from oracles import floyd_warshall
 
@@ -73,15 +77,72 @@ def test_suffix_rejects_interior_anchor():
 
 
 # ---------------------------------------------------------------------------
-# closest cluster pairs: the bfs -> _closest_target -> trace_owner_path chain
-# that build_hybrid runs for every multi-member cluster
+# closest cluster pairs and suffix walks: the array path of phases 2 and 3,
+# against the reference chain bfs -> (dist, owner, id) minimum ->
+# trace_owner_path -> path_suffix
 # ---------------------------------------------------------------------------
 
 
+def _walked(g, dist, roots, targets, ell):
+    codes = suffix_walk(adjacency_csr(g), dist, roots, targets, ell)
+    return {divmod(int(c), g.n) for c in codes}
+
+
 def _closest_pair_path(g, c1, c2):
-    res = bfs(g, sorted(c1))
-    u2 = _closest_target(res.dist, res.owner, sorted(c2))
-    return None if u2 is None else trace_owner_path(g, res, u2)
+    dist = hop_rows(g)
+    _, _, m, u, _ = closest_pairs(dist, [sorted(c1)], [sorted(c2)])
+    if not len(m):
+        return None
+    m, u = int(m[0]), int(u[0])
+    edges = _walked(g, dist, [m], [u], g.n)
+    path = [m]
+    while path[-1] != u:
+        v = path[-1]
+        path.append(next(w for w in g.adj[v] if norm_edge(v, w) in edges and w not in path))
+    return path
+
+
+def _reference_pick(g, c1, c2, ell):
+    res = bfs(g, c1)
+    best = min(((res.dist[u], res.owner[u], u) for u in c2 if res.dist[u] >= 0), default=None)
+    if best is None:
+        return None, set()
+    d, m, u = best
+    return (m, u, d), path_suffix(trace_owner_path(g, res, u), ell, anchor=u)
+
+
+def _random_clusters(rng, n):
+    """Disjoint clusters over a random subset of 0..n-1: one singleton, one
+    of three members, then 1-5 members each."""
+    order = rng.permutation(n)[: int(rng.integers(4, n + 1))]
+    out, i = [], 0
+    while i < len(order):
+        size = (1, 3)[len(out)] if len(out) < 2 else int(rng.integers(1, 6))
+        out.append(sorted(int(v) for v in order[i:i + size]))
+        i += size
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closest_pairs_and_walks_match_reference_chain(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 60))
+    # seeds 1-3 draw disconnected hosts with isolated vertices
+    g = random_graph(n, float(rng.choice([0.02, 0.05, 0.1, 0.3])), seed)
+    dist = hop_rows(g)
+    side1, side2 = _random_clusters(rng, n), _random_clusters(rng, n)
+    i, j, m, u, d = closest_pairs(dist, side1, side2)
+    picks = {(a, b): (c, e, f) for a, b, c, e, f in zip(*(x.tolist() for x in (i, j, m, u, d)))}
+    for ell in (0, 1, 2, n):
+        union: set = set()
+        for a, c1 in enumerate(side1):
+            for b, c2 in enumerate(side2):
+                pick, suffix = _reference_pick(g, c1, c2, ell)
+                assert picks.get((a, b)) == pick
+                if pick is not None:
+                    assert _walked(g, dist, [pick[0]], [pick[1]], ell) == suffix
+                union |= suffix
+        assert _walked(g, dist, m, u, ell) == union
 
 
 def test_closest_pair_adjacent_clusters():
@@ -191,6 +252,28 @@ def test_meta_counts_consistent():
     assert sp.size >= max(phases.values())
     assert sp.meta["size"] == sp.size
     assert sp.edges <= g.edges
+    new = sp.meta["phase_new_edges"]
+    assert list(new) == ["clustering", "center_paths", "cluster_paths"]
+    assert sum(new.values()) == sp.size
+    assert new["clustering"] == phases["clustering"]
+
+
+def test_center_paths_add_edges_on_a_dense_instance():
+    g = random_graph(96, 0.2, 1)
+    new = build_hybrid(g, 3, 1).meta["phase_new_edges"]
+    assert new["center_paths"] > 0 and new["cluster_paths"] > 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_output_does_not_depend_on_block_size(monkeypatch, k):
+    g = random_graph(40, 0.3, 2)
+    # a cluster above 3 members spans several member-row blocks at size 3
+    assert max(map(len, cluster_sequence(g, k, 1.0 / k, 2).clusters_at(1).values())) > 3
+    ref = build_hybrid(g, k, 2)
+    for block in (1, 3, g.n + 5):
+        monkeypatch.setattr(hybrid, "_BLOCK", block)
+        sp = build_hybrid(g, k, 2)
+        assert sp.edges == ref.edges and sp.meta == ref.meta
 
 
 def test_center_pairs_exact_within_budget():
