@@ -17,7 +17,6 @@ from .graphs import (
     Graph,
     Spanner,
     bfs,
-    bfs_distances,
     hop_distance_matrix,
     norm_edge,
     trace_parent_path,
@@ -253,9 +252,10 @@ def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
     k = params.k
     stats = {"paths_bought": 0, "edges_bought": 0, "levels": [0] * (k + 1)}
 
-    for s in sorted(short_targets):
+    order = sorted(short_targets)
+    for s, row in zip(order, hop_distance_matrix(g, order)):
         targets = short_targets[s]
-        dist_g = bfs_distances(g, [s])
+        dist_g = row.tolist()
         dist_h = _bfs_dist_sets(adj, s)
         cdist = [
             min((dist_h[m] for m in mem), default=_INF) for mem in gc.clusters
@@ -423,8 +423,8 @@ def build_sourcewise_emulator2(g: Graph, sources: SourceSet) -> Emulator:
     sources.check_host(g)
     gc = hub_clustering(g, sources.epsilon / 2.0)
     triples = [(u, v, 1) for (u, v) in gc.g_c]
-    for s in sources.vertices:
-        dist = bfs_distances(g, [s])
+    for s, row in zip(sources.vertices, hop_distance_matrix(g, sources.vertices)):
+        dist = row.tolist()
         for mem in gc.clusters:
             best = None
             for m in mem:
@@ -450,7 +450,7 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     edges: set = set(gc.g_c)
     adj = _adjacency(n, edges)
 
-    dist_g = {z: bfs_distances(g, [z]) for z in zs}
+    dist_g = dict(zip(zs, hop_distance_matrix(g, zs).tolist()))
     order = sorted(
         ((dist_g[a][b], a, b) for a in zs for b in zs if a < b and dist_g[a][b] >= 0)
     )

@@ -1,7 +1,12 @@
 """Core graph machinery: immutable unweighted graphs, deterministic BFS
 primitives with minimum-id tie-breaking, canonical shortest paths, one
-batched scipy distance core fed from edge sets (hop rows of a graph or
-spanner, weighted rows of an emulator), and seeded random-graph generation.
+distance core fed from edge sets, and seeded random-graph generation.
+
+The distance core serves every bulk row.  Hop rows of a graph or spanner
+come from a packed-bitset BFS over one CSR built per call (64 sources per
+uint64 word, level-synchronous); sources whose search runs past a fixed
+level cap, and the weighted rows of an emulator, come from one batched
+scipy Dijkstra.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -378,25 +383,131 @@ def _check_roots(n: int, sources: Sequence[int]) -> np.ndarray:
     return roots
 
 
+def _pair_ends(n: int, pairs: Collection) -> np.ndarray:
+    """The unordered pairs as an (m, 2) int64 array, ends checked in range."""
+    ends = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(f"edge end out of range [0,{n})")
+    return ends
+
+
+def adjacency_csr(n: int, pairs: Collection) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the undirected edge set `pairs` on vertices
+    0..n-1: each pair stored in both directions, every neighbor list sorted
+    ascending (the sorted adjacency lists of a Graph with these edges)."""
+    ends = _pair_ends(n, pairs)
+    keys = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
+    keys.sort()
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(ends.ravel(), minlength=n), out=indptr[1:])
+    return indptr, keys % n
+
+
+def _dijkstra_rows(
+    adj: csr_matrix, roots: np.ndarray, directed: bool, unweighted: bool
+) -> np.ndarray:
+    """float64 rows of scipy's Dijkstra from each root; UNREACHED where cut off."""
+    rows = _sparse_dijkstra(adj, directed=directed, unweighted=unweighted, indices=roots)
+    rows[np.isinf(rows)] = UNREACHED
+    return rows
+
+
+# Roots per bitset block (one bit each, 64 to a uint64 word).  A BFS level
+# costs O((n + nnz) * words) however small its frontier, so roots whose
+# search goes past _LEVEL_CAP levels take Dijkstra rows instead: on long
+# diameters that bounds the wasted levels, and levels stay below 128 so a
+# block's rows fit int8.  Rows are written _WRITE_CHUNK vertices at a time.
+_ROW_BLOCK = 1024
+_LEVEL_CAP = 64
+_WRITE_CHUNK = 64
+
+
+def _unpack(words: np.ndarray, count: int) -> np.ndarray:
+    """Per-vertex root bits as a uint8 0/1 matrix, one column per root."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
+
+
+def _bfs_rows(csr: tuple[np.ndarray, np.ndarray], roots: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[i] with the hop distances from roots[i] (UNREACHED where cut
+    off) over the CSR graph.
+
+    Level-synchronous BFS for `_ROW_BLOCK` roots at once: the frontier holds
+    one bit per (vertex, root), and a level ORs the frontier words of every
+    vertex's neighbors (`bitwise_or.reduceat` over the CSR) and keeps the
+    bits not yet seen.  Levels are recorded bit-sliced (plane i gets the new
+    bits of every level with bit i set) and unpacked once per block.  Roots
+    whose search passes `_LEVEL_CAP` levels get Dijkstra rows instead.
+    """
+    indptr, indices = csr
+    n = len(indptr) - 1
+    # frontier row n stays zero, so the last segment ends in range even
+    # when trailing vertices are isolated; isolated rows are zeroed after
+    gather = np.append(indices, n)
+    isolated = np.flatnonzero(indptr[1:] == indptr[:-1])
+    for lo in range(0, len(roots), _ROW_BLOCK):
+        block = roots[lo:lo + _ROW_BLOCK]
+        b = len(block)
+        col = np.arange(b)
+        packed = np.zeros((n + 1, -(-b // 64) * 8), np.uint8)
+        np.bitwise_or.at(packed, (block, col >> 3), np.left_shift(1, col & 7).astype(np.uint8))
+        frontier = packed.view(np.uint64)
+        new = frontier[:n]
+        unseen = ~new
+        planes: list[np.ndarray] = []
+        deep = np.empty(0, np.int64)
+        for level in range(1, _LEVEL_CAP + 2):
+            reached = np.bitwise_or.reduceat(frontier.take(gather, axis=0), indptr[:-1], axis=0)
+            reached[isolated] = 0
+            np.bitwise_and(reached, unseen, out=new)
+            if not new.any():
+                break
+            if level > _LEVEL_CAP:  # roots whose search goes past the cap
+                deep = np.flatnonzero(_unpack(np.bitwise_or.reduce(new, axis=0)[None], b)[0])
+                break
+            unseen ^= new
+            if level.bit_length() > len(planes):
+                planes.append(np.zeros_like(unseen))
+            for i, plane in enumerate(planes):
+                if level >> i & 1:
+                    plane |= new
+        if len(deep) < b:
+            dist = _unpack(unseen, b) * np.uint8(255)  # UNREACHED once read as int8
+            for i, plane in enumerate(planes):
+                dist |= _unpack(plane, b) * np.uint8(1 << i)
+            signed, rows = dist.view(np.int8), out[lo:lo + b]
+            for v in range(0, n, _WRITE_CHUNK):
+                rows[:, v:v + _WRITE_CHUNK] = signed[v:v + _WRITE_CHUNK].T
+        if len(deep):
+            adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+            # adj holds both directions of every pair, so directed is exact
+            out[lo + deep] = _dijkstra_rows(adj, block[deep], directed=True, unweighted=True)
+
+
 def _distance_rows(
     n: int, pairs: Collection, weights: Optional[Iterable], sources: Optional[Sequence[int]]
 ) -> np.ndarray:
     """Exact distances over the undirected edge set `pairs` from each source
-    (default: all vertices), as float64 rows that follow the order of
-    `sources`; UNREACHED where cut off.  Unit weights when `weights` is
-    None, else one weight per pair in iteration order.  One batched scipy
-    Dijkstra over a CSR that holds each unordered pair once."""
-    roots = None if sources is None else _check_roots(n, sources)
-    if (n if roots is None else len(roots)) == 0:
-        return np.zeros((0, n))
-    ends = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
-    data = np.ones(len(ends)) if weights is None else np.fromiter(weights, np.float64, len(ends))
+    (default: all vertices), as rows that follow the order of `sources`;
+    UNREACHED where cut off.
+
+    Unit weights when `weights` is None: int32 rows from the packed-bitset
+    BFS (`_bfs_rows`) over `adjacency_csr`, built once per call.  Otherwise
+    one weight per pair in iteration order, and int64 rows from one batched
+    scipy Dijkstra over a CSR that holds each unordered pair once."""
+    roots = np.arange(n) if sources is None else _check_roots(n, sources)
+    out = np.empty((len(roots), n), np.int32 if weights is None else np.int64)
+    if not len(roots):
+        return out
+    if weights is None:
+        _bfs_rows(adjacency_csr(n, pairs), roots, out)
+        return out
+    ends = _pair_ends(n, pairs)
+    data = np.fromiter(weights, np.float64, len(ends))
     if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
         raise ValueError("emulator weights too large for exact distances")
-    csr = csr_matrix((data, (ends[:, 0], ends[:, 1])), shape=(n, n))
-    dmat = _sparse_dijkstra(csr, directed=False, unweighted=weights is None, indices=roots)
-    dmat[np.isinf(dmat)] = UNREACHED
-    return dmat
+    adj = csr_matrix((data, (ends[:, 0], ends[:, 1])), shape=(n, n))
+    out[...] = _dijkstra_rows(adj, roots, directed=False, unweighted=False)
+    return out
 
 
 def hop_distance_matrix(
@@ -405,13 +516,13 @@ def hop_distance_matrix(
     """Hop distances from each source (default: all vertices) over the edges
     of a Graph or a Spanner, as an int32 matrix; UNREACHED where cut off.
     Rows follow the order of `sources`."""
-    return _distance_rows(g.n, g.edges, None, sources).astype(np.int32)
+    return _distance_rows(g.n, g.edges, None, sources)
 
 
 def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
     """Exact weighted distances from each source in an emulator as an int64
     matrix; UNREACHED where cut off.  Rows follow the order of `sources`."""
-    return _distance_rows(h.n, h.weights, h.weights.values(), sources).astype(np.int64)
+    return _distance_rows(h.n, h.weights, h.weights.values(), sources)
 
 
 def weighted_sssp(h: Emulator, root: int) -> list[int]:

@@ -3,8 +3,9 @@ else gets k.  Built from the level clustering plus bounded path suffixes
 between center pairs and between cluster pairs at complementary levels.
 
 The path phases are array-native: every vertex's hop row comes once from
-the scipy distance core into one n x n matrix, closest cluster pairs are
-masked minima over it, and canonical-parent walks run on the pairs walked.
+the packed-bitset BFS row kernel into one n x n matrix, closest cluster
+pairs are masked minima over it, and canonical-parent walks run on the
+pairs walked.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, _distance_rows, norm_edge
+from .graphs import Graph, Spanner, _bfs_rows, adjacency_csr, norm_edge
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
-# Rows per distance block, source clusters per closest-pair block and
-# member rows per chunk of it, so temporaries stay near _BLOCK * n entries;
-# walks go _BLOCK**2 at a time.
+# Source clusters per closest-pair block and member rows per chunk of it,
+# so temporaries stay near _BLOCK * n entries; walks go _BLOCK**2 at a time.
 _BLOCK = 256
 _NO_PAIR = np.iinfo(np.int64).max
 
@@ -67,21 +67,12 @@ def path_suffix(path: Sequence[int], ell: int, anchor: int) -> set:
 
 def hop_rows(g: Graph) -> np.ndarray:
     """Every vertex's hop row as one n x n matrix (int16, int32 once
-    n >= 2**15; UNREACHED where cut off), filled `_BLOCK` rows at a time
-    from the scipy distance core."""
+    n >= 2**15; UNREACHED where cut off), filled by one call of the
+    packed-bitset BFS row kernel."""
     n = g.n
     dist = np.empty((n, n), np.int16 if n < 2**15 else np.int32)
-    for lo in range(0, n, _BLOCK):
-        dist[lo:lo + _BLOCK] = _distance_rows(n, g.edges, None, range(lo, min(n, lo + _BLOCK)))
+    _bfs_rows(adjacency_csr(n, g.edges), np.arange(n), dist)
     return dist
-
-
-def adjacency_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the sorted adjacency lists."""
-    indptr = np.zeros(g.n + 1, np.int64)
-    np.cumsum([len(nbrs) for nbrs in g.adj], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.adj), np.int64, int(indptr[-1]))
-    return indptr, indices
 
 
 def suffix_walk(csr, dist: np.ndarray, roots, targets, ell: int) -> np.ndarray:
@@ -171,17 +162,18 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
     the first cluster to its closest member of the second (`closest_pairs`).
 
     Phases two and three read one hop matrix of every vertex's row from the
-    scipy distance core (`hop_rows`) and walk canonical parents as arrays
-    (`suffix_walk`).  `meta["phase_edges"]` counts each phase's edges,
-    overlaps included; `meta["phase_new_edges"]` counts the edges each
-    phase adds to the earlier ones, and sums to `size`.
+    packed-bitset BFS row kernel (`hop_rows`) and walk canonical parents as
+    arrays (`suffix_walk`) over the CSR that the kernel's builder
+    (`adjacency_csr`) gives.  `meta["phase_edges"]` counts each phase's
+    edges, overlaps included; `meta["phase_new_edges"]` counts the edges
+    each phase adds to the earlier ones, and sums to `size`.
     """
     params = hybrid_params(k)
     cs = cluster_sequence(g, k, 1.0 / k, seed)
     hk = set(cs.spanner_edges)
     n = g.n
     dist = hop_rows(g)
-    csr = adjacency_csr(g)
+    csr = adjacency_csr(n, g.edges)
 
     # Center pairs across the split levels.
     z_low = cs.centers_at(params.t_prime)

@@ -230,8 +230,8 @@ def verify_emulator(
     """Weighted distances in the emulator against BFS in the host graph:
     the emulator may never undershoot a distance and may overshoot by at
     most beta on every (source, vertex) pair.  Both sides are whole
-    source-row matrices from batched scipy runs: unweighted rows in the
-    host and weighted Dijkstra rows in the emulator."""
+    source-row matrices from the distance core: packed-bitset BFS rows in
+    the host and batched weighted Dijkstra rows in the emulator."""
     roots = sorted(set(sources))
     if not roots:
         raise ValueError("source set must be non-empty")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spanlab import graphs
 from spanlab import (
     Emulator,
     Graph,
@@ -352,3 +353,87 @@ def test_distance_matrices_keep_shapes_and_dtypes(n):
         assert hop.dtype == np.int32 and emu.dtype == np.int64
         assert hop.tolist() == [bfs_distances(g, [r]) for r in roots]
         assert emu.tolist() == [weighted_sssp(em, r) for r in roots]
+
+
+# ---------------------------------------------------------------------------
+# packed-bitset BFS row kernel behind hop_distance_matrix and hybrid.hop_rows
+# ---------------------------------------------------------------------------
+
+
+def _count_dijkstra_rows(monkeypatch) -> list:
+    """Record the roots handed to the Dijkstra fallback."""
+    handed = []
+    inner = graphs._dijkstra_rows
+
+    def counted(adj, roots, directed, unweighted):
+        handed.extend(int(r) for r in roots)
+        return inner(adj, roots, directed, unweighted)
+
+    monkeypatch.setattr(graphs, "_dijkstra_rows", counted)
+    return handed
+
+
+@pytest.fixture(scope="module")
+def kernel_host():
+    """140 vertices: a dense random part, a 30-path, a random tree and
+    isolated vertices between them, ids interleaved; the last vertex has
+    degree 0, so the last CSR segment is empty.  Returns the host and its
+    Floyd-Warshall rows."""
+    path = Graph(30, [(i, i + 1) for i in range(29)])
+    parts = [random_graph(50, 0.15, 3), path, random_tree(40, 4)]
+    edges, base = [], 0
+    for part in parts:
+        edges += [(u + base, v + base) for u, v in part.edges]
+        base += part.n + 5
+    order = np.random.default_rng(8).permutation(139)
+    g = Graph(140, [(int(order[u]), int(order[v])) for u, v in edges])
+    assert g.degree(139) == 0 and sum(g.degree(v) == 0 for v in range(140)) > 1
+    return g, as_int_grid(floyd_warshall(g))
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 145])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+def test_bitset_rows_match_the_cubic_oracle(monkeypatch, kernel_host, count, block):
+    g, want = kernel_host
+    if block is not None:
+        monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
+    handed = _count_dijkstra_rows(monkeypatch)
+    rng = np.random.default_rng(count)
+    # repeated, unsorted roots that cross 64-bit word boundaries; always
+    # one isolated root (the last vertex)
+    roots = [g.n - 1] + rng.integers(0, g.n, count - 1).tolist()
+    got = hop_distance_matrix(g, roots)
+    assert got.dtype == np.int32 and got.tolist() == [want[r] for r in roots]
+    assert hop_distance_matrix(g).tolist() == want
+    assert handed == []  # diameter below the level cap: no root falls back
+
+
+@pytest.mark.parametrize("extra", [-4, 0, 1, 6])
+def test_paths_past_the_level_cap_fall_back_to_dijkstra(monkeypatch, extra):
+    n = graphs._LEVEL_CAP + 1 + extra  # an end root needs n - 1 levels
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    handed = _count_dijkstra_rows(monkeypatch)
+    roots = [n - 1, 0, n // 2, 0]
+    want = as_int_grid(floyd_warshall(g))
+    assert hop_distance_matrix(g, roots).tolist() == [want[r] for r in roots]
+    # only the roots still expanding after the cap take Dijkstra rows
+    assert sorted(handed) == sorted(r for r in roots if max(r, n - 1 - r) > graphs._LEVEL_CAP)
+    assert (extra > 0) == bool(handed)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_bitset_rows_on_tiny_hosts(n):
+    g = Graph(n, [(0, 1)] if n == 2 else [])
+    want = as_int_grid(floyd_warshall(g))
+    assert hop_distance_matrix(g).tolist() == want
+    roots = [n - 1, 0, n - 1] if n else []
+    assert hop_distance_matrix(g, roots).tolist() == [want[r] for r in roots]
+
+
+def test_adjacency_csr_is_the_sorted_adjacency(kernel_host):
+    g, _ = kernel_host
+    indptr, indices = graphs.adjacency_csr(g.n, g.edges)
+    assert [tuple(indices[indptr[v]:indptr[v + 1]]) for v in range(g.n)] == list(g.adj)
+    for bad in [(0, 3), (-1, 1)]:
+        with pytest.raises(ValueError, match="out of range"):
+            hop_distance_matrix(Spanner(3, frozenset({bad}), {}))

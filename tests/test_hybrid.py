@@ -17,7 +17,8 @@ from spanlab import (
     trace_owner_path,
 )
 from spanlab import hybrid
-from spanlab.hybrid import adjacency_csr, closest_pairs, hop_rows, suffix_walk
+from spanlab.graphs import adjacency_csr
+from spanlab.hybrid import closest_pairs, hop_rows, suffix_walk
 from conftest import random_tree
 from oracles import floyd_warshall
 
@@ -84,7 +85,7 @@ def test_suffix_rejects_interior_anchor():
 
 
 def _walked(g, dist, roots, targets, ell):
-    codes = suffix_walk(adjacency_csr(g), dist, roots, targets, ell)
+    codes = suffix_walk(adjacency_csr(g.n, g.edges), dist, roots, targets, ell)
     return {divmod(int(c), g.n) for c in codes}
 
 
