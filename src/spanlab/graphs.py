@@ -2,11 +2,13 @@
 primitives with minimum-id tie-breaking, canonical shortest paths, one
 distance core fed from edge sets, and seeded random-graph generation.
 
-The distance core serves every bulk row.  Hop rows of a graph or spanner
-come from a packed-bitset BFS over one CSR built per call (64 sources per
-uint64 word, level-synchronous); sources whose search runs past a fixed
-level cap, and the weighted rows of an emulator, come from one batched
-scipy Dijkstra.
+A Graph is validated and laid out from one (m, 2) int64 edge array and
+keeps its CSR.  The distance core serves every bulk row.  Hop rows of a
+graph (over its kept CSR) or of a spanner (over a CSR built from its edge
+set per call) come from a packed-bitset BFS (64 sources per uint64 word,
+level-synchronous); sources whose search runs past a fixed level cap, and
+the weighted rows of an emulator, come from one batched scipy Dijkstra.
+scipy is imported at those two Dijkstra sites only, on first use.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -14,14 +16,13 @@ unreachable is the sentinel ``UNREACHED``.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 UNREACHED = -1
 
@@ -38,30 +39,43 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Simple undirected unweighted graph on vertices 0..n-1.
 
-    Adjacency lists are kept sorted ascending; no self-loops, no parallel
-    edges.  Instances are immutable once built and safe to share.
+    `edges` is an integer ndarray of shape (m, 2) or any iterable of (u, v)
+    pairs of integer ids.  An out-of-range id, a self-loop or a repeated
+    edge (in either orientation) raises ValueError naming the first such
+    pair in input order; a non-integer id raises TypeError and anything but
+    pairs ValueError.
+
+    `edges` keeps the (min, max) pairs and `adj` the adjacency lists,
+    sorted ascending, both as plain ints with one shared object per vertex
+    id.  `csr` is the same adjacency as read-only (indptr, indices) int64
+    arrays, the layout `adjacency_csr` gives.  Instances are immutable once
+    built and safe to share.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = norm_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
+        given = edges if isinstance(edges, (np.ndarray, list)) else list(edges)
+        ends = _int_pairs(n, given)
+        if len(ends) and (
+            ends.min() < 0 or ends.max() >= n or (ends[:, 0] == ends[:, 1]).any()
+        ):
+            _raise_first_bad(n, ends, given)
+        ids = np.fromiter(range(n), object, n)
         self.n = n
+        self.csr = indptr, indices = _csr(n, ends)
+        nbrs = ids[indices].tolist()
+        bounds = indptr.tolist()
         self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adj
+            tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])
         )
+        del nbrs
+        # The edge set goes last: while it is young, every garbage
+        # collection that a later allocation in here triggers would scan it.
+        u, v = ends.T
+        seen = set(zip(ids[np.minimum(u, v)].tolist(), ids[np.maximum(u, v)].tolist()))
+        if len(seen) < len(ends):
+            _raise_first_bad(n, ends, given)
         self.m = len(seen)
         self.edges: frozenset[tuple[int, int]] = frozenset(seen)
 
@@ -86,6 +100,48 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _int_pairs(n: int, given) -> np.ndarray:
+    """The pairs of `given` (a list or an ndarray) as an (m, 2) int64
+    array; ids past int64 stay out of range (clamped to -1 or n).  A
+    non-integer id raises TypeError, anything but pairs ValueError."""
+    if not len(given):
+        return np.empty((0, 2), np.int64)
+    if isinstance(given, np.ndarray):
+        if given.ndim != 2 or given.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        if given.dtype.kind in "biu":
+            return given.astype(np.int64, copy=False)
+    elif set(map(len, given)) != {2}:
+        raise ValueError("edges must be (u, v) pairs")
+    # operator.index refuses floats, which an int64 array would truncate
+    flat = chain.from_iterable(given)
+    try:
+        ends = np.fromiter(map(operator.index, flat), np.int64, 2 * len(given))
+    except OverflowError:
+        ends = [max(-1, min(operator.index(x), n)) for x in chain.from_iterable(given)]
+    return np.asarray(ends, np.int64).reshape(-1, 2)
+
+
+def _raise_first_bad(n: int, ends: np.ndarray, given) -> None:
+    """Raise the ValueError of the first pair in input order that is out of
+    range, a self-loop or a repeat of an earlier pair, quoting it as given."""
+    out = ((ends < 0) | (ends >= n)).any(axis=1)
+    loop = ends[:, 0] == ends[:, 1]
+    # out-of-range pairs get distinct negative codes: none repeats another
+    lo = np.minimum(ends[:, 0], ends[:, 1])
+    code = np.where(out, -1 - np.arange(len(ends)), lo * n + np.maximum(ends[:, 0], ends[:, 1]))
+    order = np.argsort(code, kind="stable")
+    repeat = np.zeros(len(ends), bool)
+    repeat[order[1:]] = code[order[1:]] == code[order[:-1]]
+    i = int(np.flatnonzero(out | loop | repeat)[0])
+    u, v = given[i]
+    if out[i]:
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    if loop[i]:
+        raise ValueError(f"self-loop at vertex {u}")
+    raise ValueError(f"duplicate edge ({u},{v})")
 
 
 @dataclass(frozen=True)
@@ -374,8 +430,11 @@ def path_is_valid(g: Graph, path: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_roots(n: int, sources: Sequence[int]) -> np.ndarray:
-    """Sources as an int64 index array; scipy would wrap -1 to vertex n-1."""
+def _check_roots(n: int, sources: Optional[Sequence[int]]) -> np.ndarray:
+    """Sources (default: all vertices) as an int64 index array; numpy and
+    scipy would wrap -1 to vertex n-1."""
+    if sources is None:
+        return np.arange(n)
     roots = np.asarray(sources, dtype=np.int64).reshape(-1)
     bad = (roots < 0) | (roots >= n)
     if bad.any():
@@ -391,23 +450,33 @@ def _pair_ends(n: int, pairs: Collection) -> np.ndarray:
     return ends
 
 
+def _csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (indptr, indices) of the undirected pairs `ends`, an (m, 2)
+    int64 array with ends in [0, n): each pair stored in both directions,
+    every neighbor list sorted ascending."""
+    keys = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
+    keys.sort()
+    np.remainder(keys, n, out=keys)
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(ends.ravel(), minlength=n), out=indptr[1:])
+    indptr.flags.writeable = keys.flags.writeable = False
+    return indptr, keys
+
+
 def adjacency_csr(n: int, pairs: Collection) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of the undirected edge set `pairs` on vertices
     0..n-1: each pair stored in both directions, every neighbor list sorted
-    ascending (the sorted adjacency lists of a Graph with these edges)."""
-    ends = _pair_ends(n, pairs)
-    keys = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
-    keys.sort()
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(ends.ravel(), minlength=n), out=indptr[1:])
-    return indptr, keys % n
+    ascending (the sorted adjacency lists of a Graph with these edges, and
+    its `csr`)."""
+    return _csr(n, _pair_ends(n, pairs))
 
 
-def _dijkstra_rows(
-    adj: csr_matrix, roots: np.ndarray, directed: bool, unweighted: bool
-) -> np.ndarray:
-    """float64 rows of scipy's Dijkstra from each root; UNREACHED where cut off."""
-    rows = _sparse_dijkstra(adj, directed=directed, unweighted=unweighted, indices=roots)
+def _dijkstra_rows(adj, roots: np.ndarray, directed: bool, unweighted: bool) -> np.ndarray:
+    """float64 rows of scipy's Dijkstra from each root over the scipy sparse
+    matrix `adj`; UNREACHED where cut off."""
+    from scipy.sparse.csgraph import dijkstra
+
+    rows = dijkstra(adj, directed=directed, unweighted=unweighted, indices=roots)
     rows[np.isinf(rows)] = UNREACHED
     return rows
 
@@ -478,51 +547,45 @@ def _bfs_rows(csr: tuple[np.ndarray, np.ndarray], roots: np.ndarray, out: np.nda
             for v in range(0, n, _WRITE_CHUNK):
                 rows[:, v:v + _WRITE_CHUNK] = signed[v:v + _WRITE_CHUNK].T
         if len(deep):
+            from scipy.sparse import csr_matrix
+
             adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
             # adj holds both directions of every pair, so directed is exact
             out[lo + deep] = _dijkstra_rows(adj, block[deep], directed=True, unweighted=True)
-
-
-def _distance_rows(
-    n: int, pairs: Collection, weights: Optional[Iterable], sources: Optional[Sequence[int]]
-) -> np.ndarray:
-    """Exact distances over the undirected edge set `pairs` from each source
-    (default: all vertices), as rows that follow the order of `sources`;
-    UNREACHED where cut off.
-
-    Unit weights when `weights` is None: int32 rows from the packed-bitset
-    BFS (`_bfs_rows`) over `adjacency_csr`, built once per call.  Otherwise
-    one weight per pair in iteration order, and int64 rows from one batched
-    scipy Dijkstra over a CSR that holds each unordered pair once."""
-    roots = np.arange(n) if sources is None else _check_roots(n, sources)
-    out = np.empty((len(roots), n), np.int32 if weights is None else np.int64)
-    if not len(roots):
-        return out
-    if weights is None:
-        _bfs_rows(adjacency_csr(n, pairs), roots, out)
-        return out
-    ends = _pair_ends(n, pairs)
-    data = np.fromiter(weights, np.float64, len(ends))
-    if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
-        raise ValueError("emulator weights too large for exact distances")
-    adj = csr_matrix((data, (ends[:, 0], ends[:, 1])), shape=(n, n))
-    out[...] = _dijkstra_rows(adj, roots, directed=False, unweighted=False)
-    return out
 
 
 def hop_distance_matrix(
     g: Graph | Spanner, sources: Optional[Sequence[int]] = None
 ) -> np.ndarray:
     """Hop distances from each source (default: all vertices) over the edges
-    of a Graph or a Spanner, as an int32 matrix; UNREACHED where cut off.
-    Rows follow the order of `sources`."""
-    return _distance_rows(g.n, g.edges, None, sources)
+    of a Graph (its kept `csr`) or a Spanner (a CSR built from its edge
+    set), as an int32 matrix from the packed-bitset BFS (`_bfs_rows`);
+    UNREACHED where cut off.  Rows follow the order of `sources`."""
+    roots = _check_roots(g.n, sources)
+    out = np.empty((len(roots), g.n), np.int32)
+    if len(roots):
+        _bfs_rows(g.csr if isinstance(g, Graph) else adjacency_csr(g.n, g.edges), roots, out)
+    return out
 
 
 def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
     """Exact weighted distances from each source in an emulator as an int64
-    matrix; UNREACHED where cut off.  Rows follow the order of `sources`."""
-    return _distance_rows(h.n, h.weights, h.weights.values(), sources)
+    matrix from one batched scipy Dijkstra over a CSR that holds each
+    unordered pair once; UNREACHED where cut off.  Rows follow the order of
+    `sources`."""
+    roots = _check_roots(h.n, sources)
+    out = np.empty((len(roots), h.n), np.int64)
+    if not len(roots):
+        return out
+    ends = _pair_ends(h.n, h.weights)
+    data = np.fromiter(h.weights.values(), np.float64, len(ends))
+    if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
+        raise ValueError("emulator weights too large for exact distances")
+    from scipy.sparse import csr_matrix
+
+    adj = csr_matrix((data, (ends[:, 0], ends[:, 1])), shape=(h.n, h.n))
+    out[...] = _dijkstra_rows(adj, roots, directed=False, unweighted=False)
+    return out
 
 
 def weighted_sssp(h: Emulator, root: int) -> list[int]:
@@ -536,13 +599,27 @@ def weighted_sssp(h: Emulator, root: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+# Coins per random_graph draw: the draws concatenate to one uniform stream,
+# so the edge set does not depend on this size; it bounds the draw buffer.
+_COIN_BLOCK = 2**16
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
-    """G(n, p): each unordered pair kept independently with probability p."""
+    """G(n, p): each unordered pair kept independently with probability p.
+
+    Pair (u, v), u < v, is kept when its coin, uniform in [0, 1), is below
+    p; the coins of one PCG64 stream seeded by `seed` go to the pairs in
+    (u, v) order, drawn `_COIN_BLOCK` at a time."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - u) < p)
-        edges.extend((u, u + 1 + int(i)) for i in hits)
-    return Graph(n, edges)
+    # row u holds the coins of pairs (u, v > u); starts[u] is its first coin
+    lengths = np.arange(n - 1, 0, -1)
+    starts = np.cumsum(lengths) - lengths
+    total = n * (n - 1) // 2
+    hits = [np.empty(0, np.int64)]
+    for lo in range(0, total, _COIN_BLOCK):
+        hits.append(lo + np.flatnonzero(rng.random(min(_COIN_BLOCK, total - lo)) < p))
+    coin = np.concatenate(hits)
+    u = np.searchsorted(starts, coin, side="right") - 1
+    return Graph(n, np.stack([u, coin - starts[u] + u + 1], axis=1))

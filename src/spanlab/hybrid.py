@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, _bfs_rows, adjacency_csr, norm_edge
+from .graphs import Graph, Spanner, _bfs_rows, norm_edge
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
@@ -68,10 +68,10 @@ def path_suffix(path: Sequence[int], ell: int, anchor: int) -> set:
 def hop_rows(g: Graph) -> np.ndarray:
     """Every vertex's hop row as one n x n matrix (int16, int32 once
     n >= 2**15; UNREACHED where cut off), filled by one call of the
-    packed-bitset BFS row kernel."""
+    packed-bitset BFS row kernel over the graph's kept CSR."""
     n = g.n
     dist = np.empty((n, n), np.int16 if n < 2**15 else np.int32)
-    _bfs_rows(adjacency_csr(n, g.edges), np.arange(n), dist)
+    _bfs_rows(g.csr, np.arange(n), dist)
     return dist
 
 
@@ -163,23 +163,22 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
 
     Phases two and three read one hop matrix of every vertex's row from the
     packed-bitset BFS row kernel (`hop_rows`) and walk canonical parents as
-    arrays (`suffix_walk`) over the CSR that the kernel's builder
-    (`adjacency_csr`) gives.  `meta["phase_edges"]` counts each phase's
-    edges, overlaps included; `meta["phase_new_edges"]` counts the edges
-    each phase adds to the earlier ones, and sums to `size`.
+    arrays (`suffix_walk`) over the graph's kept CSR (`g.csr`), which the
+    kernel reads too.  `meta["phase_edges"]` counts each phase's edges,
+    overlaps included; `meta["phase_new_edges"]` counts the edges each
+    phase adds to the earlier ones, and sums to `size`.
     """
     params = hybrid_params(k)
     cs = cluster_sequence(g, k, 1.0 / k, seed)
     hk = set(cs.spanner_edges)
     n = g.n
     dist = hop_rows(g)
-    csr = adjacency_csr(n, g.edges)
 
     # Center pairs across the split levels.
     z_low = cs.centers_at(params.t_prime)
     z_high = cs.centers_at(params.t)
     roots = np.repeat(np.asarray(z_low, np.int64), len(z_high))
-    e2 = suffix_walk(csr, dist, roots, np.tile(np.asarray(z_high, np.int64), len(z_low)),
+    e2 = suffix_walk(g.csr, dist, roots, np.tile(np.asarray(z_high, np.int64), len(z_low)),
                      params.suffix_len)
 
     # Cluster pairs at complementary levels.
@@ -195,7 +194,7 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
         targets = [side2[z] for z in sorted(side2)]
         for lo in range(0, len(sources), _BLOCK):
             _, _, m, u, _ = closest_pairs(dist, sources[lo:lo + _BLOCK], targets)
-            e3.append(suffix_walk(csr, dist, m, u, ell))
+            e3.append(suffix_walk(g.csr, dist, m, u, ell))
 
     hk_codes = np.array([u * n + v for u, v in hk], np.int64)
     e3 = np.unique(np.concatenate(e3))

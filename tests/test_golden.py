@@ -55,3 +55,32 @@ def test_golden_digest(name):
     doc = dump_emulator(h) if isinstance(h, Emulator) else dump_graph(h)
     assert h.size == size < G.m
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+# random_graph's edge sets, pinned on the per-row draws it replaced: the
+# coins are one uniform stream, however it is split into draws.  n = 600
+# spans 179,700 coins, several draw blocks.
+RANDOM_GRAPHS = {
+    (0, 1.0, 1): (0, "b73dcfb259b465605d93eaae4410c12a38420b678635bb16d68560dae49bb91d"),
+    (1, 1.0, 1): (0, "6b9289a3b57d843e59c01fc734d1292bb937e660ea54420f46ea942748991fe7"),
+    (2, 0.0, 1): (0, "bb4430ee533ce62092a8e92e6e6a1ad8052c6d97b4f5a4bfeecb39985aa1716e"),
+    (2, 1.0, 1): (1, "12c01778dc9e71a4e25a3df64a7c741d9e41da684b2838b5dd39c6a1f492fb02"),
+    (2, 0.5, 3): (1, "12c01778dc9e71a4e25a3df64a7c741d9e41da684b2838b5dd39c6a1f492fb02"),
+    (40, 0.0, 1): (0, "8f6d8e76ac390af29dbfd33cac0a8f36d13121f3e898040c9a02ff19958a48df"),
+    (40, 1.0, 1): (780, "80772e69f84246f307f1dab63a022f685bbc346a64835f245bb7f62c5be47dfa"),
+    (600, 0.05, 1): (8957, "9834594e41156dd2883428025918c07945c6ee0af3eaa3bda3e15e3b4485cf93"),
+    (600, 0.5, 2): (89804, "b7bf9ed3f040b025d1e196b1071606602845bca7fe8ac783823a2486e4f27284"),
+}
+
+
+@pytest.mark.parametrize("n, p, seed", sorted(RANDOM_GRAPHS))
+def test_random_graph_digest(n, p, seed):
+    m, digest = RANDOM_GRAPHS[n, p, seed]
+    g = random_graph(n, p, seed)
+    assert g.m == m
+    assert hashlib.sha256(dump_graph(g).encode()).hexdigest() == digest
+
+
+def test_random_graph_rejects_nan_probability():
+    with pytest.raises(ValueError, match="p must lie"):
+        random_graph(4, float("nan"), 1)

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,6 +92,123 @@ def test_emulator_roundtrip_and_validation():
 def test_emulator_parallel_entries_keep_min_weight():
     em = Emulator(3, [(0, 1, 4), (1, 0, 2)])
     assert em.weights == {(0, 1): 2}
+
+
+# ---------------------------------------------------------------------------
+# Graph construction and validation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0, 3)], "edge (0,3) out of range for n=3"),
+        (3, [(-1, 1)], "edge (-1,1) out of range for n=3"),
+        (3, [(4, 4)], "edge (4,4) out of range for n=3"),  # range before self-loop
+        (0, [(0, 1)], "edge (0,1) out of range for n=0"),
+        (3, [(0, 2**70)], f"edge (0,{2**70}) out of range for n=3"),
+        (3, [(1, 1)], "self-loop at vertex 1"),
+        (3, [(0, 1), (0, 1)], "duplicate edge (0,1)"),
+        (3, [(0, 1), (1, 0)], "duplicate edge (1,0)"),
+        # the first bad pair in input order wins
+        (4, [(0, 1), (2, 2), (1, 0), (0, 9)], "self-loop at vertex 2"),
+        (4, [(0, 1), (1, 0), (2, 2), (0, 9)], "duplicate edge (1,0)"),
+        (4, [(0, 1), (0, 9), (1, 0), (2, 2)], "edge (0,9) out of range for n=4"),
+        (4, [(2, 3), (0, 1), (3, 2), (0, 1)], "duplicate edge (3,2)"),
+        (60, [(i, i + 1) for i in range(50)] + [(31, 30), (30, 31), (9, 10)],
+         "duplicate edge (31,30)"),
+        # 210 pairs, then each again reversed: every repeat sits after its pair
+        (21, [(u, v) for u in range(21) for v in range(u + 1, 21)]
+         + [(v, u) for u in range(21) for v in range(u + 1, 21)], "duplicate edge (1,0)"),
+    ],
+)
+def test_graph_names_the_first_bad_pair(n, edges, message):
+    for given in (edges, (e for e in edges), np.array(edges)):
+        with pytest.raises(ValueError) as info:
+            Graph(n, given)
+        assert str(info.value) == message
+
+
+def test_graph_vertex_count_and_empty_edge_lists():
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Graph(-1, [])
+    for n in (0, 3):
+        for empty in ([], (), iter([]), np.empty((0, 2), np.int64)):
+            g = Graph(n, empty)
+            assert g.m == 0 and g.edges == frozenset() and g.adj == ((),) * n
+
+
+def test_graph_rejects_triples_and_non_integer_ids():
+    for bad in ([(0, 1, 2)], [(0, 1), (1, 2, 0)], np.array([[0, 1, 2]])):
+        with pytest.raises(ValueError):
+            Graph(3, bad)
+    for bad in ([(0, 0.5)], [(0, 1.0)], [(0.5, 1)], np.array([[0.0, 1.0]])):
+        with pytest.raises(TypeError):
+            Graph(3, bad)
+
+
+def test_graph_inputs_give_equal_graphs():
+    g = random_graph(60, 0.1, 4)
+    pairs = [(v, u) if (u + v) % 2 else (u, v) for u, v in sorted(g.edges)]
+    for given in (pairs, (e for e in pairs), set(pairs), np.array(pairs),
+                  np.array(pairs, np.int32), np.array(pairs, np.uint16)):
+        h = Graph(g.n, given)
+        assert h == g and h.m == g.m and h.adj == g.adj
+
+
+def test_graph_stores_plain_shared_ints():
+    assert Graph(3, [(True, 2)]).edges == {(1, 2)}
+    for given in ([(np.int64(0), np.int64(1)), (True, 2)], np.array([[0, 1], [2, 1]], np.int32)):
+        g = Graph(3, given)
+        assert g.edges == {(0, 1), (1, 2)}
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert all(type(x) is int for nbrs in g.adj for x in nbrs)
+    g = random_graph(400, 0.05, 2)  # ids past the interpreter's small-int cache
+    held = {id(x) for e in g.edges for x in e} | {id(x) for nbrs in g.adj for x in nbrs}
+    assert len(held) <= g.n
+
+
+@pytest.mark.parametrize("n, p", [(0, 0.5), (1, 0.5), (50, 0.1), (50, 1.0)])
+def test_graph_keeps_a_read_only_csr(n, p):
+    g = random_graph(n, p, 3)
+    for kept, built in zip(g.csr, graphs.adjacency_csr(g.n, g.edges)):
+        assert kept.dtype == np.int64 and np.array_equal(kept, built)
+        assert not kept.flags.writeable
+    indptr, indices = g.csr
+    assert [tuple(indices[indptr[v]:indptr[v + 1]]) for v in range(g.n)] == list(g.adj)
+
+
+def test_host_rows_read_the_kept_csr(monkeypatch):
+    from spanlab import build_hybrid, hybrid
+
+    g = random_graph(60, 0.1, 5)
+    want = hybrid.hop_rows(g)
+
+    def rebuilt(*args):
+        raise AssertionError("a host's CSR was rebuilt")
+
+    monkeypatch.setattr(graphs, "_csr", rebuilt)
+    monkeypatch.setattr(graphs, "adjacency_csr", rebuilt)
+    assert np.array_equal(hop_distance_matrix(g), want)
+    assert np.array_equal(hybrid.hop_rows(g), want)
+    build_hybrid(g, 2, 1)
+
+
+def test_import_defers_scipy_to_the_first_dijkstra():
+    src = Path(graphs.__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys",
+        "import spanlab as sl",
+        "assert 'scipy.sparse' not in sys.modules",
+        "g = sl.random_graph(40, 0.1, 1)",
+        "assert sl.verify_spanner(g, sl.build_hybrid(g, 2, 1), None, sl.hybrid_spec(2)).ok",
+        "assert 'scipy.sparse' not in sys.modules",
+        "assert sl.weighted_sssp(sl.Emulator(2, [(0, 1, 3)]), 0) == [0, 3]",
+        "assert 'scipy.sparse' in sys.modules",
+    ])
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 # ---------------------------------------------------------------------------
