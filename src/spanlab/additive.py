@@ -1,6 +1,12 @@
 """Additive sourcewise constructions: the purely-additive +2k spanner via
 path buying, the +2 emulator, the +2 subsetwise helper, and the +4 spanner
 for large source sets.
+
+The +2k spanner reads every host search off arrays: the hop rows of the
+sources and of the sampled tree roots come from the packed-bitset BFS
+kernel (`hop_distance_matrix`) and their canonical min-id parents from
+`parent_rows`, so pair classification, the sampled trees and the canonical
+paths of the bought pairs run no per-root BFS.
 """
 
 from __future__ import annotations
@@ -11,14 +17,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .clustering import HubClustering, hub_clustering
 from .graphs import (
     Emulator,
     Graph,
     Spanner,
-    bfs,
     hop_distance_matrix,
     norm_edge,
+    parent_path,
+    parent_rows,
     trace_parent_path,
 )
 from .sourcewise import SourceSet
@@ -26,6 +35,8 @@ from .util import ceil_int, subrng
 
 _INF = float("inf")
 _EPS = 1e-9
+# Sampled tree roots per hop-row and parent-row call in `tree_union`.
+_ROOT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -72,21 +83,58 @@ def _heavy_flags(g: Graph, heavy_degree: int) -> list[bool]:
 
 def classify_pairs(g: Graph, sources: SourceSet, params: AdditiveParams) -> list[PairClass]:
     """Heavy-vertex count along the canonical path of every connected
-    source/vertex pair; a pair is long when the count reaches the threshold."""
-    heavy = _heavy_flags(g, params.heavy_degree)
+    source/vertex pair; a pair is long when the count reaches the threshold.
+    The counts come from the sources' hop rows (`_heavy_counts`)."""
+    dist = hop_distance_matrix(g, sources.vertices)
+    count = _heavy_counts(g, dist, params.heavy_degree)
     out: list[PairClass] = []
-    for s in sources.vertices:
-        res = bfs(g, [s])
-        dist, parent = res.dist, res.parent
-        # In BFS order each parent's count is final before a child reads it;
-        # the extra last slot is the zero that parent UNREACHED (-1) reads.
-        count = [0] * (g.n + 1)
-        for v in sorted(range(g.n), key=dist.__getitem__):
-            count[v] = heavy[v] + count[parent[v]]
-        for v in range(g.n):
-            if dist[v] >= 0:
-                out.append(PairClass(s, v, count[v], count[v] >= params.long_threshold))
+    for s, row, counts in zip(sources.vertices, dist, count):
+        targets = np.flatnonzero(row >= 0)
+        out += [
+            PairClass(s, v, c, c >= params.long_threshold)
+            for v, c in zip(targets.tolist(), counts[targets].tolist())
+        ]
     return out
+
+
+def _heavy_counts(g: Graph, dist: np.ndarray, heavy_degree: int) -> np.ndarray:
+    """Heavy vertices on the canonical path from each row's root to every
+    vertex the row reaches (0 where it does not), with the parents of
+    `parent_rows`: level by level, each vertex adds its parent's count,
+    which the level before made final."""
+    heavy = np.array(_heavy_flags(g, heavy_degree), np.int32)
+    count = np.where(dist >= 0, heavy, 0).ravel()
+    # cell i * n + v, visited by nondecreasing distance; roots already final
+    order = np.argsort(dist, axis=None, kind="stable")
+    levels = np.searchsorted(dist.ravel()[order], np.arange(1, int(dist.max(initial=0)) + 2))
+    parent_cell = (parent_rows(g.csr, dist) + np.arange(0, dist.size, g.n)[:, None]).ravel()
+    for lo, hi in zip(levels, levels[1:]):
+        cells = order[lo:hi]
+        count[cells] += count[parent_cell[cells]]
+    return count.reshape(dist.shape)
+
+
+def tree_union(g: Graph, roots: Sequence[int]) -> set:
+    """Edges of the canonical BFS trees (min-id parents, as `bfs` gives
+    them) from every root, as one set of (min, max) pairs.
+
+    Hop rows and parent rows come `_ROOT_BLOCK` roots at a time, so
+    temporaries stay near _ROOT_BLOCK * n cells however many roots there
+    are; each vertex's parents are sorted across a block's roots, so only
+    its distinct tree edges become codes min*n + max for one `np.unique`.
+    """
+    n = g.n
+    codes = [np.empty(0, np.int64)]
+    for lo in range(0, len(roots), _ROOT_BLOCK):
+        rows = hop_distance_matrix(g, roots[lo:lo + _ROOT_BLOCK])
+        ups = np.sort(parent_rows(g.csr, rows).T, axis=1)
+        distinct = ups >= 0
+        distinct[:, 1:] &= ups[:, 1:] != ups[:, :-1]
+        child, k = np.nonzero(distinct)
+        up = ups[child, k].astype(np.int64)
+        codes.append(np.minimum(child, up) * n + np.maximum(child, up))
+    lo, hi = np.divmod(np.unique(np.concatenate(codes)), max(n, 1))
+    return set(zip(lo.tolist(), hi.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +301,22 @@ def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
     stats = {"paths_bought": 0, "edges_bought": 0, "levels": [0] * (k + 1)}
 
     order = sorted(short_targets)
-    for s, row in zip(order, hop_distance_matrix(g, order)):
+    dist_rows = hop_distance_matrix(g, order)
+    for s, row, parents in zip(order, dist_rows, parent_rows(g.csr, dist_rows)):
         targets = short_targets[s]
         dist_g = row.tolist()
+        parent = parents.tolist()
         dist_h = _bfs_dist_sets(adj, s)
-        cdist = [
-            min((dist_h[m] for m in mem), default=_INF) for mem in gc.clusters
-        ]
+        # per cluster the spanner distance to its nearest member and that
+        # member, the minimum (dist_h, id); distances only decrease, so the
+        # running minimum over improved members stays exact
+        cdist, nearest = [], []
+        for mem in gc.clusters:
+            d, y = min(((dist_h[x], x) for x in mem), default=(_INF, -1))
+            cdist.append(d)
+            nearest.append(y)
         for v in targets:
-            path = trace_parent_path(g, dist_g, v)
+            path = parent_path(parent, v)
             base_dist = dist_g[v]
             level = 0
             while True:
@@ -276,23 +331,26 @@ def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
                         [improved] = _insert_edges(spanner, adj, new_edges, [dist_h])
                         for x in improved:
                             cid = gc.cluster_index[x]
-                            if cid >= 0 and dist_h[x] < cdist[cid]:
-                                cdist[cid] = dist_h[x]
+                            if cid >= 0 and (dist_h[x], x) < (cdist[cid], nearest[cid]):
+                                cdist[cid], nearest[cid] = dist_h[x], x
                         stats["paths_bought"] += 1
                         stats["edges_bought"] += len(new_edges)
                     stats["levels"][level] += 1
                     break
                 if level == k:
                     raise RuntimeError("top-level candidate has positive cost (internal bug)")
-                path = _next_level_path(path, cost, dist_h, cdist, adj, gc, spanner, phi)
+                path = _next_level_path(
+                    path, cost, dist_h, cdist, nearest, adj, gc, spanner, phi
+                )
                 level += 1
     return spanner, stats
 
 
-def _next_level_path(path, cost, dist_h, cdist, adj, gc, spanner, phi):
+def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, spanner, phi):
     """Reroute a rejected candidate: keep the longest suffix with
     floor(cost/phi) missing edges, enter it through a cluster the spanner
-    already reaches at least as fast as the path does."""
+    already reaches at least as fast as the path does, at the cluster's
+    nearest member (`nearest`, the minimum (dist_h, id))."""
     missing = _missing_positions(path, spanner)
     if len(missing) != cost or cost == 0:
         raise RuntimeError("stale cost during reroute (internal bug)")
@@ -311,7 +369,7 @@ def _next_level_path(path, cost, dist_h, cdist, adj, gc, spanner, phi):
         raise RuntimeError("no reroute cluster available (internal bug)")
     pos, cid = pick
     x = path[pos]
-    y = min(gc.clusters[cid], key=lambda m: (dist_h[m], m))
+    y = nearest[cid]
     prefix = _descend(adj, dist_h, y)
     mid = _cluster_route(y, x, cid, gc)
     tail = list(path[pos:])
@@ -329,9 +387,10 @@ def build_sourcewise_additive(
 
     Deterministic part: all edges at light vertices, the fixed-size
     clustering subgraph, and the bought short-pair paths.  Randomized part:
-    full BFS trees from a vertex sample that covers the neighborhoods of
-    long paths with high probability; if a long pair still exceeds +2k the
-    sample is redrawn up to `retries` times.
+    the canonical BFS trees (`tree_union`) of a vertex sample that covers
+    the neighborhoods of long paths with high probability; if a long pair
+    still exceeds +2k the sample is redrawn up to `retries` times.
+    `meta["phase_edges"]` counts each part's edges, overlaps included.
     """
     sources.check_host(g)
     if retries < 0:
@@ -343,10 +402,9 @@ def build_sourcewise_additive(
     gamma = math.log(params.heavy_degree) / math.log(n)
     gc = hub_clustering(g, gamma)
 
-    pairs = classify_pairs(g, sources, params)
     short_targets: dict[int, list[int]] = {s: [] for s in sources.vertices}
     long_pairs: list[tuple[int, int]] = []
-    for pc in pairs:
+    for pc in classify_pairs(g, sources, params):  # not held through the later phases
         if pc.is_long:
             long_pairs.append((pc.source, pc.target))
         else:
@@ -370,12 +428,7 @@ def build_sourcewise_additive(
         attempts = attempt + 1
         rng = subrng(seed, "tree-roots", attempt)
         roots = [v for v in range(n) if rng.random() < sample_prob]
-        tree_edges: set = set()
-        for z in roots:
-            res = bfs(g, [z])
-            tree_edges |= {
-                norm_edge(v, res.parent[v]) for v in range(n) if res.parent[v] >= 0
-            }
+        tree_edges = tree_union(g, roots)
         edges = light_edges | tree_edges | bought
         long_violations = 0
         if long_by_source:
@@ -403,6 +456,7 @@ def build_sourcewise_additive(
             "light": len(light_edges),
             "clustering": len(gc.g_c),
             "bought": stats["edges_bought"],
+            "trees": len(tree_edges),
         },
         "buy_levels": stats["levels"],
         "size": len(edges),

@@ -9,6 +9,9 @@ set per call) come from a packed-bitset BFS (64 sources per uint64 word,
 level-synchronous); sources whose search runs past a fixed level cap, and
 the weighted rows of an emulator, come from one batched scipy Dijkstra.
 scipy is imported at those two Dijkstra sites only, on first use.
+`parent_rows` turns hop rows into rows of canonical min-id BFS parents,
+the parents `bfs` and `trace_parent_path` pick, one neighbor rank at a
+time over the CSR.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -124,9 +127,10 @@ def _int_pairs(n: int, given) -> np.ndarray:
     return np.asarray(ends, np.int64).reshape(-1, 2)
 
 
-def _raise_first_bad(n: int, ends: np.ndarray, given) -> None:
-    """Raise the ValueError of the first pair in input order that is out of
-    range, a self-loop or a repeat of an earlier pair, quoting it as given."""
+def _first_bad(n: int, ends: np.ndarray) -> tuple[int, str]:
+    """Index and kind ("range", "loop" or "repeat") of the first pair in
+    input order that is out of range, a self-loop or a repeat of an
+    earlier pair; the kinds are tried in that order for one pair."""
     out = ((ends < 0) | (ends >= n)).any(axis=1)
     loop = ends[:, 0] == ends[:, 1]
     # out-of-range pairs get distinct negative codes: none repeats another
@@ -136,10 +140,16 @@ def _raise_first_bad(n: int, ends: np.ndarray, given) -> None:
     repeat = np.zeros(len(ends), bool)
     repeat[order[1:]] = code[order[1:]] == code[order[:-1]]
     i = int(np.flatnonzero(out | loop | repeat)[0])
+    return i, "range" if out[i] else "loop" if loop[i] else "repeat"
+
+
+def _raise_first_bad(n: int, ends: np.ndarray, given) -> None:
+    """Raise the ValueError of `_first_bad`'s pair, quoting it as given."""
+    i, kind = _first_bad(n, ends)
     u, v = given[i]
-    if out[i]:
+    if kind == "range":
         raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-    if loop[i]:
+    if kind == "loop":
         raise ValueError(f"self-loop at vertex {u}")
     raise ValueError(f"duplicate edge ({u},{v})")
 
@@ -196,12 +206,12 @@ class Emulator:
 # ---------------------------------------------------------------------------
 
 
-def _significant_lines(document: str):
-    for lineno, raw in enumerate(document.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+def _significant_lines(document: str) -> tuple[list[int], list[str]]:
+    """Line numbers and stripped text of the lines that are neither blank
+    nor '#' comments."""
+    stripped = list(map(str.strip, document.splitlines()))
+    numbers = [i for i, line in enumerate(stripped, 1) if line and line[0] != "#"]
+    return numbers, [stripped[i - 1] for i in numbers]
 
 
 def _parse_header(lineno: int, line: str, tag: str) -> tuple[int, int]:
@@ -223,37 +233,64 @@ def load_graph(document: str) -> Graph:
     """Parse an edge-list document into a Graph.
 
     Rejects self-loops, duplicate edges and out-of-range ids, reporting the
-    offending line number.
+    offending line number.  The edge lines up to the first malformed one
+    are read into one int64 array, which `Graph` validates; its first bad
+    pair is reported at its line, and a malformed line only when no edge
+    before it is bad.
     """
-    lines = _significant_lines(document)
+    numbers, lines = _significant_lines(document)
+    if not lines:
+        raise GraphFormatError("empty document (missing 'p <n> <m>' header)")
+    n, m = _parse_header(numbers[0], lines[0], "p")
+    ends, malformed = _edge_ids(n, numbers, lines)
+    del lines  # not held through the Graph build, where memory peaks
     try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty document (missing 'p <n> <m>' header)") from None
-    n, m = _parse_header(lineno, line, "p")
+        g = Graph(n, ends)
+    except ValueError:
+        i, kind = _first_bad(n, ends)
+        u, v = ends[i].tolist()
+        raise GraphFormatError(f"line {numbers[i + 1]}: " + (
+            f"vertex id out of range [0,{n})" if kind == "range"
+            else f"self-loop at vertex {u}" if kind == "loop"
+            else f"duplicate edge ({u},{v})"
+        )) from None
+    if malformed is not None:
+        raise malformed
+    if g.m != m:
+        raise GraphFormatError(f"header declares m={m} but found {g.m} edges")
+    return g
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected '<u> <v>', got {line!r}")
+
+def _edge_ids(
+    n: int, numbers: list[int], lines: list[str]
+) -> tuple[np.ndarray, Optional[GraphFormatError]]:
+    """The ids of the edge lines `lines[1:]` before the first malformed one
+    as an (m, 2) int64 array, and that line's error (None if there is
+    none).  Ids are parsed by `int`; ids past int64 are clamped to -1 or n,
+    out of range either way."""
+    end = next((i for i in range(1, len(lines)) if len(lines[i].split()) != 2), len(lines))
+    error = None
+    if end < len(lines):
+        error = GraphFormatError(f"line {numbers[end]}: expected '<u> <v>', got {lines[end]!r}")
+    tokens = " ".join(lines[1:end]).split()
+    try:
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex id out of range [0,{n})")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        e = norm_edge(u, v)
-        if e in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u},{v})")
-        seen.add(e)
-        edges.append(e)
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares m={m} but found {len(edges)} edges")
-    return Graph(n, edges)
+            ids = np.fromiter(map(int, tokens), np.int64, len(tokens))
+        except OverflowError:
+            ids = np.array([max(-1, min(int(x), n)) for x in tokens], np.int64)
+    except ValueError:
+        end = next(i for i in range(1, end) if not all(map(_is_int, lines[i].split())))
+        error = GraphFormatError(f"line {numbers[end]}: non-integer vertex id")
+        ids = _edge_ids(n, numbers, lines[:end])[0]
+    return ids.reshape(-1, 2), error
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def dump_graph(g: Graph | Spanner) -> str:
@@ -264,14 +301,12 @@ def dump_graph(g: Graph | Spanner) -> str:
 
 
 def load_emulator(document: str) -> Emulator:
-    lines = _significant_lines(document)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty document (missing 'e <n> <m>' header)") from None
-    n, m = _parse_header(lineno, line, "e")
+    numbers, lines = _significant_lines(document)
+    if not lines:
+        raise GraphFormatError("empty document (missing 'e <n> <m>' header)")
+    n, m = _parse_header(numbers[0], lines[0], "e")
     triples: list[tuple[int, int, int]] = []
-    for lineno, line in lines:
+    for lineno, line in zip(numbers[1:], lines[1:]):
         parts = line.split()
         if len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected '<u> <v> <w>', got {line!r}")
@@ -404,7 +439,12 @@ def trace_owner_path(g: Graph, res: BfsResult, target: int) -> Optional[list[int
     within the target's owning root.  None if unreachable."""
     if res.dist[target] < 0:
         return None
-    parent = res.parent
+    return parent_path(res.parent, target)
+
+
+def parent_path(parent: Sequence[int], target: int) -> list[int]:
+    """The path from the root of `target`'s parent chain to `target`: the
+    vertices met by following `parent` until it reads UNREACHED, reversed."""
     path = [target]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
@@ -552,6 +592,44 @@ def _bfs_rows(csr: tuple[np.ndarray, np.ndarray], roots: np.ndarray, out: np.nda
             adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
             # adj holds both directions of every pair, so directed is exact
             out[lo + deep] = _dijkstra_rows(adj, block[deep], directed=True, unweighted=True)
+
+
+def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndarray:
+    """Canonical BFS parents of hop rows: out[i, v] is the minimum-id
+    neighbor of v one hop closer to row i's root, the parent that `bfs`
+    gives from that one root and the step `trace_parent_path` takes;
+    UNREACHED at the root and where the row does not reach.
+
+    `dist` holds exact hop rows over the CSR graph, as `hop_distance_matrix`
+    gives them.  Neighbor lists are scanned one rank at a time (every
+    vertex's j-th smallest neighbor) over the vertices some row still needs
+    a parent for, until every reached vertex but the root has one.  Rows go
+    `_ROW_BLOCK` at a time, so temporaries stay near _ROW_BLOCK * n entries.
+    Returns an int32 matrix shaped like `dist`.
+    """
+    indptr, indices = csr
+    degree = np.diff(indptr)
+    out = np.full(dist.shape, UNREACHED, np.int32)
+    for lo in range(0, len(dist), _ROW_BLOCK):
+        # vertex-major copy: a rank gathers each neighbor's cells as one row
+        dist_t = np.ascontiguousarray(dist[lo:lo + _ROW_BLOCK].T)
+        parent = out[lo:lo + _ROW_BLOCK].T
+        need = dist_t > 0
+        todo = np.flatnonzero(need.any(axis=1))
+        need = need[todo]
+        want = dist_t[todo] - 1
+        for rank in range(int(degree.max(initial=0))):
+            live = need.any(axis=1) & (degree[todo] > rank)
+            if not live.all():
+                todo, need, want = todo[live], need[live], want[live]
+            if not len(todo):
+                break
+            nbr = indices[indptr[todo] + rank]
+            hit = need & (dist_t[nbr] == want)
+            v, row = np.nonzero(hit)
+            parent[todo[v], row] = nbr[v]
+            need &= ~hit
+    return out
 
 
 def hop_distance_matrix(

@@ -11,6 +11,7 @@ from spanlab import (
     Graph,
     SourceSet,
     additive_params,
+    bfs,
     bfs_distances,
     build_sourcewise_additive,
     build_sourcewise_additive4,
@@ -19,10 +20,12 @@ from spanlab import (
     hub_clustering,
     classify_pairs,
     canonical_path,
+    norm_edge,
     random_graph,
+    trace_parent_path,
     weighted_sssp,
 )
-from spanlab import additive
+from spanlab import additive, graphs
 from spanlab.additive import (
     AdditiveParams,
     _buy_short_paths,
@@ -32,6 +35,7 @@ from spanlab.additive import (
     _path_value,
     _remove_cycles,
 )
+from conftest import parent_host, root_samples
 from oracles import floyd_warshall, recount_heavy
 
 INF = float("inf")
@@ -115,6 +119,28 @@ def test_heavy_counts_match_path_recount():
     for pc in classify_pairs(g, src, params):
         path = canonical_path(g, pc.source, pc.target)
         assert pc.heavy_count == recount_heavy(g, path, params.heavy_degree)
+
+
+def test_pair_classes_match_recount_on_split_hosts():
+    # isolated sources, two components and rows past the BFS level cap
+    g = parent_host()
+    src = SourceSet.from_ids(range(g.n), g.n)
+    params = AdditiveParams(
+        k=1, epsilon=src.epsilon, heavy_degree=2, long_threshold=30, level_factor=2.0
+    )
+    want = []
+    for s in src.vertices:
+        dist = bfs_distances(g, [s])
+        for v in range(g.n):
+            path = trace_parent_path(g, dist, v)
+            if path is not None:
+                count = recount_heavy(g, path, params.heavy_degree)
+                want.append((s, v, count, count >= params.long_threshold))
+    pcs = classify_pairs(g, src, params)
+    got = [(pc.source, pc.target, pc.heavy_count, pc.is_long) for pc in pcs]
+    assert got == want
+    assert any(pc[3] for pc in got) and not all(pc[3] for pc in got)
+    assert all(type(x) is int for pc in got for x in pc[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +234,9 @@ def test_reroute_keeps_the_budgeted_suffix():
     clustering = _hand_clustering(11, [[2, 8], [3, 9]], [10, 7])
     dist_h = [0.0, 1.0, INF, 2.0, INF, INF, INF, 1.0, INF, INF, INF]
     cdist = [INF, 2.0]  # cluster of vertex 3 reachable at distance 2
+    nearest = [2, 3]  # each cluster's minimum (dist_h, id) member
     phi = 1.5  # floor(3 / 1.5) = 2 missing edges stay in the suffix
-    out = _next_level_path(path, 3, dist_h, cdist, adj, clustering, spanner, phi)
+    out = _next_level_path(path, 3, dist_h, cdist, nearest, adj, clustering, spanner, phi)
     assert out == [0, 7, 3, 4, 5, 6]  # spanner prefix to 3, then the old tail
     assert len(_missing_positions(out, spanner)) == 2  # (3,4) and (5,6) kept
 
@@ -453,3 +480,80 @@ def test_plus4_warns_below_regime():
     src = SourceSet.from_ids(range(5), 100)
     with pytest.warns(UserWarning, match="regime"):
         build_sourcewise_additive4(g, src)
+
+
+# ---------------------------------------------------------------------------
+# sampled trees and the array kernels behind the builder
+# ---------------------------------------------------------------------------
+
+
+def _two_caterpillars():
+    """Two caterpillars side by side, with isolated vertices after them."""
+    a, b = _caterpillar(6, 3), _caterpillar(9, 2)
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return Graph(a.n + b.n + 3, edges)
+
+
+@pytest.mark.parametrize("host", ["parent_host", "two_caterpillars", "random"])
+@pytest.mark.parametrize("block", [None, 5])
+def test_tree_union_is_the_union_of_per_root_bfs_trees(monkeypatch, host, block):
+    g = {
+        "parent_host": parent_host,
+        "two_caterpillars": _two_caterpillars,
+        "random": lambda: random_graph(90, 0.08, 4),
+    }[host]()
+    if block is not None:
+        monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
+        monkeypatch.setattr(additive, "_ROOT_BLOCK", block + 2)
+    for roots in root_samples(g.n):
+        want = set()
+        for z in roots:
+            want |= {norm_edge(v, p) for v, p in enumerate(bfs(g, [z]).parent) if p >= 0}
+        got = additive.tree_union(g, roots)
+        assert got == want
+        assert all(type(u) is int and type(v) is int for u, v in got)
+
+
+def _forbid_per_root_searches(monkeypatch):
+    def per_root(*args, **kwargs):
+        raise AssertionError("per-root search in an array-native builder")
+
+    for module, name in [
+        (graphs, "bfs"),
+        (graphs, "bfs_distances"),
+        (graphs, "trace_parent_path"),
+        (additive, "bfs"),
+        (additive, "trace_parent_path"),
+    ]:
+        monkeypatch.setattr(module, name, per_root, raising=False)
+
+
+def test_swadd_builds_without_per_root_bfs(monkeypatch):
+    cat = _caterpillar(spine=40, leaves=10)
+    g = random_graph(128, 8 / 127, 2)
+    builds = [
+        lambda: build_sourcewise_additive(cat, SourceSet.from_ids(range(34), cat.n), 1, 2, 3),
+        lambda: build_sourcewise_additive(g, SourceSet.from_ids(range(12), g.n), 2, 2, 2),
+    ]
+    want = [build() for build in builds]
+    _forbid_per_root_searches(monkeypatch)
+    for build, sp in zip(builds, want):
+        got = build()
+        assert got.edges == sp.edges and got.meta == sp.meta
+    assert want[0].meta["long_pairs"] > 0  # the trees serve pairs here
+    assert sum(want[1].meta["buy_levels"][1:]) > 0  # and rerouted candidates here
+
+
+def test_swadd_phase_edges_cover_the_output():
+    cat = _caterpillar(spine=40, leaves=10)
+    cases = [(cat, SourceSet.from_ids(range(34), cat.n), 1, 3)]
+    for seed in (1, 2):
+        g = random_graph(128, 8 / 127, seed)
+        cases += [(g, SourceSet.from_ids(range(12), g.n), k, 2) for k in (1, 2)]
+    for g, src, k, retries in cases:
+        sp = build_sourcewise_additive(g, src, k, 7, retries)
+        phases = sp.meta["phase_edges"]
+        assert set(phases) == {"light", "clustering", "bought", "trees"}
+        assert all(0 <= count <= sp.size for count in phases.values())
+        assert sum(phases.values()) >= sp.size
+        assert phases["trees"] > 0

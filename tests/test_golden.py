@@ -57,6 +57,20 @@ def test_golden_digest(name):
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
+def test_golden_digest_where_sampled_trees_serve_long_pairs():
+    # every instance above has no long pair; this caterpillar (a tree, so
+    # the spanner keeps all 439 host edges) has 4246 served by the trees
+    from test_additive import _caterpillar
+
+    g = _caterpillar(spine=40, leaves=10)
+    h = build_sourcewise_additive(g, SourceSet.from_ids(range(34), g.n), 1, 2, retries=3)
+    assert h.meta["long_pairs"] == 4246 and h.meta["long_violations"] == 0
+    assert h.size == 439
+    assert hashlib.sha256(dump_graph(h).encode()).hexdigest() == (
+        "2e272b93ef4ffe1a9ca85eda39d4eceb0de84dc3a23800e65f194894a38dd537"
+    )
+
+
 # random_graph's edge sets, pinned on the per-row draws it replaced: the
 # coins are one uniform stream, however it is split into draws.  n = 600
 # spans 179,700 coins, several draw blocks.

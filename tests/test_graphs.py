@@ -26,9 +26,10 @@ from spanlab import (
     path_is_valid,
     random_graph,
     trace_owner_path,
+    trace_parent_path,
     weighted_sssp,
 )
-from conftest import random_tree
+from conftest import parent_host, random_tree, root_samples
 from oracles import as_int_grid, bellman_ford, floyd_warshall
 
 
@@ -68,6 +69,61 @@ def test_load_rejects_bad_header_and_counts():
         load_graph("q 3 1\n0 1\n")
     with pytest.raises(GraphFormatError, match="declares m=2"):
         load_graph("p 3 2\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("", "empty document (missing 'p <n> <m>' header)"),
+        ("# only a comment\n\n", "empty document (missing 'p <n> <m>' header)"),
+        ("q 3 1\n0 1\n", "line 1: expected header 'p <n> <m>', got 'q 3 1'"),
+        ("p 3\n", "line 1: expected header 'p <n> <m>', got 'p 3'"),
+        ("p x 1\n", "line 1: non-integer header fields"),
+        ("p 3 -1\n", "line 1: negative counts in header"),
+        ("p 3 1\n0 1 2\n", "line 2: expected '<u> <v>', got '0 1 2'"),
+        ("p 3 1\n0\n", "line 2: expected '<u> <v>', got '0'"),
+        ("p 3 1\n0 a\n", "line 2: non-integer vertex id"),
+        ("p 3 1\n0 1.0\n", "line 2: non-integer vertex id"),
+        ("p 3 1\n0 3\n", "line 2: vertex id out of range [0,3)"),
+        ("p 3 1\n-1 1\n", "line 2: vertex id out of range [0,3)"),
+        ("p 3 1\n0 99999999999999999999999\n", "line 2: vertex id out of range [0,3)"),
+        ("p 3 1\n4 4\n", "line 2: vertex id out of range [0,3)"),  # range before self-loop
+        ("p 3 1\n1 1\n", "line 2: self-loop at vertex 1"),
+        ("p 3 2\n0 1\n0 1\n", "line 3: duplicate edge (0,1)"),
+        ("p 3 2\n0 1\n1 0\n", "line 3: duplicate edge (1,0)"),  # reversed repeat
+        ("p 3 2\n+0 1\n1 +0\n", "line 3: duplicate edge (1,0)"),
+        ("p 3 2\n0 1\n", "header declares m=2 but found 1 edges"),
+        ("p 3 1\n0 1\n1 2\n", "header declares m=1 but found 2 edges"),
+        # line numbers count comments and blank lines
+        ("# c\np 4 3\n\n0 1\n# c\n2 3\n3 2\n", "line 7: duplicate edge (3,2)"),
+        # the first bad line wins, whatever is wrong with it
+        ("p 4 4\n0 1\n2 2\n1 0\n0 9\n", "line 3: self-loop at vertex 2"),
+        ("p 4 4\n0 1\n1 0\n2 2\n0 9\n", "line 3: duplicate edge (1,0)"),
+        ("p 4 4\n0 1\n0 9\n1 0\n2 2\n", "line 3: vertex id out of range [0,4)"),
+        ("p 4 3\n0 1\n1 0\n0 1 2\n", "line 3: duplicate edge (1,0)"),
+        ("p 4 3\n0 1\n0 1 2\n1 0\n", "line 3: expected '<u> <v>', got '0 1 2'"),
+        ("p 4 3\n0 1\n1 0\nx 2\n", "line 3: duplicate edge (1,0)"),
+        ("p 4 3\n0 1\nx 2\n1 0\n", "line 3: non-integer vertex id"),
+        # a bad edge wins over a wrong edge count
+        ("p 4 9\n0 1\n1 0\n", "line 3: duplicate edge (1,0)"),
+    ],
+)
+def test_load_graph_error_messages(document, message):
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(document)
+    assert str(info.value) == message
+
+
+def test_load_graph_keeps_the_first_repeat_among_many():
+    pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+    body = "".join(f"{u} {v}\n" for u, v in pairs)
+    doc = f"p 30 {2 * len(pairs)}\n{body}" + "".join(f"{v} {u}\n" for u, v in pairs)
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(doc)
+    assert str(info.value) == f"line {len(pairs) + 2}: duplicate edge (1,0)"
+    g = load_graph(f"p 30 {len(pairs)}\n{body}")
+    assert g == Graph(30, pairs) and g.adj == Graph(30, pairs).adj
+    assert list(g.edges) == list(Graph(30, pairs).edges)
 
 
 def test_load_skips_comments_and_blanks():
@@ -559,3 +615,36 @@ def test_adjacency_csr_is_the_sorted_adjacency(kernel_host):
     for bad in [(0, 3), (-1, 1)]:
         with pytest.raises(ValueError, match="out of range"):
             hop_distance_matrix(Spanner(3, frozenset({bad}), {}))
+
+
+# ---------------------------------------------------------------------------
+# canonical parent rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_parent_rows_are_the_canonical_bfs_parents(monkeypatch, block):
+    g = parent_host()
+    if block is not None:
+        monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
+    handed = _count_dijkstra_rows(monkeypatch)
+    for roots in root_samples(g.n):
+        dist = hop_distance_matrix(g, roots)
+        got = graphs.parent_rows(g.csr, dist)
+        assert got.dtype == np.int32 and got.shape == (len(roots), g.n)
+        assert got.tolist() == [bfs(g, [z]).parent for z in roots]
+        for z, row, parents in zip(roots, dist.tolist(), got.tolist()):
+            for v in range(g.n):
+                path = trace_parent_path(g, row, v)
+                assert (path is None) == (row[v] < 0)
+                if path is not None:
+                    assert graphs.parent_path(parents, v) == path
+    assert handed  # some rows came from the Dijkstra fallback
+
+
+def test_parent_rows_on_tiny_hosts():
+    for g in (Graph(0, []), Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])):
+        for roots in ([], list(range(g.n))):
+            got = graphs.parent_rows(g.csr, hop_distance_matrix(g, roots))
+            assert got.shape == (len(roots), g.n)
+            assert got.tolist() == [bfs(g, [z]).parent for z in roots]
