@@ -18,7 +18,15 @@ from .additive import (
     build_sourcewise_additive4,
     build_sourcewise_emulator2,
 )
-from .graphs import Graph, Spanner, bfs_distances, hop_distance_matrix, random_graph
+from .graphs import (
+    Graph,
+    Spanner,
+    bfs_distances,
+    dump_emulator,
+    dump_graph,
+    hop_distance_matrix,
+    random_graph,
+)
 from .hybrid import build_hybrid
 from .lowerbound import build_lb_graph, lb_audit
 from .sourcewise import SourceSet, build_sourcewise_mult
@@ -121,8 +129,11 @@ def _sum(rows, key: Optional[str] = None) -> int:
 
 @dataclass(frozen=True)
 class Case:
-    """One construction grid and the criteria its rows decide.
+    """One construction: its `spanlab build` subcommand, its grid and the
+    criteria its rows decide.
 
+    `flags` are the build flags it takes among k, retries, sources and seed;
+    `build(g, src, k, seed, retries)` makes its output and `dump` writes it.
     `full` and `fast` are (sizes, ks, eps targets, seeds); each instance
     is a degree-8 G(n, p) with the lowest ceil(n**eps) ids as sources (no
     sources when eps is None).  `check` returns the stretch report plus
@@ -131,20 +142,24 @@ class Case:
     """
 
     construction: str
+    command: str
+    help: str
+    flags: tuple
     formula: str
     full: tuple
     fast: tuple
     build: Callable
     check: Callable
     criteria: tuple
+    dump: Callable = dump_graph
 
 
 CASES = (
     Case(
-        "hybrid", "hybrid",
+        "hybrid", "hybrid", "two-regime multiplicative spanner", ("k", "seed"), "hybrid",
         full=((128, 256, 512), (2, 3, 4), (None,), (1, 2, 3)),
         fast=((64,), (2,), (None,), (1,)),
-        build=lambda g, src, k, seed: build_hybrid(g, k, seed),
+        build=lambda g, src, k, seed, _: build_hybrid(g, k, seed),
         check=lambda g, src, h, k: (
             verify_spanner(g, h, None, hybrid_spec(k)),
             {"center_pair_violations": _center_pair_violations(
@@ -160,10 +175,11 @@ CASES = (
         ),
     ),
     Case(
-        "swmult", "swmult",
+        "swmult", "swmult", "sourcewise multiplicative spanner", ("k", "sources", "seed"),
+        "swmult",
         full=((128, 256, 512), (2, 3, 4), (0.25, 0.5), (1, 2, 3)),
         fast=((64,), (2,), (0.5,), (1,)),
-        build=build_sourcewise_mult,
+        build=lambda g, src, k, seed, _: build_sourcewise_mult(g, src, k, seed),
         check=lambda g, src, h, k: (
             verify_spanner(g, h, src.vertices, sourcewise_mult_spec(k)),
             {"center_pair_violations": _center_pair_violations(
@@ -177,10 +193,11 @@ CASES = (
         ),
     ),
     Case(
-        "swadd", "swadd",
+        "swadd", "swadd", "additive +2k sourcewise spanner",
+        ("k", "retries", "sources", "seed"), "swadd",
         full=((256, 512), (1, 2), (0.5,), (1, 2, 3)),
         fast=((64,), (1,), (0.5,), (1,)),
-        build=lambda g, src, k, seed: build_sourcewise_additive(g, src, k, seed, retries=RETRIES),
+        build=build_sourcewise_additive,
         check=lambda g, src, h, k: (
             verify_spanner(g, h, src.vertices, additive_spec(2 * k)),
             {"attempts": h.meta["attempts"], "long_violations": h.meta["long_violations"]},
@@ -194,10 +211,10 @@ CASES = (
         ),
     ),
     Case(
-        "emulator2", "emu2",
+        "emulator2", "emulator", "+2 sourcewise emulator (weighted)", ("sources",), "emu2",
         full=((256, 512), (None,), (0.5,), (1, 2, 3)),
         fast=((64,), (None,), (0.5,), (1,)),
-        build=lambda g, src, k, seed: build_sourcewise_emulator2(g, src),
+        build=lambda g, src, *_: build_sourcewise_emulator2(g, src),
         check=lambda g, src, h, k: (verify_emulator(g, h, src.vertices, beta=2), {}),
         criteria=(
             (5, "+2 sourcewise emulator (sandwich bound, size ratio <= 20)",
@@ -205,12 +222,13 @@ CASES = (
              lambda rows: f"{_sum(rows)} violations, "
              f"worst ratio {max(r.ratio for r in rows):.3f}"),
         ),
+        dump=dump_emulator,
     ),
     Case(
-        "sw4", "sw4",
+        "sw4", "sw4", "+4 sourcewise spanner for large source sets", ("sources",), "sw4",
         full=((512,), (None,), (2 / 3,), (1, 2, 3)),
         fast=((64,), (None,), (2 / 3,), (1,)),
-        build=lambda g, src, k, seed: build_sourcewise_additive4(g, src),
+        build=lambda g, src, *_: build_sourcewise_additive4(g, src),
         check=lambda g, src, h, k: (verify_spanner(g, h, src.vertices, additive_spec(4)), {}),
         criteria=(
             (6, "+4 sourcewise spanner for large source sets (size ratio <= 20)",
@@ -229,7 +247,7 @@ def run_case(case: Case, fast: bool = False) -> list[GridRow]:
         src = None if eps is None else SourceSet.from_ids(pick_sources(n, eps), n)
         epsilon = None if src is None else src.epsilon
         t0 = time.perf_counter()
-        h = case.build(g, src, k, seed)
+        h = case.build(g, src, k, seed, RETRIES)
         rep, extra = case.check(g, src, h, k)
         dt = time.perf_counter() - t0
         ratio = size_report(h, case.formula, n, k=k, epsilon=epsilon)

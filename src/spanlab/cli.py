@@ -12,23 +12,16 @@ import time
 from pathlib import Path
 
 from . import bench
-from .additive import (
-    build_sourcewise_additive,
-    build_sourcewise_additive4,
-    build_sourcewise_emulator2,
-)
 from .graphs import (
     GraphFormatError,
     Spanner,
-    dump_emulator,
     dump_graph,
     load_emulator,
     load_graph,
     random_graph,
 )
-from .hybrid import build_hybrid
 from .lowerbound import build_lb_graph, lb_audit
-from .sourcewise import SourceSet, build_sourcewise_mult
+from .sourcewise import SourceSet
 from .verify import (
     additive_spec,
     hybrid_spec,
@@ -67,9 +60,9 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_graph_file(path: str):
+def _load_graph_file(path: str, loader=load_graph):
     try:
-        return load_graph(_read_text(path))
+        return loader(_read_text(path))
     except GraphFormatError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -95,34 +88,50 @@ def _load_candidate(path: str) -> Spanner:
     return Spanner(n=g.n, edges=g.edges, meta={"input": path})
 
 
+def _spanner_check(factory):
+    """Check a spanner file against the stretch spec factory(parameter)."""
+    return lambda g, path, src, value: verify_spanner(
+        g, _load_candidate(path), src and src.vertices, factory(value)
+    )
+
+
+def _emulator_check(g, path, src, beta):
+    if src is None:
+        raise CliError("emulator verification needs --sources")
+    return verify_emulator(g, _load_graph_file(path, load_emulator), src.vertices, beta)
+
+
+# --spec name -> (its one parameter, check of a candidate file, the size
+# formula and k of its bound ratio, or None when it has no bound)
+SPECS = {
+    "hybrid": ("k", _spanner_check(hybrid_spec), lambda k: ("hybrid", k)),
+    "swmult": ("k", _spanner_check(sourcewise_mult_spec), lambda k: ("swmult", k)),
+    "additive": ("beta", _spanner_check(additive_spec),
+                 lambda b: ("swadd", b // 2) if b > 0 and b % 2 == 0 else None),
+    "subsetwise": ("beta", _spanner_check(subsetwise_spec), lambda b: None),
+    "emulator": ("beta", _emulator_check, lambda b: ("emu2", None)),
+}
+
+
 def parse_spec(text: str):
-    """Parse 'name:key=value,...' audit spec strings."""
+    """Parse a 'name:param=value' audit spec into its name, SPECS row and value."""
     name, _, rest = text.partition(":")
-    params = {}
+    if name not in SPECS:
+        raise CliError(f"unknown spec {name!r} (expected {'|'.join(SPECS)})")
+    param, value = SPECS[name][0], None
     for piece in filter(None, rest.split(",")):
-        key, _, value = piece.partition("=")
-        if not value:
+        key, _, text_value = piece.partition("=")
+        if not text_value:
             raise CliError(f"malformed spec parameter {piece!r}")
+        if key != param or value is not None:
+            raise CliError(f"unexpected spec parameter {key!r} ({name!r} takes {param!r} once)")
         try:
-            params[key] = int(value)
+            value = int(text_value)
         except ValueError:
             raise CliError(f"spec parameter {piece!r} must be an integer") from None
-    try:
-        if name == "hybrid":
-            return hybrid_spec(params["k"]), params
-        if name == "swmult":
-            return sourcewise_mult_spec(params["k"]), params
-        if name == "additive":
-            return additive_spec(params["beta"]), params
-        if name == "subsetwise":
-            return subsetwise_spec(params["beta"]), params
-        if name == "emulator":
-            return "emulator", {"beta": params["beta"]}
-    except KeyError as exc:
-        raise CliError(f"spec {name!r} is missing parameter {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    raise CliError(f"unknown spec {name!r} (expected hybrid|swmult|additive|subsetwise|emulator)")
+    if value is None:
+        raise CliError(f"spec {name!r} is missing parameter {param!r}")
+    return name, SPECS[name], value
 
 
 # ---------------------------------------------------------------------------
@@ -161,127 +170,59 @@ def cmd_gen_lb(args) -> int:
     return 0
 
 
-def _finish_build(args, g, obj, ratio, started) -> int:
-    if isinstance(obj, Spanner):
-        _write_text(args.out, dump_graph(obj))
-        meta = dict(obj.meta)
-    else:
-        _write_text(args.out, dump_emulator(obj))
-        meta = {"construction": "emulator2", "n": obj.n, "size": obj.size}
+def cmd_build(args) -> int:
+    case = args.case
+    g = _load_graph_file(args.infile)
+    src = _load_sources_file(args.sources, g.n) if args.sources else None
+    t0 = time.perf_counter()
+    h = case.build(g, src, args.k, args.seed, args.retries)
+    ratio = size_report(h, case.formula, g.n, k=args.k, epsilon=src and src.epsilon)
+    _write_text(args.out, case.dump(h))
     report = {
-        **meta,
+        "construction": case.construction,
+        "n": h.n,
+        "size": h.size,
+        **getattr(h, "meta", {}),  # a spanner's meta; an emulator has none
         "input": args.infile,
         "output": args.out,
         "input_edges": g.m,
         "size_ratio": ratio,
-        "elapsed_s": round(time.perf_counter() - started, 4),
+        "elapsed_s": round(time.perf_counter() - t0, 4),
     }
     if args.report:
         _write_json(args.report, report)
-    print(
-        f"{report['construction']}: kept {report['size']} of {g.m} edges"
-        + (f", ratio {ratio:.3f}" if ratio is not None else "")
-    )
-    return 0
-
-
-def cmd_build_hybrid(args) -> int:
-    g = _load_graph_file(args.infile)
-    t0 = time.perf_counter()
-    sp = build_hybrid(g, args.k, args.seed)
-    ratio = size_report(sp, "hybrid", g.n, k=args.k)
-    return _finish_build(args, g, sp, ratio, t0)
-
-
-def cmd_build_swmult(args) -> int:
-    g = _load_graph_file(args.infile)
-    src = _load_sources_file(args.sources, g.n)
-    t0 = time.perf_counter()
-    sp = build_sourcewise_mult(g, src, args.k, args.seed)
-    ratio = size_report(sp, "swmult", g.n, k=args.k, epsilon=src.epsilon)
-    return _finish_build(args, g, sp, ratio, t0)
-
-
-def cmd_build_swadd(args) -> int:
-    g = _load_graph_file(args.infile)
-    src = _load_sources_file(args.sources, g.n)
-    t0 = time.perf_counter()
-    sp = build_sourcewise_additive(g, src, args.k, args.seed, retries=args.retries)
-    ratio = size_report(sp, "swadd", g.n, k=args.k, epsilon=src.epsilon)
-    code = _finish_build(args, g, sp, ratio, t0)
-    if sp.meta["long_violations"]:
+    print(f"{report['construction']}: kept {h.size} of {g.m} edges, ratio {ratio:.3f}")
+    if report.get("long_violations"):
         print(
-            f"warning: {sp.meta['long_violations']} long pairs above +{2 * args.k} "
-            f"after {sp.meta['attempts']} attempts",
+            f"warning: {report['long_violations']} long pairs above +{2 * args.k} "
+            f"after {report['attempts']} attempts",
             file=sys.stderr,
         )
         return 2
-    return code
-
-
-def cmd_build_emulator(args) -> int:
-    g = _load_graph_file(args.infile)
-    src = _load_sources_file(args.sources, g.n)
-    t0 = time.perf_counter()
-    em = build_sourcewise_emulator2(g, src)
-    ratio = size_report(em, "emu2", g.n, epsilon=src.epsilon)
-    return _finish_build(args, g, em, ratio, t0)
-
-
-def cmd_build_sw4(args) -> int:
-    g = _load_graph_file(args.infile)
-    src = _load_sources_file(args.sources, g.n)
-    t0 = time.perf_counter()
-    sp = build_sourcewise_additive4(g, src)
-    ratio = size_report(sp, "sw4", g.n, epsilon=src.epsilon)
-    return _finish_build(args, g, sp, ratio, t0)
+    return 0
 
 
 def cmd_verify(args) -> int:
     g = _load_graph_file(args.graph)
-    spec, params = parse_spec(args.spec)
+    name, (_, check, bound), value = parse_spec(args.spec)
     src = _load_sources_file(args.sources, g.n) if args.sources else None
-
-    if spec == "emulator":
-        if src is None:
-            raise CliError("emulator verification needs --sources")
-        try:
-            em = load_emulator(_read_text(args.candidate))
-        except GraphFormatError as exc:
-            raise CliError(f"{args.candidate}: {exc}") from None
-        rep = verify_emulator(g, em, src.vertices, beta=params["beta"])
-        rep.bound_ratio = size_report(em, "emu2", g.n, epsilon=src.epsilon)
-        spec_name = "emulator"
-    else:
-        h = _load_candidate(args.candidate)
-        if spec.scope in ("sourcewise", "setwise") and src is None:
-            raise CliError(f"spec {spec.name!r} needs --sources")
-        try:
-            rep = verify_spanner(g, h, src.vertices if src else None, spec)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        rep.bound_ratio = _bound_ratio_for(spec.name, params, h, g.n, src)
-        spec_name = spec.name
+    try:
+        rep = check(g, args.candidate, src, value)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if bound(value):
+        formula, k = bound(value)
+        rep.bound_ratio = size_report(rep, formula, g.n, k=k, epsilon=src and src.epsilon)
 
     payload = {"spec": args.spec, **rep.to_dict()}
     if args.report:
         _write_json(args.report, payload)
     status = "ok" if rep.ok else f"{rep.n_violations} violations"
     print(
-        f"{spec_name}: {status}; max_mult={rep.max_mult():.3f} "
+        f"{name}: {status}; max_mult={rep.max_mult():.3f} "
         f"max_add={rep.max_add():.1f} size={rep.size}"
     )
     return 0 if rep.ok else 2
-
-
-def _bound_ratio_for(name, params, h, n, src):
-    if name == "hybrid":
-        return size_report(h, "hybrid", n, k=params["k"])
-    if name == "swmult" and src is not None:
-        return size_report(h, "swmult", n, k=params["k"], epsilon=src.epsilon)
-    if name == "additive" and src is not None and params["beta"] % 2 == 0 and params["beta"] > 0:
-        return size_report(h, "swadd", n, k=params["beta"] // 2, epsilon=src.epsilon)
-    return None
 
 
 def cmd_audit_lb(args) -> int:
@@ -331,12 +272,9 @@ def cmd_bench(args) -> int:
     outcomes, rows = bench.run_all(fast=args.fast)
     print(bench.format_rows(rows))
     print()
-    failed = 0
     payload = []
     for oc in outcomes:
         status = "PASS" if oc.passed else "FAIL"
-        if not oc.passed:
-            failed += 1
         print(f"criterion {oc.number} ({oc.name}): {status} -- {oc.detail}")
         for w in oc.warnings:
             print(f"  warning: {w}")
@@ -352,12 +290,25 @@ def cmd_bench(args) -> int:
     print(f"\ntotal wall time: {time.perf_counter() - t0:.1f}s")
     if args.json:
         _write_json(args.json, {"criteria": payload})
-    return 0 if failed == 0 else 2
+    return 0 if all(oc.passed for oc in outcomes) else 2
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
+
+
+# `spanlab build` flags in --help order; each construction takes --in, --out,
+# --report and the ones its bench.CASES row names
+_BUILD_FLAGS = {
+    "k": dict(type=int, required=True),
+    "retries": dict(type=int, default=0, help="extra root resamples"),
+    "in": dict(dest="infile", required=True),
+    "out": dict(required=True),
+    "report": {},
+    "sources": dict(required=True),
+    "seed": dict(type=int, required=True),
+}
 
 
 def build_parser() -> _Parser:
@@ -387,39 +338,12 @@ def build_parser() -> _Parser:
     build = top.add_parser("build", help="construct spanners and emulators").add_subparsers(
         dest="builder", required=True
     )
-
-    def _io_args(p, sources=False, seeded=True):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--report")
-        if sources:
-            p.add_argument("--sources", required=True)
-        if seeded:
-            p.add_argument("--seed", type=int, required=True)
-
-    p = build.add_parser("hybrid", help="two-regime multiplicative spanner")
-    p.add_argument("--k", type=int, required=True)
-    _io_args(p)
-    p.set_defaults(func=cmd_build_hybrid)
-
-    p = build.add_parser("swmult", help="sourcewise multiplicative spanner")
-    p.add_argument("--k", type=int, required=True)
-    _io_args(p, sources=True)
-    p.set_defaults(func=cmd_build_swmult)
-
-    p = build.add_parser("swadd", help="additive +2k sourcewise spanner")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--retries", type=int, default=0, help="extra root resamples")
-    _io_args(p, sources=True)
-    p.set_defaults(func=cmd_build_swadd)
-
-    p = build.add_parser("emulator", help="+2 sourcewise emulator (weighted)")
-    _io_args(p, sources=True, seeded=False)
-    p.set_defaults(func=cmd_build_emulator)
-
-    p = build.add_parser("sw4", help="+4 sourcewise spanner for large source sets")
-    _io_args(p, sources=True, seeded=False)
-    p.set_defaults(func=cmd_build_sw4)
+    for case in bench.CASES:
+        p = build.add_parser(case.command, help=case.help)
+        for flag, options in _BUILD_FLAGS.items():
+            if flag in case.flags + ("in", "out", "report"):
+                p.add_argument(f"--{flag}", **options)
+        p.set_defaults(func=cmd_build, case=case, k=None, retries=0, sources=None, seed=None)
 
     p = top.add_parser("verify", help="audit a candidate against a stretch contract")
     p.add_argument("--graph", required=True)
@@ -428,7 +352,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--spec",
         required=True,
-        help="hybrid:k=K | swmult:k=K | additive:beta=B | subsetwise:beta=B | emulator:beta=B",
+        help=" | ".join(f"{name}:{row[0]}={row[0][0].upper()}" for name, row in SPECS.items()),
     )
     p.add_argument("--report")
     p.set_defaults(func=cmd_verify)

@@ -232,6 +232,8 @@ def verify_emulator(
     most beta on every (source, vertex) pair.  Both sides are whole
     source-row matrices from the distance core: packed-bitset BFS rows in
     the host and batched weighted Dijkstra rows in the emulator."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
     roots = sorted(set(sources))
     if not roots:
         raise ValueError("source set must be non-empty")

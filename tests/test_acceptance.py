@@ -7,6 +7,10 @@ The grid runs once, through the same spanlab.bench.run_all that
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from spanlab import bench
@@ -15,6 +19,33 @@ from spanlab import bench
 @pytest.fixture(scope="module")
 def outcomes():
     return {oc.number: oc for oc in bench.run_all()[0]}
+
+
+def test_criteria_payload_is_pinned(outcomes):
+    """The full grid's criteria, in the bytes `spanlab bench --json` writes."""
+    payload = {
+        "criteria": [
+            {"criterion": oc.number, "name": oc.name, "passed": oc.passed,
+             "detail": oc.detail, "warnings": oc.warnings}
+            for oc in outcomes.values()
+        ]
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b274efa4732d3bf59304f7bf3aaf2b7019d921b733c384a3d95173e868c64893"
+    )
+
+
+def test_swadd_rows_get_the_resample_budget():
+    swadd = next(case for case in bench.CASES if case.command == "swadd")
+    seen = []
+
+    def build(g, src, k, seed, retries):
+        seen.append(retries)
+        return swadd.build(g, src, k, seed, retries)
+
+    bench.run_case(dataclasses.replace(swadd, build=build), fast=True)
+    assert seen == [bench.RETRIES]
 
 
 def _report(outcome):

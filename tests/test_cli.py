@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
-from spanlab import load_graph
+import pytest
+
+from spanlab import SourceSet, load_graph
 from spanlab.cli import main
 
 
@@ -266,3 +269,141 @@ def test_bench_fast_smoke(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert len(payload["criteria"]) == 9
     assert all(c["passed"] for c in payload["criteria"])
+    # the whole --json file, byte for byte
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "61fd5555360cee8985a4a291c5455b832d22945e2c2769bef24bcf5014fb12aa"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the CLI surface: which flags each builder takes, and the verify bound ratios
+# ---------------------------------------------------------------------------
+
+# every required flag of each build subcommand besides --in and --out;
+# None stands for the sources file
+BUILD_FLAGS = {
+    "hybrid": {"--k": "2", "--seed": "1"},
+    "swmult": {"--k": "2", "--sources": None, "--seed": "3"},
+    "swadd": {"--k": "1", "--sources": None, "--seed": "2"},
+    "emulator": {"--sources": None},
+    "sw4": {"--sources": None},
+}
+
+
+@pytest.fixture(scope="module")
+def surface(tmp_path_factory):
+    """A 60-vertex host with 20 sources, enough for the +4 regime n^(2/3)."""
+    d = tmp_path_factory.mktemp("surface")
+    return _gen_random(d), _sources_file(d, range(20)), d
+
+
+def _build_argv(surface, builder, drop=None, extra=()):
+    g, src, d = surface
+    flags = {**BUILD_FLAGS[builder], "--in": g, "--out": str(d / f"{builder}.out")}
+    argv = ["build", builder]
+    for flag, value in flags.items():
+        if flag != drop:
+            argv += [flag, src if value is None else value]
+    return argv + list(extra)
+
+
+@pytest.mark.parametrize(
+    "builder,flag", [(b, f) for b, flags in BUILD_FLAGS.items() for f in [*flags, "--in", "--out"]]
+)
+def test_build_without_a_required_flag_exits_1(surface, builder, flag, capsys):
+    assert main(_build_argv(surface, builder, drop=flag)) == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("builder", list(BUILD_FLAGS))
+def test_build_optional_flags(surface, builder, capsys):
+    assert main(_build_argv(surface, builder)) == 0
+    assert main(_build_argv(surface, builder, extra=["--retries", "1"])) == (
+        0 if builder == "swadd" else 1
+    )
+    if "--seed" not in BUILD_FLAGS[builder]:
+        assert main(_build_argv(surface, builder, extra=["--seed", "1"])) == 1
+    capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def built(surface):
+    """Output file of every builder on the surface host, and the host."""
+    for builder in BUILD_FLAGS:
+        assert main(_build_argv(surface, builder)) == 0
+    return {"host": surface[0], **{b: str(surface[2] / f"{b}.out") for b in BUILD_FLAGS}}
+
+
+@pytest.mark.parametrize(
+    "builder,spec,bound",
+    [
+        # the nominal size bound at n = 60 as a function of the source exponent
+        ("hybrid", "hybrid:k=2", lambda eps: 4 * 60 ** 1.5),
+        ("swmult", "swmult:k=2", lambda eps: 4 * 60 ** (1 + eps / 2)),
+        ("swadd", "additive:beta=2", lambda eps: 60 ** (1 + (eps + 1) / 4)),
+        ("host", "additive:beta=0", None),
+        ("swadd", "additive:beta=3", None),
+        ("swadd", "additive:beta=4", lambda eps: 2 * 60 ** (1 + (2 * eps + 1) / 6)),
+        ("swadd", "subsetwise:beta=2", None),
+        ("emulator", "emulator:beta=2", lambda eps: 60 ** (1 + eps / 2)),
+    ],
+)
+def test_verify_bound_ratio(surface, built, builder, spec, bound):
+    g, src, d = surface
+    report = d / "verify.json"
+    assert main(
+        ["verify", "--graph", g, "--candidate", built[builder], "--sources", src,
+         "--spec", spec, "--report", str(report)]
+    ) == 0
+    rep = json.loads(report.read_text())
+    if bound is None:
+        assert rep["bound_ratio"] is None
+    else:
+        eps = SourceSet.from_ids(range(20), 60).epsilon
+        assert rep["bound_ratio"] == pytest.approx(rep["size"] / bound(eps), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec,name", [("hybrid:kk=2", "'kk'"), ("hybrid:k=2,kk=9", "'kk'"), ("hybrid:k=2,k=3", "'k'")]
+)
+def test_verify_rejects_unknown_and_repeated_spec_parameters(surface, built, spec, name, capsys):
+    g, _, _ = surface
+    assert main(["verify", "--graph", g, "--candidate", built["hybrid"], "--spec", spec]) == 1
+    assert name in capsys.readouterr().err
+
+
+def test_verify_emulator_negative_beta_exits_1(surface, built, capsys):
+    g, src, _ = surface
+    assert main(
+        ["verify", "--graph", g, "--candidate", built["emulator"], "--sources", src,
+         "--spec", "emulator:beta=-1"]
+    ) == 1
+    assert "beta must be >= 0" in capsys.readouterr().err
+
+
+def test_swadd_long_violations_exit_2(tmp_path, monkeypatch, capsys):
+    # no sampled trees and no bought paths leave long pairs above +2 on
+    # this host (tests/test_additive.py::test_long_check_counts_pairs_beyond_plus_2k)
+    from types import SimpleNamespace
+
+    from spanlab import additive, dump_graph
+    from test_additive import _hub_chain
+
+    g = _hub_chain(spine=12, hub_leaves=20, spine_leaves=18)
+    host = tmp_path / "chain.el"
+    host.write_text(dump_graph(g))
+    no_draws = SimpleNamespace(random=lambda: 1.0)
+    monkeypatch.setattr(additive, "subrng", lambda *labels: no_draws)
+    monkeypatch.setattr(
+        additive, "_buy_short_paths",
+        lambda g, sources, short, gc, base, params: (set(base), {"edges_bought": 0, "levels": []}),
+    )
+    out, report = tmp_path / "sa.el", tmp_path / "sa.json"
+    assert main(
+        ["build", "swadd", "--k", "1", "--sources", _sources_file(tmp_path, range(g.n)),
+         "--seed", "0", "--in", str(host), "--out", str(out), "--report", str(report)]
+    ) == 2
+    rep = json.loads(report.read_text())
+    assert rep["long_violations"] > 0 and out.exists()
+    warning = f"{rep['long_violations']} long pairs above +2 after 1 attempts"
+    assert warning in capsys.readouterr().err

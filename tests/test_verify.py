@@ -315,6 +315,12 @@ def test_emulator_beta_zero_demands_exact_distances(path3):
     assert _assert_matches_oracle(path3, em, [0, 2], beta=1).ok
 
 
+def test_emulator_negative_beta_rejected(path3):
+    em = Emulator(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        verify_emulator(path3, em, [0], beta=-1)
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_verifiers_reject_out_of_range_sources(path3, bad):
     msg = rf"root {bad} out of range \[0,3\)"
