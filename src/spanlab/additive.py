@@ -84,7 +84,8 @@ def _heavy_flags(g: Graph, heavy_degree: int) -> list[bool]:
 def classify_pairs(g: Graph, sources: SourceSet, params: AdditiveParams) -> list[PairClass]:
     """Heavy-vertex count along the canonical path of every connected
     source/vertex pair; a pair is long when the count reaches the threshold.
-    The counts come from the sources' hop rows (`_heavy_counts`)."""
+    The counts come from the sources' hop rows (`_heavy_counts`), as the
+    builder's short/long split does."""
     dist = hop_distance_matrix(g, sources.vertices)
     count = _heavy_counts(g, dist, params.heavy_degree)
     out: list[PairClass] = []
@@ -288,11 +289,12 @@ def _check_candidate(path, source, target, level, base_dist, params, gc, spanner
     return cost
 
 
-def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
+def _buy_short_paths(g, sources, dist_rows, short, gc, base_edges, params):
     """Iterate short pairs in ascending (source, target) order, buying one
     candidate path per pair once its missing-edge cost is at most
     3 * level_factor * value; failed levels reroute through a cluster that
-    the path does not improve."""
+    the path does not improve.  Row i of the hop rows `dist_rows` is from
+    sources[i], and `short[i]` masks its short targets."""
     n = g.n
     spanner: set = set(base_edges)
     adj = _adjacency(n, spanner)
@@ -300,10 +302,7 @@ def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
     k = params.k
     stats = {"paths_bought": 0, "edges_bought": 0, "levels": [0] * (k + 1)}
 
-    order = sorted(short_targets)
-    dist_rows = hop_distance_matrix(g, order)
-    for s, row, parents in zip(order, dist_rows, parent_rows(g.csr, dist_rows)):
-        targets = short_targets[s]
+    for s, row, parents, targets in zip(sources, dist_rows, parent_rows(g.csr, dist_rows), short):
         dist_g = row.tolist()
         parent = parents.tolist()
         dist_h = _bfs_dist_sets(adj, s)
@@ -315,7 +314,7 @@ def _buy_short_paths(g, sources, short_targets, gc, base_edges, params):
             d, y = min(((dist_h[x], x) for x in mem), default=(_INF, -1))
             cdist.append(d)
             nearest.append(y)
-        for v in targets:
+        for v in np.flatnonzero(targets).tolist():
             path = parent_path(parent, v)
             base_dist = dist_g[v]
             level = 0
@@ -402,23 +401,20 @@ def build_sourcewise_additive(
     gamma = math.log(params.heavy_degree) / math.log(n)
     gc = hub_clustering(g, gamma)
 
-    short_targets: dict[int, list[int]] = {s: [] for s in sources.vertices}
-    long_pairs: list[tuple[int, int]] = []
-    for pc in classify_pairs(g, sources, params):  # not held through the later phases
-        if pc.is_long:
-            long_pairs.append((pc.source, pc.target))
-        else:
-            short_targets[pc.source].append(pc.target)
+    # the sources' hop rows serve the pair split, the buying and the long check
+    dist_g = hop_distance_matrix(g, sources.vertices)
+    reached = dist_g >= 0
+    long = reached & (_heavy_counts(g, dist_g, params.heavy_degree) >= params.long_threshold)
+    short = reached & ~long  # a source is paired with itself too
 
     bought, stats = _buy_short_paths(
-        g, sources, short_targets, gc, gc.g_c | light_edges, params
+        g, sources.vertices, dist_g, short, gc, gc.g_c | light_edges, params
     )
 
-    long_by_source: dict[int, list[int]] = {}
-    for s, v in long_pairs:
-        long_by_source.setdefault(s, []).append(v)
-    long_sources = list(long_by_source)
-    dist_g = hop_distance_matrix(g, long_sources) if long_by_source else None
+    long_rows = np.flatnonzero(long.any(axis=1))
+    long_sources = [sources.vertices[i] for i in long_rows]
+    long = long[long_rows]
+    long_dist = dist_g[long_rows][long]  # host distance of each long pair
 
     sample_prob = min(1.0, 9.0 * params.heavy_degree / n)
     edges: set = set()
@@ -431,11 +427,9 @@ def build_sourcewise_additive(
         tree_edges = tree_union(g, roots)
         edges = light_edges | tree_edges | bought
         long_violations = 0
-        if long_by_source:
-            dist_h = hop_distance_matrix(Spanner(n, frozenset(edges)), long_sources)
-            for i, vs in enumerate(long_by_source.values()):
-                dh, dg = dist_h[i, vs], dist_g[i, vs]
-                long_violations += int(((dh < 0) | (dh > dg + 2 * k)).sum())
+        if long_sources:
+            dh = hop_distance_matrix(Spanner(n, frozenset(edges)), long_sources)[long]
+            long_violations = int(((dh < 0) | (dh > long_dist + 2 * k)).sum())
         if long_violations == 0:
             break
 
@@ -449,8 +443,8 @@ def build_sourcewise_additive(
         "long_threshold": params.long_threshold,
         "level_factor": params.level_factor,
         "attempts": attempts,
-        "long_pairs": len(long_pairs),
-        "short_pairs": sum(len(v) for v in short_targets.values()),
+        "long_pairs": len(long_dist),
+        "short_pairs": int(short.sum()),
         "long_violations": long_violations,
         "phase_edges": {
             "light": len(light_edges),

@@ -106,8 +106,8 @@ def _emulator_check(g, path, src, beta):
 SPECS = {
     "hybrid": ("k", _spanner_check(hybrid_spec), lambda k: ("hybrid", k)),
     "swmult": ("k", _spanner_check(sourcewise_mult_spec), lambda k: ("swmult", k)),
-    "additive": ("beta", _spanner_check(additive_spec),
-                 lambda b: ("swadd", b // 2) if b > 0 and b % 2 == 0 else None),
+    # an edge list does not say whether swadd or sw4 made it: no bound
+    "additive": ("beta", _spanner_check(additive_spec), lambda b: None),
     "subsetwise": ("beta", _spanner_check(subsetwise_spec), lambda b: None),
     "emulator": ("beta", _emulator_check, lambda b: ("emu2", None)),
 }

@@ -452,19 +452,6 @@ def parent_path(parent: Sequence[int], target: int) -> list[int]:
     return path
 
 
-def canonical_path(g: Graph, u: int, v: int) -> Optional[list[int]]:
-    """A reproducible shortest u-v path (min-id BFS parents); None if disconnected."""
-    dist = bfs_distances(g, [u])
-    return trace_parent_path(g, dist, v)
-
-
-def path_is_valid(g: Graph, path: Sequence[int]) -> bool:
-    """True when consecutive vertices are adjacent and none repeats."""
-    if len(set(path)) != len(path):
-        return False
-    return all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
-
-
 # ---------------------------------------------------------------------------
 # bulk distance matrices (verification fan-out)
 # ---------------------------------------------------------------------------

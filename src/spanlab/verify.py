@@ -1,19 +1,27 @@
 """Exact-distance auditing of spanners and emulators: per-pair-class
 maximum stretch, full violation lists, and size-versus-bound ratios.
+
+Both verifiers are front ends over one core that goes one block of
+`_ROW_BLOCK` sorted roots at a time: host and candidate rows, pair masks
+and per-class folds are arrays of one block's rows, so no n x n matrix is
+built once the roots outnumber a block.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphs import (
+    _ROW_BLOCK,
     Emulator,
     Graph,
     Spanner,
+    _check_roots,
     emulator_distance_matrix,
     hop_distance_matrix,
 )
@@ -150,28 +158,80 @@ class StretchReport:
         }
 
 
-def _class_from_mask(roots, dg, dh, mask, alpha, beta) -> ClassReport:
-    """Stretch statistics over the masked (root-row, target-column) pairs."""
-    rep = ClassReport(alpha=alpha, beta=beta)
-    rep.pairs = int(mask.sum())
-    if rep.pairs == 0:
-        return rep
-    dgm = dg[mask].astype(np.float64)
-    dhm = dh[mask].astype(np.float64)
-    dhm[dhm < 0] = np.inf
-    rep.max_mult = float(np.max(dhm / dgm))
-    rep.max_add = float(np.max(dhm - dgm))
-    bad = dhm > alpha * dgm + beta + _EPS
+# A pair class of the verifier core: `select(dg, dh)` masks the block cells
+# it counts among the scope's pairs, and it bounds the candidate distance by
+# dist_h <= alpha * dist_g + beta, or by dist_h >= dist_g when `lower`.
+_Rule = namedtuple("_Rule", "alpha beta select lower", defaults=(False,))
+
+
+def _class_from_mask(rep: ClassReport, block, dg, dh, mask, lower: bool) -> None:
+    """Fold the masked (root-row, target-column) pairs of one block into
+    `rep`: their count, their violations and, for an upper bound, their
+    maximum stretch.  An unreachable candidate distance is infinite for an
+    upper bound; a lower bound flags every candidate distance below the
+    host's, and every one the host cannot match (reported with dist_g -1)."""
+    pairs = int(np.count_nonzero(mask))
+    if pairs == 0:
+        return
+    if lower:
+        dgm, dhm = dg[mask], dh[mask]
+        bad = (dhm >= 0) & ((dhm < dgm) | (dgm < 0))
+    else:
+        dgm = dg[mask].astype(np.float64)
+        dhm = dh[mask].astype(np.float64)
+        dhm[dhm < 0] = np.inf
+        mult, add = float(np.max(dhm / dgm)), float(np.max(dhm - dgm))
+        if rep.pairs:
+            mult, add = max(rep.max_mult, mult), max(rep.max_add, add)
+        rep.max_mult, rep.max_add = mult, add
+        bad = dhm > rep.alpha * dgm + rep.beta + _EPS
+    rep.pairs += pairs
     if bad.any():
-        rows, cols = np.nonzero(mask)
-        for idx in np.nonzero(bad)[0]:
-            u = int(roots[rows[idx]])
-            v = int(cols[idx])
-            dgv = int(dg[rows[idx], cols[idx]])
-            dhv = int(dh[rows[idx], cols[idx]])
-            rep.violations.append((u, v, dgv, None if dhv < 0 else dhv))
-    rep.violations.sort(key=lambda t: (t[0], t[1]))
-    return rep
+        rows, cols = (x[bad] for x in np.nonzero(mask))
+        # rows ascend with the sorted roots, so violations stay (u, v)-sorted
+        found = zip(block[rows].tolist(), cols.tolist(), dg[rows, cols].tolist(),
+                    dh[rows, cols].tolist())
+        rep.violations += [(u, v, a, None if b < 0 else b) for u, v, a, b in found]
+
+
+def _verify_rows(g: Graph, h, candidate_rows, roots, scope: str, rules: dict) -> StretchReport:
+    """The one verifier core: host rows (`hop_distance_matrix`) and the
+    candidate's rows (`candidate_rows(h, block)`) from the sorted `roots`
+    (None: every vertex), checked in range first, one block of `_ROW_BLOCK`
+    at a time.  Each rule folds its pairs of the block's scope into its
+    report; scope pairs that no rule counts are skipped."""
+    roots = _check_roots(g.n, roots)
+    cols = np.arange(g.n)
+    reports = {label: ClassReport(alpha=r.alpha, beta=r.beta) for label, r in rules.items()}
+    skipped = 0
+    for lo in range(0, len(roots), _ROW_BLOCK):
+        block = roots[lo:lo + _ROW_BLOCK]
+        dg = hop_distance_matrix(g, block)
+        dh = candidate_rows(h, block)
+        if scope == SOURCEWISE:
+            pairs = cols != block[:, None]
+        else:  # unordered pairs, each once from its smaller end
+            pairs = cols > block[:, None]
+            if scope == SETWISE:
+                pairs &= np.isin(cols, roots)
+        counted = np.zeros_like(pairs)
+        for label, rule in rules.items():
+            mask = pairs & rule.select(dg, dh)
+            counted |= mask
+            _class_from_mask(reports[label], block, dg, dh, mask, rule.lower)
+        skipped += int(np.count_nonzero(pairs)) - int(np.count_nonzero(counted))
+    return StretchReport(classes=reports, size=h.size, skipped_unreachable=skipped)
+
+
+def _source_roots(sources: Sequence[int]) -> list:
+    roots = sorted(set(sources))
+    if not roots:
+        raise ValueError("source set must be non-empty")
+    return roots
+
+
+# host-reachable pairs split by host adjacency: dist_g is 1 exactly on edges
+_BY_ADJACENCY = {True: lambda dg, dh: dg == 1, False: lambda dg, dh: dg > 1}
 
 
 def verify_spanner(
@@ -187,41 +247,16 @@ def verify_spanner(
         raise ValueError("candidate and graph disagree on the vertex count")
     if not h.edges <= g.edges:
         raise ValueError("candidate is not a subgraph of the host graph")
+    roots = None
     if spec.scope in (SOURCEWISE, SETWISE):
         if sources is None:
             raise ValueError(f"spec {spec.name!r} needs a source set")
-        roots = sorted(set(sources))
-        if not roots:
-            raise ValueError("source set must be non-empty")
-    else:
-        roots = list(range(g.n))
-
-    dg = hop_distance_matrix(g, roots)
-    dh = hop_distance_matrix(h, roots)
-
-    nrows = len(roots)
-    adjacency = np.zeros((nrows, g.n), dtype=bool)
-    pair_mask = np.zeros((nrows, g.n), dtype=bool)
-    for i, u in enumerate(roots):
-        if g.adj[u]:
-            adjacency[i, list(g.adj[u])] = True
-        if spec.scope == SOURCEWISE:
-            pair_mask[i, :] = True
-            pair_mask[i, u] = False
-        elif spec.scope == SETWISE:
-            pair_mask[i, [v for v in roots if v > u]] = True
-        else:
-            pair_mask[i, u + 1:] = True
-
-    reachable = dg >= 0
-    skipped = int((pair_mask & ~reachable).sum())
-    valid = pair_mask & reachable
-
-    classes = {}
-    for label, (alpha, beta) in spec.bounds.items():
-        mask = valid & adjacency if label == ADJACENT else valid & ~adjacency
-        classes[label] = _class_from_mask(np.array(roots), dg, dh, mask, alpha, beta)
-    return StretchReport(classes=classes, size=h.size, skipped_unreachable=skipped)
+        roots = _source_roots(sources)
+    rules = {
+        label: _Rule(alpha, beta, _BY_ADJACENCY[label == ADJACENT])
+        for label, (alpha, beta) in spec.bounds.items()
+    }
+    return _verify_rows(g, h, hop_distance_matrix, roots, spec.scope, rules)
 
 
 def verify_emulator(
@@ -229,36 +264,20 @@ def verify_emulator(
 ) -> StretchReport:
     """Weighted distances in the emulator against BFS in the host graph:
     the emulator may never undershoot a distance and may overshoot by at
-    most beta on every (source, vertex) pair.  Both sides are whole
-    source-row matrices from the distance core: packed-bitset BFS rows in
-    the host and batched weighted Dijkstra rows in the emulator."""
+    most beta on every (source, vertex) pair.  Host rows are packed-bitset
+    BFS rows and emulator rows batched weighted Dijkstra rows."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    roots = sorted(set(sources))
-    if not roots:
-        raise ValueError("source set must be non-empty")
+    roots = _source_roots(sources)
     if h.n != g.n:
         raise ValueError("emulator and graph disagree on the vertex count")
-    dg = hop_distance_matrix(g, roots)
-    dh = emulator_distance_matrix(h, roots)
-    pairs = np.ones(dg.shape, dtype=bool)
-    pairs[np.arange(len(roots)), roots] = False  # a source is never paired with itself
-    host, emu = dg >= 0, dh >= 0
-
-    upper = _class_from_mask(np.array(roots), dg, dh, pairs & host, 1, beta)
-    # dist_h < dist_g is an undershoot; an emulator path between vertices
-    # the host cannot connect is one too, reported with dist_g = -1
-    lower = ClassReport(alpha=1, beta=0)
-    lower.pairs = int((pairs & (host | emu)).sum())
-    under = pairs & emu & ((dh < dg) | ~host)
-    lower.violations = [
-        (roots[i], int(v), int(dg[i, v]), int(dh[i, v])) for i, v in zip(*np.nonzero(under))
-    ]
-    return StretchReport(
-        classes={"lower-sandwich": lower, "additive-upper": upper},
-        size=h.size,
-        skipped_unreachable=int((pairs & ~host & ~emu).sum()),
-    )
+    rules = {
+        # pairs either side connects: an emulator path between vertices
+        # the host cannot connect is an undershoot too
+        "lower-sandwich": _Rule(1, 0, lambda dg, dh: (dg >= 0) | (dh >= 0), lower=True),
+        "additive-upper": _Rule(1, beta, lambda dg, dh: dg >= 0),
+    }
+    return _verify_rows(g, h, emulator_distance_matrix, roots, SOURCEWISE, rules)
 
 
 # ---------------------------------------------------------------------------

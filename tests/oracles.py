@@ -7,6 +7,8 @@ and direct recounts by walking the data.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 INF = float("inf")
 
 
@@ -31,6 +33,33 @@ def floyd_warshall(g) -> list[list[float]]:
                 if alt < row[j]:
                     row[j] = alt
     return dist
+
+
+@lru_cache(maxsize=4)
+def _all_pairs(g) -> list[list[float]]:
+    return floyd_warshall(g)
+
+
+def canonical_path(g, u: int, v: int):
+    """The min-id shortest u-v path: descend from v over u's Floyd-Warshall
+    row, each step to the smallest neighbor one hop closer to u; None if
+    disconnected.  The matrix is cached per graph (read it, never write)."""
+    dist = _all_pairs(g)[u]
+    if dist[v] == INF:
+        return None
+    path = [v]
+    while path[-1] != u:
+        x = path[-1]
+        path.append(min(w for w in g.adj[x] if dist[w] == dist[x] - 1))
+    path.reverse()
+    return path
+
+
+def path_is_valid(g, path) -> bool:
+    """True when consecutive vertices share an edge and none repeats."""
+    edges = {frozenset(e) for e in g.edges}
+    steps = zip(path, path[1:])
+    return len(set(path)) == len(path) and all(frozenset(s) in edges for s in steps)
 
 
 def bellman_ford(emulator, root: int) -> list[float]:

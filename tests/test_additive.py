@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from spanlab import (
@@ -19,7 +20,7 @@ from spanlab import (
     build_subsetwise_plus2,
     hub_clustering,
     classify_pairs,
-    canonical_path,
+    hop_distance_matrix,
     norm_edge,
     random_graph,
     trace_parent_path,
@@ -36,7 +37,7 @@ from spanlab.additive import (
     _remove_cycles,
 )
 from conftest import parent_host, root_samples
-from oracles import floyd_warshall, recount_heavy
+from oracles import canonical_path, floyd_warshall, recount_heavy
 
 INF = float("inf")
 
@@ -333,7 +334,7 @@ def test_long_check_counts_pairs_beyond_plus_2k(monkeypatch):
     # hops over their host distance, so the +2k bound splits them.
     g = _hub_chain(spine=12, hub_leaves=20, spine_leaves=18)  # n=491
     src = SourceSet.from_ids(range(g.n), g.n)
-    def buy_nothing(g, sources, short_targets, gc, base_edges, params):
+    def buy_nothing(g, sources, dist_rows, short, gc, base_edges, params):
         return set(base_edges), {"edges_bought": 0, "levels": []}
 
     no_draws = SimpleNamespace(random=lambda: 1.0)
@@ -365,7 +366,11 @@ def test_short_pairs_hold_without_any_sampled_trees():
     for pc in classify_pairs(g, src, params):
         if not pc.is_long:
             short_targets[pc.source].append(pc.target)
-    edges, stats = _buy_short_paths(g, src, short_targets, gc, gc.g_c | light, params)
+    short = np.zeros((len(src), g.n), bool)
+    for i, targets in enumerate(short_targets.values()):
+        short[i, targets] = True
+    dist = hop_distance_matrix(g, src.vertices)
+    edges, stats = _buy_short_paths(g, src.vertices, dist, short, gc, gc.g_c | light, params)
     sub = Graph(g.n, edges)
     for s, targets in short_targets.items():
         dg = bfs_distances(g, [s])

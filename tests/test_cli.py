@@ -340,10 +340,12 @@ def built(surface):
         # the nominal size bound at n = 60 as a function of the source exponent
         ("hybrid", "hybrid:k=2", lambda eps: 4 * 60 ** 1.5),
         ("swmult", "swmult:k=2", lambda eps: 4 * 60 ** (1 + eps / 2)),
-        ("swadd", "additive:beta=2", lambda eps: 60 ** (1 + (eps + 1) / 4)),
+        # an additive candidate may come from swadd or sw4, whose bounds differ
+        ("swadd", "additive:beta=2", None),
         ("host", "additive:beta=0", None),
         ("swadd", "additive:beta=3", None),
-        ("swadd", "additive:beta=4", lambda eps: 2 * 60 ** (1 + (2 * eps + 1) / 6)),
+        ("swadd", "additive:beta=4", None),
+        ("sw4", "additive:beta=4", None),
         ("swadd", "subsetwise:beta=2", None),
         ("emulator", "emulator:beta=2", lambda eps: 60 ** (1 + eps / 2)),
     ],
@@ -396,7 +398,9 @@ def test_swadd_long_violations_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(additive, "subrng", lambda *labels: no_draws)
     monkeypatch.setattr(
         additive, "_buy_short_paths",
-        lambda g, sources, short, gc, base, params: (set(base), {"edges_bought": 0, "levels": []}),
+        lambda g, sources, dist, short, gc, base, params: (
+            set(base), {"edges_bought": 0, "levels": []}
+        ),
     )
     out, report = tmp_path / "sa.el", tmp_path / "sa.json"
     assert main(

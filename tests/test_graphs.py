@@ -16,21 +16,19 @@ from spanlab import (
     Spanner,
     bfs,
     bfs_distances,
-    canonical_path,
     dump_emulator,
     dump_graph,
     emulator_distance_matrix,
     hop_distance_matrix,
     load_emulator,
     load_graph,
-    path_is_valid,
     random_graph,
     trace_owner_path,
     trace_parent_path,
     weighted_sssp,
 )
 from conftest import parent_host, random_tree, root_samples
-from oracles import as_int_grid, bellman_ford, floyd_warshall
+from oracles import as_int_grid, bellman_ford, canonical_path, floyd_warshall, path_is_valid
 
 
 # ---------------------------------------------------------------------------
@@ -373,38 +371,47 @@ def test_bfs_distance_is_edge_lipschitz():
                 assert abs(dist[u] - dist[v]) <= 1
 
 
+def _row_path(g, u, v):
+    """The library's canonical u-v walk: min-id parents off u's hop row."""
+    dist = hop_distance_matrix(g, [u])
+    if dist[0, v] < 0:
+        return None
+    return graphs.parent_path(graphs.parent_rows(g.csr, dist)[0].tolist(), v)
+
+
 def test_canonical_path_identity(cycle5):
-    assert canonical_path(cycle5, 3, 3) == [3]
+    assert _row_path(cycle5, 3, 3) == canonical_path(cycle5, 3, 3) == [3]
 
 
 def test_canonical_path_cycle_prefers_min_index(cycle5):
-    assert canonical_path(cycle5, 0, 2) == [0, 1, 2]
+    assert _row_path(cycle5, 0, 2) == canonical_path(cycle5, 0, 2) == [0, 1, 2]
 
 
 def test_canonical_path_on_tree_is_unique_tree_path():
     t = random_tree(40, 11)
     want = as_int_grid(floyd_warshall(t))
     for v in (5, 17, 39):
-        p = canonical_path(t, 0, v)
+        p = _row_path(t, 0, v)
         assert p[0] == 0 and p[-1] == v
         assert len(p) - 1 == want[0][v]
         assert path_is_valid(t, p)
+        assert p == canonical_path(t, 0, v)
 
 
 def test_canonical_path_idempotent_and_optimal():
     g = random_graph(48, 0.12, 5)
     want = as_int_grid(floyd_warshall(g))
     for u, v in [(0, 40), (3, 17), (8, 8)]:
-        p1 = canonical_path(g, u, v)
-        p2 = canonical_path(g, u, v)
-        assert p1 == p2
+        p1 = _row_path(g, u, v)
+        p2 = _row_path(g, u, v)
+        assert p1 == p2 == canonical_path(g, u, v)
         assert len(p1) - 1 == want[u][v]
         assert path_is_valid(g, p1)
 
 
 def test_canonical_path_disconnected_is_none():
     g = Graph(4, [(0, 1), (2, 3)])
-    assert canonical_path(g, 0, 3) is None
+    assert _row_path(g, 0, 3) is None and canonical_path(g, 0, 3) is None
 
 
 # ---------------------------------------------------------------------------

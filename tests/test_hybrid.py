@@ -10,7 +10,6 @@ from spanlab import (
     cluster_sequence,
     hybrid_params,
     norm_edge,
-    path_is_valid,
     path_suffix,
     random_graph,
     size_bound,
@@ -20,7 +19,7 @@ from spanlab import hybrid
 from spanlab.graphs import adjacency_csr
 from spanlab.hybrid import closest_pairs, hop_rows, suffix_walk
 from conftest import random_tree
-from oracles import floyd_warshall
+from oracles import floyd_warshall, path_is_valid
 
 INF = float("inf")
 

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from spanlab import verify
 from spanlab import (
     Emulator,
     Graph,
     Spanner,
     additive_spec,
     build_hybrid,
+    hop_distance_matrix,
     hybrid_spec,
     random_graph,
     size_bound,
@@ -21,6 +23,7 @@ from spanlab import (
     verify_spanner,
     weighted_sssp,
 )
+from spanlab.additive import tree_union
 from oracles import bellman_ford, floyd_warshall
 
 INF = float("inf")
@@ -332,6 +335,57 @@ def test_verifiers_reject_out_of_range_sources(path3, bad):
             verify_spanner(path3, _as_spanner(path3), [bad, 1], spec)
     with pytest.raises(ValueError, match=msg):
         weighted_sssp(em, bad)
+
+
+# ---------------------------------------------------------------------------
+# the blocked core
+# ---------------------------------------------------------------------------
+
+
+def _every_scope(g, h, em, sources):
+    return [
+        rep.to_dict(violation_cap=10**9)
+        for rep in (
+            verify_spanner(g, h, None, hybrid_spec(2)),
+            verify_spanner(g, h, sources, additive_spec(2)),
+            verify_spanner(g, h, sources, subsetwise_spec(0)),
+            verify_emulator(g, em, sources, beta=0),
+        )
+    ]
+
+
+def test_blocks_of_roots_report_as_one_block(monkeypatch):
+    # a host with isolated vertices, a spanning forest plus every fifth
+    # edge as the candidate, an emulator that drops, lengthens and adds
+    # edges (one into an isolated vertex), and repeated sources
+    g = random_graph(60, 0.06, 7)
+    edges = g.sorted_edges()
+    isolated = [v for v in range(g.n) if not g.adj[v]]
+    dist = hop_distance_matrix(g)
+    firsts = [v for v in range(g.n) if (dist[v, :v] < 0).all()]  # one per component
+    h = _as_spanner(g, tree_union(g, firsts) | set(edges[::5]))
+    em = Emulator(g.n, [(u, v, 1 + (i % 5 == 0)) for i, (u, v) in enumerate(edges) if i % 4]
+                  + [(0, isolated[0], 1), (3, 41, 2)])
+    sources = [5, 0, 17, 33, 5, 59, 41, 12, 17, 8, 22, 47, 30, 51, 2, 0, 44, 38, 19, 26]
+    sources += isolated
+    one_block = _every_scope(g, h, em, sources)
+    for rep in one_block:
+        assert rep["n_violations"] and rep["skipped_unreachable"]
+
+    rows = []
+
+    def spy(rows_of):
+        def measured(*args):
+            out = rows_of(*args)
+            rows.append(len(out))
+            return out
+        return measured
+
+    monkeypatch.setattr(verify, "_ROW_BLOCK", 7)  # 60 and 19 roots split unevenly
+    for name in ("hop_distance_matrix", "emulator_distance_matrix"):
+        monkeypatch.setattr(verify, name, spy(getattr(verify, name)))
+    assert _every_scope(g, h, em, sources) == one_block
+    assert max(rows) == 7 and sum(rows) == 2 * (g.n + 3 * len(set(sources)))
 
 
 # ---------------------------------------------------------------------------
