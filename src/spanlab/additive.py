@@ -6,7 +6,8 @@ The +2k spanner reads every host search off arrays: the hop rows of the
 sources and of the sampled tree roots come from the packed-bitset BFS
 kernel (`hop_distance_matrix`) and their canonical min-id parents from
 `parent_rows`, so pair classification, the sampled trees and the canonical
-paths of the bought pairs run no per-root BFS.
+paths of the bought pairs run no per-root BFS.  `_relax_new_edges` both
+computes and repairs the source rows of a growing spanner.
 """
 
 from __future__ import annotations
@@ -161,20 +162,6 @@ def _insert_edges(spanner: set, adj: list[set], new_edges, rows) -> list[list[in
     return [_relax_new_edges(adj, row, new_edges) for row in rows]
 
 
-def _bfs_dist_sets(adj: list[set], source: int) -> list[float]:
-    dist = [_INF] * len(adj)
-    dist[source] = 0  # int hops keep cached rows small; unreached stays _INF
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d1 = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] == _INF:
-                dist[v] = d1
-                queue.append(v)
-    return dist
-
-
 def _relax_new_edges(adj: list[set], dist: list[float], new_edges) -> list[int]:
     """Decrease-only distance repair after edge insertions; returns the
     vertices whose distance improved."""
@@ -195,6 +182,15 @@ def _relax_new_edges(adj: list[set], dist: list[float], new_edges) -> list[int]:
                 queue.append(w)
                 improved.append(w)
     return improved
+
+
+def _spanner_row(adj: list[set], source: int) -> list[float]:
+    """Hop distances from `source` over the spanner adjacency (_INF where
+    cut off): a row that reaches only the source, repaired for its edges."""
+    dist = [_INF] * len(adj)
+    dist[source] = 0  # int hops keep cached rows small; unreached stays _INF
+    _relax_new_edges(adj, dist, [(source, w) for w in adj[source]])
+    return dist
 
 
 def _descend(adj: list[set], dist: list[float], target: int) -> list[int]:
@@ -270,7 +266,8 @@ def _missing_positions(path: Sequence[int], spanner: set) -> list[int]:
 
 
 def _check_candidate(path, source, target, level, base_dist, params, gc, spanner):
-    """Invariants every candidate path must satisfy at its level."""
+    """Invariants every candidate path must satisfy at its level; returns
+    the path's missing positions, whose count is its cost."""
     if path[0] != source or path[-1] != target:
         raise RuntimeError("candidate path endpoints drifted (internal bug)")
     if len(path) - 1 > base_dist + 2 * level:
@@ -282,11 +279,11 @@ def _check_candidate(path, source, target, level, base_dist, params, gc, spanner
             counts[cid] = counts.get(cid, 0) + 1
     if counts and max(counts.values()) > 3:
         raise RuntimeError("cluster occupancy invariant violated (internal bug)")
-    cost = len(_missing_positions(path, spanner))
+    missing = _missing_positions(path, spanner)
     budget = params.long_threshold / (params.level_factor ** level)
-    if cost > budget + _EPS:
+    if len(missing) > budget + _EPS:
         raise RuntimeError("missing-edge budget invariant violated (internal bug)")
-    return cost
+    return missing
 
 
 def _buy_short_paths(g, sources, dist_rows, short, gc, base_edges, params):
@@ -305,7 +302,7 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base_edges, params):
     for s, row, parents, targets in zip(sources, dist_rows, parent_rows(g.csr, dist_rows), short):
         dist_g = row.tolist()
         parent = parents.tolist()
-        dist_h = _bfs_dist_sets(adj, s)
+        dist_h = _spanner_row(adj, s)
         # per cluster the spanner distance to its nearest member and that
         # member, the minimum (dist_h, id); distances only decrease, so the
         # running minimum over improved members stays exact
@@ -319,14 +316,12 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base_edges, params):
             base_dist = dist_g[v]
             level = 0
             while True:
-                cost = _check_candidate(path, s, v, level, base_dist, params, gc, spanner)
+                missing = _check_candidate(path, s, v, level, base_dist, params, gc, spanner)
+                cost = len(missing)
                 value = _path_value(path, gc.cluster_index, cdist)
                 if cost <= 3.0 * phi * value + _EPS:
                     if cost:
-                        new_edges = [
-                            norm_edge(path[i - 1], path[i])
-                            for i in _missing_positions(path, spanner)
-                        ]
+                        new_edges = [norm_edge(path[i - 1], path[i]) for i in missing]
                         [improved] = _insert_edges(spanner, adj, new_edges, [dist_h])
                         for x in improved:
                             cid = gc.cluster_index[x]
@@ -508,7 +503,7 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     for dg, a, b in order:
         row = rows.get(a)
         if row is None:
-            row = rows[a] = _bfs_dist_sets(adj, a)
+            row = rows[a] = _spanner_row(adj, a)
         if row[b] > dg + 2:
             path = trace_parent_path(g, dist_g[a], b)
             new_edges = {norm_edge(x, y) for x, y in zip(path, path[1:])} - edges

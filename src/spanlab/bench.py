@@ -25,6 +25,7 @@ from .graphs import (
     dump_emulator,
     dump_graph,
     hop_distance_matrix,
+    parent_rows,
     random_graph,
 )
 from .hybrid import build_hybrid
@@ -340,7 +341,7 @@ def criterion_ratios(rows) -> CriterionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: BFS/SSSP against an independent cubic all-pairs oracle
+# criterion 9: BFS rows and parents against a cubic all-pairs oracle
 # ---------------------------------------------------------------------------
 
 
@@ -355,8 +356,14 @@ def floyd_warshall_oracle(g: Graph) -> np.ndarray:
         dist[v, u] = 1
     for mid in range(n):
         np.minimum(dist, dist[:, mid, None] + dist[None, mid, :], out=dist)
-    out = np.where(dist >= big, -1, dist)
-    return out
+    return np.where(dist >= big, -1, dist)
+
+
+def oracle_parents(dist: np.ndarray) -> np.ndarray:
+    """Canonical BFS parents off an all-pairs hop matrix alone: (r, v) holds
+    v's min-id neighbor one hop closer to r, -1 at r and where r is cut off."""
+    closer = (dist[None] == 1) & (dist[:, None, :] == dist[:, :, None] - 1) & (dist[..., None] > 0)
+    return np.where(closer.any(axis=2), closer.argmax(axis=2), -1)
 
 
 def oracle_suite_graphs() -> list[tuple[str, Graph]]:
@@ -395,12 +402,13 @@ def run_oracle_check() -> list[GridRow]:
         bfs_ok = all(
             list(want[r]) == bfs_distances(g, [r]) for r in range(g.n)
         )
+        parents_ok = bool(np.array_equal(parent_rows(g.csr, want), oracle_parents(want)))
         dt = time.perf_counter() - t0
+        extra = {"graph": name, "matrix_ok": matrix_ok, "bfs_ok": bfs_ok, "parents_ok": parents_ok}
         rows.append(
             GridRow(
                 "oracle", g.n, None, None, None, g.m, None, 0.0, 0.0,
-                0 if (matrix_ok and bfs_ok) else 1, dt,
-                extra={"graph": name, "matrix_ok": matrix_ok, "bfs_ok": bfs_ok},
+                0 if matrix_ok and bfs_ok and parents_ok else 1, dt, extra=extra,
             )
         )
     return rows

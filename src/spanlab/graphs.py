@@ -3,15 +3,15 @@ primitives with minimum-id tie-breaking, canonical shortest paths, one
 distance core fed from edge sets, and seeded random-graph generation.
 
 A Graph is validated and laid out from one (m, 2) int64 edge array and
-keeps its CSR.  The distance core serves every bulk row.  Hop rows of a
-graph (over its kept CSR) or of a spanner (over a CSR built from its edge
-set per call) come from a packed-bitset BFS (64 sources per uint64 word,
-level-synchronous); sources whose search runs past a fixed level cap, and
-the weighted rows of an emulator, come from one batched scipy Dijkstra.
-scipy is imported at those two Dijkstra sites only, on first use.
-`parent_rows` turns hop rows into rows of canonical min-id BFS parents,
-the parents `bfs` and `trace_parent_path` pick, one neighbor rank at a
-time over the CSR.
+keeps its CSR; a Spanner lays its CSR out on first use and keeps it.  `bfs`
+is the one Python BFS.  The distance core serves every bulk row.  Hop
+rows of a graph or a spanner, over its kept CSR, come from a packed-bitset
+BFS (64 sources per uint64 word, level-synchronous); sources whose search
+runs past a fixed level cap, and the weighted rows of an emulator, come
+from one batched scipy Dijkstra.  scipy is imported at those two Dijkstra
+sites only, on first use.  `parent_rows` turns hop rows into rows of
+canonical min-id BFS parents, the parents `bfs` and `trace_parent_path`
+pick, one neighbor rank at a time over the CSR.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -20,8 +20,8 @@ unreachable is the sentinel ``UNREACHED``.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -156,7 +156,8 @@ def _raise_first_bad(n: int, ends: np.ndarray, given) -> None:
 
 @dataclass(frozen=True)
 class Spanner:
-    """Edge subset of a host graph plus construction metadata."""
+    """Edge subset of a host graph plus construction metadata; `csr` is
+    the edge set laid out by `adjacency_csr` on first use, then kept."""
 
     n: int
     edges: frozenset
@@ -166,18 +167,24 @@ class Spanner:
     def size(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return adjacency_csr(self.n, self.edges)
+
 
 class Emulator:
     """Weighted graph on the host vertex set; edges need not exist in G.
 
     Weights are positive integers.  Stored as a dict keyed by (min, max)
-    vertex pairs; parallel entries keep the minimum weight.
+    vertex pairs of plain ints; parallel entries keep the minimum weight.
+    A non-integer id or weight raises TypeError (int() would truncate it).
     """
 
     def __init__(self, n: int, weighted_edges: Iterable[tuple[int, int, int]]):
         self.n = n
         weights: dict[tuple[int, int], int] = {}
         for u, v, w in weighted_edges:
+            u, v, w = operator.index(u), operator.index(v), operator.index(w)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -187,7 +194,7 @@ class Emulator:
             e = norm_edge(u, v)
             prev = weights.get(e)
             if prev is None or w < prev:
-                weights[e] = int(w)
+                weights[e] = w
         self.weights = weights
 
     @property
@@ -352,32 +359,10 @@ class BfsResult:
     owner: list[int]
 
 
-def _root_list(n: int, roots: Iterable[int]) -> list[int]:
-    rootlist = sorted(set(roots))
-    if not rootlist:
-        raise ValueError("root set must be non-empty")
-    for r in rootlist:
-        if not (0 <= r < n):
-            raise ValueError(f"root {r} out of range [0,{n})")
-    return rootlist
-
-
 def bfs_distances(g: Graph, roots: Iterable[int]) -> list[int]:
-    """Hop distance from the nearest root; UNREACHED where disconnected."""
-    dist = [UNREACHED] * g.n
-    queue = deque()
-    for r in _root_list(g.n, roots):
-        dist[r] = 0
-        queue.append(r)
-    adj = g.adj
-    while queue:
-        u = queue.popleft()
-        d1 = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = d1
-                queue.append(v)
-    return dist
+    """Hop distance from the nearest root; UNREACHED where disconnected:
+    the `dist` of `bfs`."""
+    return bfs(g, roots).dist
 
 
 def bfs(g: Graph, roots: Iterable[int]) -> BfsResult:
@@ -387,7 +372,12 @@ def bfs(g: Graph, roots: Iterable[int]) -> BfsResult:
     first vertex to reach v is the lexicographic minimum of (owner[w], w)
     over v's closer neighbors w.
     """
-    rootlist = _root_list(g.n, roots)
+    rootlist = sorted(set(roots))
+    if not rootlist:
+        raise ValueError("root set must be non-empty")
+    for r in rootlist:
+        if not (0 <= r < g.n):
+            raise ValueError(f"root {r} out of range [0,{g.n})")
     dist = [UNREACHED] * g.n
     parent = [UNREACHED] * g.n
     owner = [UNREACHED] * g.n
@@ -458,20 +448,20 @@ def parent_path(parent: Sequence[int], target: int) -> list[int]:
 
 
 def _check_roots(n: int, sources: Optional[Sequence[int]]) -> np.ndarray:
-    """Sources (default: all vertices) as an int64 index array; numpy and
-    scipy would wrap -1 to vertex n-1."""
+    """Sources (default: all vertices) as checked int64 ids: numpy would
+    wrap -1 to vertex n-1 and truncate a float id, which raises TypeError."""
     if sources is None:
         return np.arange(n)
-    roots = np.asarray(sources, dtype=np.int64).reshape(-1)
+    roots = np.fromiter(map(operator.index, np.ravel(sources).tolist()), np.int64)
     bad = (roots < 0) | (roots >= n)
     if bad.any():
         raise ValueError(f"root {roots[bad][0]} out of range [0,{n})")
     return roots
 
 
-def _pair_ends(n: int, pairs: Collection) -> np.ndarray:
-    """The unordered pairs as an (m, 2) int64 array, ends checked in range."""
-    ends = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+def _pair_ends(n: int, ids: Iterable[int], m: int) -> np.ndarray:
+    """The m pairs that `ids` lists flat as an (m, 2) int64 array, in range."""
+    ends = np.fromiter(ids, np.int64, 2 * m).reshape(-1, 2)
     if ends.size and (ends.min() < 0 or ends.max() >= n):
         raise ValueError(f"edge end out of range [0,{n})")
     return ends
@@ -494,8 +484,10 @@ def adjacency_csr(n: int, pairs: Collection) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of the undirected edge set `pairs` on vertices
     0..n-1: each pair stored in both directions, every neighbor list sorted
     ascending (the sorted adjacency lists of a Graph with these edges, and
-    its `csr`)."""
-    return _csr(n, _pair_ends(n, pairs))
+    its `csr`).  operator.index refuses float ends, which an int64 array
+    would truncate."""
+    ids = map(operator.index, chain.from_iterable(pairs))
+    return _csr(n, _pair_ends(n, ids, len(pairs)))
 
 
 def _dijkstra_rows(adj, roots: np.ndarray, directed: bool, unweighted: bool) -> np.ndarray:
@@ -622,14 +614,14 @@ def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndar
 def hop_distance_matrix(
     g: Graph | Spanner, sources: Optional[Sequence[int]] = None
 ) -> np.ndarray:
-    """Hop distances from each source (default: all vertices) over the edges
-    of a Graph (its kept `csr`) or a Spanner (a CSR built from its edge
-    set), as an int32 matrix from the packed-bitset BFS (`_bfs_rows`);
-    UNREACHED where cut off.  Rows follow the order of `sources`."""
+    """Hop distances from each source (default: all vertices) over the kept
+    `csr` of a Graph or a Spanner, as an int32 matrix from the
+    packed-bitset BFS (`_bfs_rows`); UNREACHED where cut off.  Rows follow
+    the order of `sources`."""
     roots = _check_roots(g.n, sources)
     out = np.empty((len(roots), g.n), np.int32)
     if len(roots):
-        _bfs_rows(g.csr if isinstance(g, Graph) else adjacency_csr(g.n, g.edges), roots, out)
+        _bfs_rows(g.csr, roots, out)
     return out
 
 
@@ -642,7 +634,7 @@ def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
     out = np.empty((len(roots), h.n), np.int64)
     if not len(roots):
         return out
-    ends = _pair_ends(h.n, h.weights)
+    ends = _pair_ends(h.n, chain.from_iterable(h.weights), len(h.weights))
     data = np.fromiter(h.weights.values(), np.float64, len(ends))
     if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
         raise ValueError("emulator weights too large for exact distances")

@@ -5,6 +5,7 @@ source-adjacent pairs, 2k-2 for every other source/vertex pair.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +26,8 @@ class SourceSet:
     def from_ids(cls, ids: Iterable[int], n: int) -> "SourceSet":
         if n < 2:
             raise ValueError("host graph needs n >= 2")
-        vs = tuple(sorted(set(int(v) for v in ids)))
+        # operator.index refuses floats, which int() would truncate
+        vs = tuple(sorted(set(map(operator.index, ids))))
         if not vs:
             raise ValueError("source set must be non-empty")
         if vs[0] < 0 or vs[-1] >= n:

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from spanlab import bench
@@ -90,3 +91,24 @@ def test_criterion_8_size_ratio_caps(outcomes):
 
 def test_criterion_9_oracle_self_consistency(outcomes):
     _report(outcomes[9])
+
+
+def test_criterion_9_checks_the_canonical_parents(monkeypatch):
+    rows = bench.run_oracle_check()
+    assert all(r.violations == 0 and r.extra["parents_ok"] for r in rows)
+    min_id_parents = bench.parent_rows
+
+    def max_id_parents(csr, dist):
+        # the maximum-id closer neighbor: a rule that differs on ties
+        indptr, indices = csr
+        out = min_id_parents(csr, dist)
+        for r, v in zip(*np.nonzero(out >= 0)):
+            nbrs = indices[indptr[v]:indptr[v + 1]]
+            out[r, v] = nbrs[dist[r, nbrs] == dist[r, v] - 1].max()
+        return out
+
+    monkeypatch.setattr(bench, "parent_rows", max_id_parents)
+    rows = bench.run_oracle_check()
+    assert not all(r.extra["parents_ok"] for r in rows)
+    assert all(r.violations == (not r.extra["parents_ok"]) for r in rows)
+    assert all(r.extra["matrix_ok"] and r.extra["bfs_ok"] for r in rows)

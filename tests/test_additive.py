@@ -242,6 +242,25 @@ def test_reroute_keeps_the_budgeted_suffix():
     assert len(_missing_positions(out, spanner)) == 2  # (3,4) and (5,6) kept
 
 
+def test_fresh_spanner_rows_are_the_oracle_rows():
+    # two random parts and isolated vertices, ids interleaved, and a random
+    # edge subset as the spanner: every vertex is a source once
+    rng = np.random.default_rng(12)
+    for seed in range(6):
+        parts = [random_graph(int(rng.integers(3, 16)), 0.3, 10 * seed + i) for i in range(2)]
+        edges, base = [], 0
+        for part in parts:
+            edges += [(u + base, v + base) for u, v in part.edges]
+            base += part.n + int(rng.integers(1, 3))
+        order = rng.permutation(base)
+        kept = [norm_edge(int(order[u]), int(order[v])) for u, v in edges if rng.random() < 0.7]
+        want = floyd_warshall(Graph(base, kept))
+        adj = additive._adjacency(base, kept)
+        assert any(not nbrs for nbrs in adj)  # isolated sources are covered
+        for s in range(base):
+            assert additive._spanner_row(adj, s) == want[s]
+
+
 # ---------------------------------------------------------------------------
 # the +2k builder
 # ---------------------------------------------------------------------------

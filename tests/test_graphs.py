@@ -148,6 +148,15 @@ def test_emulator_parallel_entries_keep_min_weight():
     assert em.weights == {(0, 1): 2}
 
 
+def test_emulator_refuses_non_integer_ids_and_weights():
+    for bad in ([(0, 2, 1.9)], [(0.5, 2, 1)], [(0, 2.0, 1)], [(0, 1, 1), (1, 2, np.float64(2))]):
+        with pytest.raises(TypeError):
+            Emulator(3, bad)
+    em = Emulator(3, [(np.int64(2), np.int32(0), np.int64(3)), (True, 2, 1)])
+    assert em.weights == {(0, 2): 3, (1, 2): 1}
+    assert all(type(x) is int for e, w in em.weights.items() for x in (*e, w))
+
+
 # ---------------------------------------------------------------------------
 # Graph construction and validation
 # ---------------------------------------------------------------------------
@@ -281,16 +290,17 @@ def test_bfs_multi_root_owner_tie(path3):
 
 
 def test_bfs_rejects_empty_roots(cycle5):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="root set must be non-empty"):
         bfs_distances(cycle5, [])
 
 
 def test_bfs_rejects_empty_and_out_of_range_roots(cycle5):
-    with pytest.raises(ValueError, match="non-empty"):
-        bfs(cycle5, [])
-    for bad in (-1, 5):
-        with pytest.raises(ValueError, match="out of range"):
-            bfs(cycle5, [0, bad])
+    for search in (bfs, bfs_distances):
+        with pytest.raises(ValueError, match="root set must be non-empty"):
+            search(cycle5, [])
+        for bad in (-1, 5):
+            with pytest.raises(ValueError, match=rf"root {bad} out of range \[0,5\)"):
+                search(cycle5, [0, bad])
 
 
 def _multi_root_instances():
@@ -327,6 +337,7 @@ def test_bfs_multi_root_parents_match_oracle():
         dist, owner, parent = _oracle_owner_and_parent(g, roots)
         res = bfs(g, roots)
         assert res.dist == dist
+        assert bfs_distances(g, roots[::-1] + roots[:1]) == dist
         assert res.owner == owner
         assert res.parent == parent
         checked += sum(1 for p in parent if p >= 0)
@@ -517,6 +528,25 @@ def test_hop_rows_read_a_spanner_edge_set():
         assert hop_distance_matrix(g).tolist() == as_int_grid(floyd_warshall(g))
         roots = [g.n - 1, 0, g.n // 2, 0]
         assert hop_distance_matrix(sp, roots).tolist() == [want[r] for r in roots]
+
+
+def test_spanner_keeps_its_csr():
+    for g, sp in _split_instances():
+        assert sp.csr is sp.csr
+        for kept, built in zip(sp.csr, graphs.adjacency_csr(g.n, sp.edges)):
+            assert kept.dtype == np.int64 and np.array_equal(kept, built)
+            assert not kept.flags.writeable
+        assert sp == Spanner(sp.n, sp.edges)  # the kept CSR is no field
+
+
+def test_spanner_csr_checks_every_end():
+    with pytest.raises(ValueError, match=r"edge end out of range \[0,3\)"):
+        hop_distance_matrix(Spanner(3, frozenset({(0, 3)})))
+    for bad in ((0.5, 2), (0, 2.0), (np.float64(1), 2)):
+        with pytest.raises(TypeError):
+            hop_distance_matrix(Spanner(3, frozenset({(0, 1), bad})))
+    sp = Spanner(3, frozenset({(np.int64(0), np.int32(2)), (True, 2)}))
+    assert hop_distance_matrix(sp).tolist() == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

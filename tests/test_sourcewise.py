@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from spanlab import (
@@ -30,6 +31,14 @@ def test_source_set_normalizes_and_checks():
         SourceSet.from_ids([10], 10)
     with pytest.raises(ValueError):
         SourceSet.from_ids([], 10)
+
+
+def test_source_set_refuses_non_integer_ids():
+    for bad in ([0.5, 1.7], [1, 2.0], [np.float64(3)]):
+        with pytest.raises(TypeError):
+            SourceSet.from_ids(bad, 10)
+    s = SourceSet.from_ids([np.int64(4), np.int32(1), True], 10)
+    assert s.vertices == (1, 4) and all(type(v) is int for v in s.vertices)
 
 
 def test_epsilon_endpoints():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spanlab import verify
+from spanlab import graphs, verify
 from spanlab import (
     Emulator,
     Graph,
@@ -337,9 +337,42 @@ def test_verifiers_reject_out_of_range_sources(path3, bad):
         weighted_sssp(em, bad)
 
 
+def test_verifiers_refuse_non_integer_sources(path3):
+    em = Emulator(3, [(0, 1, 1), (1, 2, 1)])
+    for bad in ([1.5], [0, 1.0], np.array([1.5]), [np.float64(2)]):
+        with pytest.raises(TypeError):
+            verify_emulator(path3, em, bad, beta=2)
+        for spec in (additive_spec(0), subsetwise_spec(0)):
+            with pytest.raises(TypeError):
+                verify_spanner(path3, _as_spanner(path3), bad, spec)
+    for good in ([np.int64(2), 0], np.array([2, 0], np.int32)):
+        assert verify_emulator(path3, em, good, beta=0).ok
+        assert verify_spanner(path3, _as_spanner(path3), good, subsetwise_spec(0)).ok
+
+
 # ---------------------------------------------------------------------------
 # the blocked core
 # ---------------------------------------------------------------------------
+
+
+def test_blocked_verify_builds_the_candidate_csr_once(monkeypatch):
+    g = random_graph(40, 0.15, 3)
+    h = _as_spanner(g, g.sorted_edges()[::2])
+    want = verify_spanner(g, h, None, hybrid_spec(2)).to_dict(violation_cap=10**9)
+    built = []
+    inner = graphs.adjacency_csr
+
+    def counted(*args):
+        built.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(graphs, "adjacency_csr", counted)
+    monkeypatch.setattr(graphs, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(verify, "_ROW_BLOCK", 7)  # 40 roots: six blocks
+    h = _as_spanner(g, h.edges)
+    for _ in range(2):
+        assert verify_spanner(g, h, None, hybrid_spec(2)).to_dict(violation_cap=10**9) == want
+    assert len(built) == 1
 
 
 def _every_scope(g, h, em, sources):
