@@ -13,6 +13,7 @@ computes and repairs the source rows of a growing spanner.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from .graphs import (
     norm_edge,
     parent_path,
     parent_rows,
-    trace_parent_path,
 )
 from .sourcewise import SourceSet
 from .util import ceil_int, subrng
@@ -484,7 +484,8 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     clustering subgraph, then sweep the set's pairs by nondecreasing graph
     distance and buy the full canonical path whenever a pair still exceeds
     the +2 budget."""
-    zs = sorted(set(int(v) for v in members))
+    # operator.index refuses floats, which int() would truncate
+    zs = sorted(set(map(operator.index, members)))
     if not zs:
         raise ValueError("vertex set must be non-empty")
     n = g.n
@@ -493,7 +494,9 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     edges: set = set(gc.g_c)
     adj = _adjacency(n, edges)
 
-    dist_g = dict(zip(zs, hop_distance_matrix(g, zs).tolist()))
+    dist = hop_distance_matrix(g, zs)
+    dist_g = dict(zip(zs, dist.tolist()))
+    parents = dict(zip(zs, parent_rows(g.csr, dist).tolist()))
     order = sorted(
         ((dist_g[a][b], a, b) for a in zs for b in zs if a < b and dist_g[a][b] >= 0)
     )
@@ -505,7 +508,7 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
         if row is None:
             row = rows[a] = _spanner_row(adj, a)
         if row[b] > dg + 2:
-            path = trace_parent_path(g, dist_g[a], b)
+            path = parent_path(parents[a], b)
             new_edges = {norm_edge(x, y) for x, y in zip(path, path[1:])} - edges
             _insert_edges(edges, adj, new_edges, rows.values())
             bought += 1

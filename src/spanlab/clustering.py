@@ -1,5 +1,6 @@
 """Randomized level clustering (sampled centers, radius-bounded BFS forests,
-escape edges for freshly unclustered vertices) and the greedy fixed-size
+escape edges for freshly unclustered vertices), each level one array search
+and one neighbor gather over the host's CSR, and the greedy fixed-size
 clustering with hub stars used by the additive constructions.
 """
 
@@ -7,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import UNREACHED, Graph, bfs, norm_edge
+import numpy as np
+
+from .graphs import _ROW_BLOCK, UNREACHED, Graph, _bfs_arrays, csr_neighbors, norm_edge
 from .util import ceil_int, subrng
 
 
@@ -68,20 +71,11 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = g.n
-    level0 = ClusterLevel(
-        tau=0,
-        centers=list(range(n)),
-        assignment=list(range(n)),
-        center_dist=[0] * n,
-        forest=set(),
-        delta=[],
-        q_edges=set(),
-    )
-    levels = [level0]
+    levels = [ClusterLevel(0, list(range(n)), list(range(n)), [0] * n, set(), [], set())]
     spanner: set = set()
     prev_centers = list(range(n))
-    prev_assignment = level0.assignment
-    in_all_prev = [True] * n
+    prev_assignment = np.arange(n)
+    in_all_prev = np.ones(n, bool)
     sample_prob = float(n) ** (-mu) if n > 0 else 0.0
     force_empty_last = mu * k >= 1.0 - 1e-12
 
@@ -93,41 +87,39 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
             keep = rng.random(len(prev_centers)) < sample_prob
             centers = [z for z, kept in zip(prev_centers, keep) if kept]
 
-        assignment = [UNREACHED] * n
-        center_dist = [UNREACHED] * n
-        forest: set = set()
-        if centers:
-            res = bfs(g, centers)
-            for u in range(n):
-                d = res.dist[u]
-                if 0 <= d <= tau:
-                    assignment[u] = res.owner[u]
-                    center_dist[u] = d
-                    if d >= 1:  # the canonical parent shares u's owner
-                        forest.add(norm_edge(u, res.parent[u]))
+        # every center's search stops at tau hops: farther vertices stay out
+        dist, parent, assignment = _bfs_arrays(g.csr, np.array(centers, np.int64), tau)
+        child = np.flatnonzero(dist > 0)  # the canonical parent shares its owner
+        forest = _edge_set(child, parent[child])
 
-        delta = [u for u in range(n) if in_all_prev[u] and assignment[u] < 0]
+        delta = np.flatnonzero(in_all_prev & (assignment < 0))
+        # one escape edge per (vertex, adjacent previous cluster): the first
+        # neighbor in the ascending list, the cluster's min-id adjacent member;
+        # _ROW_BLOCK vertices per gather bound the temporaries
         q_edges: set = set()
-        for v in delta:
-            picked: set[int] = set()
-            for u in g.adj[v]:
-                c = prev_assignment[u]
-                if c >= 0 and c not in picked:
-                    picked.add(c)
-                    q_edges.add(norm_edge(v, u))
+        for lo in range(0, len(delta), _ROW_BLOCK):
+            deg, nbr = csr_neighbors(g.csr, delta[lo:lo + _ROW_BLOCK])
+            v, c = np.repeat(delta[lo:lo + _ROW_BLOCK], deg), prev_assignment[nbr]
+            near = c >= 0
+            v, u = v[near], nbr[near]
+            first = np.unique(v * n + c[near], return_index=True)[1]
+            q_edges |= _edge_set(v[first], u[first])
 
         spanner |= forest
         spanner |= q_edges
-        levels.append(
-            ClusterLevel(tau, centers, assignment, center_dist, forest, delta, q_edges)
-        )
-        for u in range(n):
-            if assignment[u] < 0:
-                in_all_prev[u] = False
+        levels.append(ClusterLevel(
+            tau, centers, assignment.tolist(), dist.tolist(), forest, delta.tolist(), q_edges
+        ))
+        in_all_prev &= assignment >= 0
         prev_centers = centers
         prev_assignment = assignment
 
     return ClusterSequence(k=k, mu=mu, seed=seed, n=n, levels=levels, spanner_edges=spanner)
+
+
+def _edge_set(a: np.ndarray, b: np.ndarray) -> set:
+    """The pairs (a[i], b[i]) as a set of (min, max) tuples of plain ints."""
+    return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
 @dataclass
@@ -165,20 +157,19 @@ def hub_clustering(g: Graph, gamma: float) -> HubClustering:
     hubs: list[int] = []
     g_c: set = set()
 
-    while True:
-        hub = next((v for v in range(n) if count[v] >= size), None)
-        if hub is None:
-            break
-        members = [w for w in g.adj[hub] if unclustered[w]][:size]
-        cid = len(clusters)
-        for w in members:
-            unclustered[w] = False
-            cluster_index[w] = cid
-            for x in g.adj[w]:
-                count[x] -= 1
-            g_c.add(norm_edge(hub, w))
-        clusters.append(members)
-        hubs.append(hub)
+    # counts only fall, so a vertex passed over never qualifies later
+    for hub in range(n):
+        while count[hub] >= size:
+            members = [w for w in g.adj[hub] if unclustered[w]][:size]
+            cid = len(clusters)
+            for w in members:
+                unclustered[w] = False
+                cluster_index[w] = cid
+                for x in g.adj[w]:
+                    count[x] -= 1
+                g_c.add(norm_edge(hub, w))
+            clusters.append(members)
+            hubs.append(hub)
 
     for u, v in g.edges:
         if unclustered[u] or unclustered[v]:

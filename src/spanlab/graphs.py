@@ -3,14 +3,15 @@ primitives with minimum-id tie-breaking, canonical shortest paths, one
 distance core fed from edge sets, and seeded random-graph generation.
 
 A Graph is validated and laid out from one (m, 2) int64 edge array and
-keeps its CSR; a Spanner lays its CSR out on first use and keeps it.  `bfs`
-is the one Python BFS.  The distance core serves every bulk row.  Hop
-rows of a graph or a spanner, over its kept CSR, come from a packed-bitset
-BFS (64 sources per uint64 word, level-synchronous); sources whose search
-runs past a fixed level cap, and the weighted rows of an emulator, come
-from one batched scipy Dijkstra.  scipy is imported at those two Dijkstra
-sites only, on first use.  `parent_rows` turns hop rows into rows of
-canonical min-id BFS parents, the parents `bfs` and `trace_parent_path`
+keeps its CSR; a Spanner lays its CSR out on first use and keeps it, and an
+Emulator its weighted scipy matrix.  `bfs` searches level by level over the
+CSR, with `csr_neighbors`, the one neighbor-list gather.  The distance core
+serves every bulk row.  Hop rows of a graph or a spanner, over its kept CSR,
+come from a packed-bitset BFS (64 sources per uint64 word); sources whose
+search runs past a fixed level cap, and the weighted rows of an emulator,
+come from one batched scipy Dijkstra.  scipy is imported at those two
+Dijkstra sites only, on first use.  `parent_rows` turns hop rows into rows
+of canonical min-id BFS parents, the parents `bfs` and `trace_parent_path`
 pick, one neighbor rank at a time over the CSR.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
@@ -178,6 +179,9 @@ class Emulator:
     Weights are positive integers.  Stored as a dict keyed by (min, max)
     vertex pairs of plain ints; parallel entries keep the minimum weight.
     A non-integer id or weight raises TypeError (int() would truncate it).
+    `adjacency` is the weights as a scipy CSR matrix, laid out at the
+    first weighted Dijkstra and then kept.  Instances are immutable once
+    built: the kept matrix would not follow a change to `weights`.
     """
 
     def __init__(self, n: int, weighted_edges: Iterable[tuple[int, int, int]]):
@@ -200,6 +204,19 @@ class Emulator:
     @property
     def size(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def adjacency(self):
+        """The weights as a float64 scipy CSR matrix holding each unordered
+        pair once; ValueError if the weights are too large for exact
+        float64 distances."""
+        ends = _pair_ends(self.n, chain.from_iterable(self.weights), self.size)
+        data = np.fromiter(self.weights.values(), np.float64, self.size)
+        if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
+            raise ValueError("emulator weights too large for exact distances")
+        from scipy.sparse import csr_matrix
+
+        return csr_matrix((data, (ends[:, 0], ends[:, 1])), shape=(self.n, self.n))
 
     def __repr__(self) -> str:
         return f"Emulator(n={self.n}, size={self.size})"
@@ -366,42 +383,52 @@ def bfs_distances(g: Graph, roots: Iterable[int]) -> list[int]:
 
 
 def bfs(g: Graph, roots: Iterable[int]) -> BfsResult:
-    """Multi-root BFS with canonical parents and minimum-id owners.
-
-    Layer-synchronous: each frontier is scanned in (owner, id) order, so the
-    first vertex to reach v is the lexicographic minimum of (owner[w], w)
-    over v's closer neighbors w.
-    """
-    rootlist = sorted(set(roots))
+    """Multi-root BFS with canonical parents and minimum-id owners over the
+    kept CSR (`_bfs_arrays`); operator.index refuses float roots."""
+    rootlist = sorted(set(map(operator.index, roots)))
     if not rootlist:
         raise ValueError("root set must be non-empty")
     for r in rootlist:
         if not (0 <= r < g.n):
             raise ValueError(f"root {r} out of range [0,{g.n})")
-    dist = [UNREACHED] * g.n
-    parent = [UNREACHED] * g.n
-    owner = [UNREACHED] * g.n
-    for r in rootlist:
-        dist[r] = 0
-        owner[r] = r
-    adj = g.adj
-    frontier = rootlist
-    d = 0
-    while frontier:
-        d += 1
-        nxt: list[int] = []
-        for u in frontier:
-            o = owner[u]
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = d
-                    parent[v] = u
-                    owner[v] = o
-                    nxt.append(v)
-        nxt.sort()
-        nxt.sort(key=owner.__getitem__)  # stable: (owner, id) order
-        frontier = nxt
-    return BfsResult(dist, parent, owner)
+    dist, parent, owner = _bfs_arrays(g.csr, np.array(rootlist, np.int64))
+    return BfsResult(dist.tolist(), parent.tolist(), owner.tolist())
+
+
+def _bfs_arrays(csr, roots: np.ndarray, depth: Optional[int] = None) -> np.ndarray:
+    """(dist, parent, owner) of `bfs` from the sorted distinct `roots` as
+    int64 rows, searched `depth` levels deep (None: all the way).
+
+    Level-synchronous: with the frontier in (owner, id) order, a level
+    sorts the unreached neighbors it gathers by (id, frontier rank), so each
+    new vertex takes the minimum (owner[w], w) over its closer neighbors w.
+    """
+    dist, parent, owner = out = np.full((3, len(csr[0]) - 1), UNREACHED, np.int64)
+    dist[roots] = 0
+    owner[roots] = roots
+    frontier = roots
+    level = 0
+    while len(frontier) and level != depth:
+        level += 1
+        deg, nbr = csr_neighbors(csr, frontier)
+        rank = np.repeat(np.arange(len(frontier)), deg)
+        code = np.sort((nbr * len(frontier) + rank)[dist[nbr] < 0])
+        v, rank = np.divmod(code, len(frontier))
+        first = np.diff(v, prepend=-1) != 0
+        v, up = v[first], frontier[rank[first]]
+        dist[v], parent[v], owner[v] = level, up, owner[up]
+        frontier = v[np.argsort(owner[v], kind="stable")]  # v ascends
+    return out
+
+
+def csr_neighbors(csr, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The degrees of `vertices` (an int64 array) and their neighbor lists
+    concatenated in that order, each list ascending as the CSR keeps it."""
+    indptr, indices = csr
+    start = indptr[vertices]
+    deg = indptr[vertices + 1] - start
+    seg = np.cumsum(deg) - deg
+    return deg, indices[np.repeat(start - seg, deg) + np.arange(int(deg.sum()))]
 
 
 def trace_parent_path(g: Graph, dist: Sequence[int], target: int) -> Optional[list[int]]:
@@ -627,21 +654,12 @@ def hop_distance_matrix(
 
 def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
     """Exact weighted distances from each source in an emulator as an int64
-    matrix from one batched scipy Dijkstra over a CSR that holds each
-    unordered pair once; UNREACHED where cut off.  Rows follow the order of
-    `sources`."""
+    matrix from one batched scipy Dijkstra over its kept `adjacency`;
+    UNREACHED where cut off.  Rows follow the order of `sources`."""
     roots = _check_roots(h.n, sources)
     out = np.empty((len(roots), h.n), np.int64)
-    if not len(roots):
-        return out
-    ends = _pair_ends(h.n, chain.from_iterable(h.weights), len(h.weights))
-    data = np.fromiter(h.weights.values(), np.float64, len(ends))
-    if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
-        raise ValueError("emulator weights too large for exact distances")
-    from scipy.sparse import csr_matrix
-
-    adj = csr_matrix((data, (ends[:, 0], ends[:, 1])), shape=(h.n, h.n))
-    out[...] = _dijkstra_rows(adj, roots, directed=False, unweighted=False)
+    if len(roots):
+        out[...] = _dijkstra_rows(h.adjacency, roots, directed=False, unweighted=False)
     return out
 
 

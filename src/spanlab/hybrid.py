@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, _bfs_rows, norm_edge
+from .graphs import Graph, Spanner, _bfs_rows, csr_neighbors, norm_edge
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
@@ -84,7 +84,6 @@ def suffix_walk(csr, dist: np.ndarray, roots, targets, ell: int) -> np.ndarray:
     Pairs at distance 0 or unreachable add nothing.  Walks go _BLOCK**2
     at a time.
     """
-    indptr, indices = csr
     n = dist.shape[0]
     roots = np.asarray(roots, np.int64)
     targets = np.asarray(targets, np.int64)
@@ -100,12 +99,9 @@ def suffix_walk(csr, dist: np.ndarray, roots, targets, ell: int) -> np.ndarray:
             r, cur, d = r[live], cur[live], d[live]
             if not len(cur):
                 break
-            start = indptr[cur]
-            deg = indptr[cur + 1] - start
-            seg = np.cumsum(deg) - deg
-            nbr = indices[np.repeat(start - seg, deg) + np.arange(int(deg.sum()))]
+            deg, nbr = csr_neighbors(csr, cur)
             closer = dist[np.repeat(r, deg), nbr] == np.repeat(d - 1, deg)
-            parent = np.minimum.reduceat(np.where(closer, nbr, n), seg)
+            parent = np.minimum.reduceat(np.where(closer, nbr, n), np.cumsum(deg) - deg)
             codes.append(np.minimum(cur, parent) * n + np.maximum(cur, parent))
             cur = parent
         out = np.unique(np.concatenate(codes))

@@ -90,3 +90,32 @@ def recount_heavy(g, path, degree_threshold: int) -> int:
 def as_int_grid(dist) -> list[list[int]]:
     """INF -> -1, for comparison against the library's sentinel convention."""
     return [[-1 if d == INF else int(d) for d in row] for row in dist]
+
+
+def greedy_hub_clustering(g, size: int):
+    """The fixed-size greedy clustering by rescanning: while some vertex
+    has `size` unclustered neighbors, the minimum-id one becomes the hub of
+    its `size` smallest-id unclustered neighbors.  Returns (clusters, hubs,
+    kept edges, cluster index per vertex or -1)."""
+    n = g.n
+    unclustered = [True] * n
+    count = [len(g.adj[v]) for v in range(n)]
+    cluster_index = [-1] * n
+    clusters, hubs, kept = [], [], set()
+    while True:
+        hub = next((v for v in range(n) if count[v] >= size), None)
+        if hub is None:
+            break
+        members = [w for w in g.adj[hub] if unclustered[w]][:size]
+        for w in members:
+            unclustered[w] = False
+            cluster_index[w] = len(clusters)
+            for x in g.adj[w]:
+                count[x] -= 1
+            kept.add((min(hub, w), max(hub, w)))
+        clusters.append(members)
+        hubs.append(hub)
+    for u, v in g.edges:
+        if unclustered[u] or unclustered[v] or cluster_index[u] == cluster_index[v]:
+            kept.add((u, v))
+    return clusters, hubs, kept, cluster_index

@@ -485,6 +485,27 @@ def test_subsetwise_grid_instance():
                 assert 0 <= dh[b] <= dg[b] + 2
 
 
+def test_subsetwise_refuses_non_integer_members():
+    g = random_graph(20, 0.2, 1)
+    for bad in ([0.5, 3.7, 9], [1, np.float64(2)], [2.0]):
+        with pytest.raises(TypeError):
+            build_subsetwise_plus2(g, bad)
+    want = build_subsetwise_plus2(g, [0, 3, 9])
+    got = build_subsetwise_plus2(g, np.array([9, 3, 0, 3]))
+    assert got.edges == want.edges and got.meta == want.meta
+
+
+def test_subsetwise_builds_without_per_root_paths(monkeypatch):
+    cases = [(random_graph(80, 0.07, 9), range(16)), (random_graph(300, 0.07, 8), range(30)),
+             (random_graph(512, 0.06, 3), range(0, 512, 5))]
+    want = [build_subsetwise_plus2(g, members) for g, members in cases]
+    assert all(sp.meta["paths_bought"] > 0 for sp in want)
+    _forbid_per_root_searches(monkeypatch)
+    for (g, members), sp in zip(cases, want):
+        got = build_subsetwise_plus2(g, members)
+        assert got.edges == sp.edges and got.meta == sp.meta
+
+
 def test_plus4_exact_when_no_clusters_form():
     g = Graph(50, [(i, i + 1) for i in range(49)])
     src = SourceSet.from_ids(range(40), 50)

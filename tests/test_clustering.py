@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+from spanlab import clustering
 from spanlab import (
     Graph,
     hub_clustering,
@@ -9,7 +10,8 @@ from spanlab import (
     hop_distance_matrix,
     random_graph,
 )
-from oracles import floyd_warshall
+from conftest import no_adj
+from oracles import floyd_warshall, greedy_hub_clustering
 
 INF = float("inf")
 
@@ -120,6 +122,37 @@ def test_determinism():
     b = cluster_sequence(g, 2, 0.5, 9)
     assert a.spanner_edges == b.spanner_edges
     assert _assignments(a) == _assignments(b)
+
+
+def _levels(cs):
+    """Every field of every level, with the accumulated spanner."""
+    fields = [
+        (lv.tau, lv.centers, lv.assignment, lv.center_dist, lv.forest, lv.delta, lv.q_edges)
+        for lv in cs.levels
+    ]
+    return fields, cs.spanner_edges
+
+
+def test_cluster_sequence_reads_no_adjacency_tuples(petersen):
+    cases = [(petersen, 2, 0.5, 3), (Graph(1, []), 2, 0.5, 1), (Graph(7, [(0, 1), (2, 3)]), 2, 0.5, 2)]
+    cases += [(random_graph(80, 0.08, s), k, 1 / k, s) for s in (1, 2) for k in (2, 3, 4)]
+    cases += [(random_graph(70, 0.1, 4), 3, 0.2, 5)]  # non-empty last level
+    for g, k, mu, seed in cases:
+        want = cluster_sequence(g, k, mu, seed)
+        got = cluster_sequence(no_adj(g), k, mu, seed)
+        assert _levels(got) == _levels(want)
+        for lv in got.levels:
+            assert all(type(x) is int for x in lv.centers + lv.assignment + lv.center_dist + lv.delta)
+            assert all(type(x) is int for e in lv.forest | lv.q_edges for x in e)
+
+
+def test_escape_edges_do_not_depend_on_the_gather_block(monkeypatch):
+    cases = [(random_graph(80, 0.08, s), k, 1 / k, s) for s in (1, 2) for k in (2, 3)]
+    want = [_levels(cluster_sequence(*case)) for case in cases]
+    assert any(lv[5] for levels, _ in want for lv in levels)  # some delta
+    for block in (1, 3, 7):
+        monkeypatch.setattr(clustering, "_ROW_BLOCK", block)
+        assert [_levels(cluster_sequence(*case)) for case in cases] == want
 
 
 def _level_clustered(cs, ell):
@@ -236,3 +269,25 @@ def test_hub_clustering_invariants_small_gamma():
     g = random_graph(90, 0.12, 8)
     c = hub_clustering(g, 0.25)
     _audit_hub_clustering(g, c)
+
+
+def test_hub_clustering_is_the_rescanning_greedy():
+    repeats = 0
+    for n, p, seed, gamma in [(60, 0.2, 1, 0.5), (120, 0.1, 2, 0.4), (200, 0.05, 3, 0.3),
+                              (90, 0.3, 4, 0.6), (150, 0.15, 5, 0.25), (2, 1.0, 6, 0.0)]:
+        g = random_graph(n, p, seed)
+        c = hub_clustering(g, gamma)
+        want = greedy_hub_clustering(g, c.size)
+        assert (c.clusters, c.hubs, c.g_c, c.cluster_index) == want
+        repeats += len(c.hubs) - len(set(c.hubs))
+    assert repeats > 0  # some hub heads more than one cluster
+
+
+def test_hub_clustering_hub_heads_two_clusters_in_a_row():
+    size = 4
+    star = Graph(2 * size + 1, [(0, i) for i in range(1, 2 * size + 1)])
+    c = hub_clustering(star, math.log(size) / math.log(star.n))
+    assert c.size == size
+    assert c.hubs == [0, 0]
+    assert c.clusters == [[1, 2, 3, 4], [5, 6, 7, 8]]
+    assert (c.clusters, c.hubs, c.g_c, c.cluster_index) == greedy_hub_clustering(star, size)

@@ -27,7 +27,7 @@ from spanlab import (
     trace_parent_path,
     weighted_sssp,
 )
-from conftest import parent_host, random_tree, root_samples
+from conftest import no_adj, parent_host, random_tree, root_samples
 from oracles import as_int_grid, bellman_ford, canonical_path, floyd_warshall, path_is_valid
 
 
@@ -301,6 +301,61 @@ def test_bfs_rejects_empty_and_out_of_range_roots(cycle5):
         for bad in (-1, 5):
             with pytest.raises(ValueError, match=rf"root {bad} out of range \[0,5\)"):
                 search(cycle5, [0, bad])
+
+
+@pytest.mark.parametrize("root", [1.5, np.float64(2)])
+def test_bfs_refuses_non_integer_roots(cycle5, root):
+    # an int64 array would truncate these roots
+    for search in (bfs, bfs_distances):
+        with pytest.raises(TypeError):
+            search(cycle5, [0, root])
+
+
+def test_bfs_takes_numpy_integer_roots():
+    g = random_graph(30, 0.12, 4)
+    want = bfs(g, [3, 17])
+    for roots in ([np.int64(3), np.int32(17)], np.array([17, 3]), np.array([3, 17], np.uint16)):
+        res = bfs(g, roots)
+        assert (res.dist, res.parent, res.owner) == (want.dist, want.parent, want.owner)
+        assert bfs_distances(g, roots) == want.dist
+
+
+def test_bfs_names_the_smallest_bad_root():
+    g = random_graph(40, 0.1, 2)
+    for search in (bfs, bfs_distances):
+        with pytest.raises(ValueError, match=r"root -1 out of range \[0,40\)"):
+            search(g, [7, -1, 99])
+        with pytest.raises(ValueError, match=r"root 40 out of range \[0,40\)"):
+            search(g, [99, 7, 40])
+
+
+def _root_cases():
+    """Generator, repeated, isolated and all-vertex roots, and n = 1."""
+    g = Graph(30, random_graph(24, 0.15, 8).sorted_edges())  # 24..29 isolated
+    yield g, (r for r in (5, 26)), [5, 26]
+    yield g, [9, 3, 9, 3, 3], [3, 9]
+    yield g, [27, 29], [27, 29]
+    yield g, range(g.n), list(range(g.n))
+    yield Graph(1, []), [0], [0]
+    for g in (random_graph(35, 0.1, 3), Graph(12, [(i, i + 1) for i in range(11)])):
+        yield g, iter(range(g.n)), list(range(g.n))
+
+
+def test_bfs_root_forms_match_the_oracle():
+    for g, roots, plain in _root_cases():
+        dist, owner, parent = _oracle_owner_and_parent(g, plain)
+        res = bfs(g, roots)
+        assert (res.dist, res.owner, res.parent) == (dist, owner, parent)
+        assert all(type(x) is int for x in res.dist + res.owner + res.parent)
+        assert bfs_distances(g, list(plain)) == dist
+
+
+def test_bfs_reads_no_adjacency_tuples():
+    for g, _, roots in _root_cases():
+        bare = no_adj(g)
+        want, got = bfs(g, roots), bfs(bare, roots)
+        assert (got.dist, got.parent, got.owner) == (want.dist, want.parent, want.owner)
+        assert bfs_distances(bare, roots[:1]) == bfs_distances(g, roots[:1])
 
 
 def _multi_root_instances():

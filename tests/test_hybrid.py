@@ -18,7 +18,7 @@ from spanlab import (
 from spanlab import hybrid
 from spanlab.graphs import adjacency_csr
 from spanlab.hybrid import closest_pairs, hop_rows, suffix_walk
-from conftest import random_tree
+from conftest import no_adj, random_tree
 from oracles import floyd_warshall, path_is_valid
 
 INF = float("inf")
@@ -274,6 +274,14 @@ def test_output_does_not_depend_on_block_size(monkeypatch, k):
         monkeypatch.setattr(hybrid, "_BLOCK", block)
         sp = build_hybrid(g, k, 2)
         assert sp.edges == ref.edges and sp.meta == ref.meta
+
+
+def test_build_reads_no_adjacency_tuples(petersen):
+    for g, k, seed in [(petersen, 2, 3), (random_graph(96, 0.2, 1), 3, 1),
+                       (random_graph(120, 0.06, 2), 2, 2), (random_tree(30, 3), 3, 1)]:
+        want = build_hybrid(g, k, seed)
+        got = build_hybrid(no_adj(g), k, seed)
+        assert got.edges == want.edges and got.meta == want.meta
 
 
 def test_center_pairs_exact_within_budget():

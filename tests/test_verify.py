@@ -375,6 +375,27 @@ def test_blocked_verify_builds_the_candidate_csr_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_blocked_verify_builds_the_emulator_adjacency_once(monkeypatch):
+    g = random_graph(40, 0.15, 3)
+    triples = [(u, v, 1 + i % 3) for i, (u, v) in enumerate(g.sorted_edges()) if i % 4]
+    want = verify_emulator(g, Emulator(g.n, triples), range(g.n), beta=2)
+    assert want.n_violations and want.classes["additive-upper"].pairs
+    built = []
+    inner = graphs._pair_ends
+
+    def counted(*args):
+        built.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(graphs, "_pair_ends", counted)
+    monkeypatch.setattr(graphs, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(verify, "_ROW_BLOCK", 7)  # 40 roots: six blocks
+    em = Emulator(g.n, triples)
+    for _ in range(2):
+        assert verify_emulator(g, em, range(g.n), beta=2) == want
+    assert len(built) == 1
+
+
 def _every_scope(g, h, em, sources):
     return [
         rep.to_dict(violation_cap=10**9)
