@@ -7,7 +7,9 @@ sources and of the sampled tree roots come from the packed-bitset BFS
 kernel (`hop_distance_matrix`) and their canonical min-id parents from
 `parent_rows`, so pair classification, the sampled trees and the canonical
 paths of the bought pairs run no per-root BFS.  `_relax_new_edges` both
-computes and repairs the source rows of a growing spanner.
+computes and repairs the source rows of a growing spanner.  Edge sets are
+sorted edge codes; path buying, which tests one edge at a time, keeps one
+Python set of (u, v) pairs built from them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,8 +29,12 @@ from .graphs import (
     Emulator,
     Graph,
     Spanner,
+    edge_codes,
+    edge_ends,
+    edge_pairs,
     hop_distance_matrix,
     norm_edge,
+    pair_codes,
     parent_path,
     parent_rows,
 )
@@ -36,6 +43,7 @@ from .util import ceil_int, subrng
 
 _INF = float("inf")
 _EPS = 1e-9
+_NO_PAIR = np.iinfo(np.int64).max
 # Sampled tree roots per hop-row and parent-row call in `tree_union`.
 _ROOT_BLOCK = 64
 
@@ -78,8 +86,8 @@ class PairClass:
     is_long: bool
 
 
-def _heavy_flags(g: Graph, heavy_degree: int) -> list[bool]:
-    return [g.degree(v) >= heavy_degree for v in range(g.n)]
+def _heavy_flags(g: Graph, heavy_degree: int) -> np.ndarray:
+    return np.diff(g.csr[0]) >= heavy_degree
 
 
 def classify_pairs(g: Graph, sources: SourceSet, params: AdditiveParams) -> list[PairClass]:
@@ -104,7 +112,7 @@ def _heavy_counts(g: Graph, dist: np.ndarray, heavy_degree: int) -> np.ndarray:
     vertex the row reaches (0 where it does not), with the parents of
     `parent_rows`: level by level, each vertex adds its parent's count,
     which the level before made final."""
-    heavy = np.array(_heavy_flags(g, heavy_degree), np.int32)
+    heavy = _heavy_flags(g, heavy_degree).astype(np.int32)
     count = np.where(dist >= 0, heavy, 0).ravel()
     # cell i * n + v, visited by nondecreasing distance; roots already final
     order = np.argsort(dist, axis=None, kind="stable")
@@ -116,14 +124,14 @@ def _heavy_counts(g: Graph, dist: np.ndarray, heavy_degree: int) -> np.ndarray:
     return count.reshape(dist.shape)
 
 
-def tree_union(g: Graph, roots: Sequence[int]) -> set:
+def tree_union(g: Graph, roots: Sequence[int]) -> np.ndarray:
     """Edges of the canonical BFS trees (min-id parents, as `bfs` gives
-    them) from every root, as one set of (min, max) pairs.
+    them) from every root, as sorted edge codes.
 
     Hop rows and parent rows come `_ROOT_BLOCK` roots at a time, so
     temporaries stay near _ROOT_BLOCK * n cells however many roots there
     are; each vertex's parents are sorted across a block's roots, so only
-    its distinct tree edges become codes min*n + max for one `np.unique`.
+    its distinct tree edges become codes for one `np.unique`.
     """
     n = g.n
     codes = [np.empty(0, np.int64)]
@@ -134,9 +142,8 @@ def tree_union(g: Graph, roots: Sequence[int]) -> set:
         distinct[:, 1:] &= ups[:, 1:] != ups[:, :-1]
         child, k = np.nonzero(distinct)
         up = ups[child, k].astype(np.int64)
-        codes.append(np.minimum(child, up) * n + np.maximum(child, up))
-    lo, hi = np.divmod(np.unique(np.concatenate(codes)), max(n, 1))
-    return set(zip(lo.tolist(), hi.tolist()))
+        codes.append(edge_codes(n, child, up))
+    return np.unique(np.concatenate(codes))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +227,17 @@ def _remove_cycles(walk: list[int]) -> list[int]:
     return out
 
 
-def _cluster_route(a: int, b: int, cid: int, gc: HubClustering) -> list[int]:
-    """Vertices strictly between a and b on a <=2-edge route inside a cluster."""
-    if a == b or norm_edge(a, b) in gc.g_c:
+def _cluster_route(a: int, b: int, hub: int, spanner: set) -> list[int]:
+    """Vertices strictly between a and b on a <=2-edge route inside their
+    cluster: none if the spanner keeps edge (a, b), else the hub.  The
+    spanner holds the clustering subgraph, so it keeps every host edge
+    inside a cluster."""
+    if a == b or norm_edge(a, b) in spanner:
         return []
-    return [gc.hubs[cid]]
+    return [hub]
 
 
-def _enforce_cluster_cap(walk: list[int], gc: HubClustering) -> list[int]:
+def _enforce_cluster_cap(walk: list[int], gc: HubClustering, spanner: set) -> list[int]:
     """Shorten until no cluster holds four or more path vertices."""
     while True:
         walk = _remove_cycles(walk)
@@ -241,7 +251,7 @@ def _enforce_cluster_cap(walk: list[int], gc: HubClustering) -> list[int]:
             return walk
         cid = crowded[0]
         a_pos, b_pos = occ[cid][0], occ[cid][-1]
-        mid = _cluster_route(walk[a_pos], walk[b_pos], cid, gc)
+        mid = _cluster_route(walk[a_pos], walk[b_pos], gc.hubs[cid], spanner)
         walk = walk[: a_pos + 1] + mid + walk[b_pos:]
 
 
@@ -286,15 +296,17 @@ def _check_candidate(path, source, target, level, base_dist, params, gc, spanner
     return missing
 
 
-def _buy_short_paths(g, sources, dist_rows, short, gc, base_edges, params):
+def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
     """Iterate short pairs in ascending (source, target) order, buying one
     candidate path per pair once its missing-edge cost is at most
     3 * level_factor * value; failed levels reroute through a cluster that
     the path does not improve.  Row i of the hop rows `dist_rows` is from
-    sources[i], and `short[i]` masks its short targets."""
+    sources[i], and `short[i]` masks its short targets.  Starts from the
+    edge codes `base` and returns the codes of the spanner bought."""
     n = g.n
-    spanner: set = set(base_edges)
+    spanner = set(edge_pairs(n, base))
     adj = _adjacency(n, spanner)
+    bought: list[tuple[int, int]] = []
     phi = params.level_factor
     k = params.k
     stats = {"paths_bought": 0, "edges_bought": 0, "levels": [0] * (k + 1)}
@@ -323,6 +335,7 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base_edges, params):
                     if cost:
                         new_edges = [norm_edge(path[i - 1], path[i]) for i in missing]
                         [improved] = _insert_edges(spanner, adj, new_edges, [dist_h])
+                        bought += new_edges
                         for x in improved:
                             cid = gc.cluster_index[x]
                             if cid >= 0 and (dist_h[x], x) < (cdist[cid], nearest[cid]):
@@ -337,7 +350,7 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base_edges, params):
                     path, cost, dist_h, cdist, nearest, adj, gc, spanner, phi
                 )
                 level += 1
-    return spanner, stats
+    return np.union1d(base, pair_codes(n, bought)), stats
 
 
 def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, spanner, phi):
@@ -365,13 +378,13 @@ def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, spanner, phi):
     x = path[pos]
     y = nearest[cid]
     prefix = _descend(adj, dist_h, y)
-    mid = _cluster_route(y, x, cid, gc)
+    mid = _cluster_route(y, x, gc.hubs[cid], spanner)
     tail = list(path[pos:])
     if y == x:
         walk = prefix + tail[1:]
     else:
         walk = prefix + mid + tail
-    return _enforce_cluster_cap(walk, gc)
+    return _enforce_cluster_cap(walk, gc, spanner)
 
 
 def build_sourcewise_additive(
@@ -392,7 +405,8 @@ def build_sourcewise_additive(
     params = additive_params(g, sources, k)
     n = g.n
     heavy = _heavy_flags(g, params.heavy_degree)
-    light_edges = {e for e in g.edges if not (heavy[e[0]] and heavy[e[1]])}
+    u, v = edge_ends(n, g.codes)
+    light = g.codes[~(heavy[u] & heavy[v])]
     gamma = math.log(params.heavy_degree) / math.log(n)
     gc = hub_clustering(g, gamma)
 
@@ -403,7 +417,7 @@ def build_sourcewise_additive(
     short = reached & ~long  # a source is paired with itself too
 
     bought, stats = _buy_short_paths(
-        g, sources.vertices, dist_g, short, gc, gc.g_c | light_edges, params
+        g, sources.vertices, dist_g, short, gc, np.union1d(gc.g_c, light), params
     )
 
     long_rows = np.flatnonzero(long.any(axis=1))
@@ -412,18 +426,18 @@ def build_sourcewise_additive(
     long_dist = dist_g[long_rows][long]  # host distance of each long pair
 
     sample_prob = min(1.0, 9.0 * params.heavy_degree / n)
-    edges: set = set()
+    edges = bought
     attempts = 0
     long_violations = 0
     for attempt in range(retries + 1):
         attempts = attempt + 1
         rng = subrng(seed, "tree-roots", attempt)
         roots = [v for v in range(n) if rng.random() < sample_prob]
-        tree_edges = tree_union(g, roots)
-        edges = light_edges | tree_edges | bought
+        trees = tree_union(g, roots)
+        edges = np.union1d(bought, trees)
         long_violations = 0
         if long_sources:
-            dh = hop_distance_matrix(Spanner(n, frozenset(edges)), long_sources)[long]
+            dh = hop_distance_matrix(Spanner(n, edges), long_sources)[long]
             long_violations = int(((dh < 0) | (dh > long_dist + 2 * k)).sum())
         if long_violations == 0:
             break
@@ -442,16 +456,16 @@ def build_sourcewise_additive(
         "short_pairs": int(short.sum()),
         "long_violations": long_violations,
         "phase_edges": {
-            "light": len(light_edges),
+            "light": len(light),
             "clustering": len(gc.g_c),
             "bought": stats["edges_bought"],
-            "trees": len(tree_edges),
+            "trees": len(trees),
         },
         "buy_levels": stats["levels"],
         "size": len(edges),
         "sources": list(sources.vertices),
     }
-    return Spanner(n=n, edges=frozenset(edges), meta=meta)
+    return Spanner(n, edges, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +479,22 @@ def build_sourcewise_emulator2(g: Graph, sources: SourceSet) -> Emulator:
     nearest vertex of every cluster."""
     sources.check_host(g)
     gc = hub_clustering(g, sources.epsilon / 2.0)
-    triples = [(u, v, 1) for (u, v) in gc.g_c]
-    for s, row in zip(sources.vertices, hop_distance_matrix(g, sources.vertices)):
-        dist = row.tolist()
-        for mem in gc.clusters:
-            best = None
-            for m in mem:
-                if dist[m] >= 0 and (best is None or (dist[m], m) < best):
-                    best = (dist[m], m)
-            if best is None or best[0] == 0:
-                continue
-            triples.append((s, best[1], best[0]))
-    return Emulator(g.n, triples)
+    n = g.n
+    u, v = edge_ends(n, gc.g_c)
+    triples = list(zip(u.tolist(), v.tolist(), [1] * len(u)))
+    if gc.clusters:
+        # per (source, cluster) the minimum (dist, id) over reached members:
+        # one masked minimum over the member-ordered columns
+        member = np.fromiter(chain.from_iterable(gc.clusters), np.int64)
+        starts = np.cumsum([0] + [len(c) for c in gc.clusters[:-1]])
+        dist = hop_distance_matrix(g, sources.vertices)[:, member].astype(np.int64)
+        key = np.where(dist >= 0, dist * n + member, _NO_PAIR)
+        best = np.minimum.reduceat(key, starts, axis=1)
+        row, col = np.nonzero((best >= n) & (best != _NO_PAIR))  # no source to itself
+        d, m = np.divmod(best[row, col], n)
+        roots = np.array(sources.vertices, np.int64)[row]
+        triples += zip(roots.tolist(), m.tolist(), d.tolist())
+    return Emulator(n, triples)
 
 
 def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
@@ -491,7 +509,7 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     n = g.n
     kappa = math.log(len(zs)) / math.log(n) if n >= 2 else 0.0
     gc = hub_clustering(g, kappa / 2.0)
-    edges: set = set(gc.g_c)
+    edges = set(edge_pairs(n, gc.g_c))
     adj = _adjacency(n, edges)
 
     dist = hop_distance_matrix(g, zs)
@@ -503,6 +521,7 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     # spanner distances per source, kept exact by repair after every purchase
     rows: dict[int, list[float]] = {}
     bought = 0
+    bought_edges: list[tuple[int, int]] = []
     for dg, a, b in order:
         row = rows.get(a)
         if row is None:
@@ -511,7 +530,9 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
             path = parent_path(parents[a], b)
             new_edges = {norm_edge(x, y) for x, y in zip(path, path[1:])} - edges
             _insert_edges(edges, adj, new_edges, rows.values())
+            bought_edges += new_edges
             bought += 1
+    codes = np.union1d(gc.g_c, pair_codes(n, bought_edges))
 
     meta = {
         "construction": "subsetwise2",
@@ -520,9 +541,9 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
         "kappa": kappa,
         "paths_bought": bought,
         "phase_edges": {"clustering": len(gc.g_c)},
-        "size": len(edges),
+        "size": len(codes),
     }
-    return Spanner(n=n, edges=frozenset(edges), meta=meta)
+    return Spanner(n, codes, meta)
 
 
 def build_sourcewise_additive4(g: Graph, sources: SourceSet) -> Spanner:
@@ -540,7 +561,7 @@ def build_sourcewise_additive4(g: Graph, sources: SourceSet) -> Spanner:
     gc = hub_clustering(g, sources.epsilon / 2.0)
     core = sorted(set(gc.hubs) | set(sources.vertices))
     inner = build_subsetwise_plus2(g, core)
-    edges = set(gc.g_c) | set(inner.edges)
+    edges = np.union1d(gc.g_c, inner.codes)
     meta = {
         "construction": "sw4",
         "n": n,
@@ -554,4 +575,4 @@ def build_sourcewise_additive4(g: Graph, sources: SourceSet) -> Spanner:
         "size": len(edges),
         "sources": list(sources.vertices),
     }
-    return Spanner(n=n, edges=frozenset(edges), meta=meta)
+    return Spanner(n, edges, meta)

@@ -85,7 +85,7 @@ def _load_sources_file(path: str, n: int) -> SourceSet:
 
 def _load_candidate(path: str) -> Spanner:
     g = _load_graph_file(path)
-    return Spanner(n=g.n, edges=g.edges, meta={"input": path})
+    return Spanner(g.n, g.codes, {"input": path})
 
 
 def _spanner_check(factory):

@@ -1,31 +1,34 @@
 """Randomized level clustering (sampled centers, radius-bounded BFS forests,
 escape edges for freshly unclustered vertices), each level one array search
 and one neighbor gather over the host's CSR, and the greedy fixed-size
-clustering with hub stars used by the additive constructions.
+clustering with hub stars used by the additive constructions.  Both keep
+their edge sets as sorted int64 edge codes (`graphs.edge_codes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .graphs import _ROW_BLOCK, UNREACHED, Graph, _bfs_arrays, csr_neighbors, norm_edge
+from .graphs import _ROW_BLOCK, UNREACHED, Graph, _bfs_arrays, csr_neighbors, edge_codes, edge_ends
 from .util import ceil_int, subrng
 
 
 @dataclass
 class ClusterLevel:
     """One clustering level: centers, vertex assignment, spanning forest,
-    the vertices that just dropped out, and their escape edges."""
+    the vertices that just dropped out, and their escape edges (both edge
+    sets as sorted edge codes)."""
 
     tau: int
     centers: list[int]
     assignment: list[int]      # assigned center id, or UNREACHED
     center_dist: list[int]     # hop distance to the assigned center
-    forest: set
+    forest: np.ndarray
     delta: list[int]
-    q_edges: set
+    q_edges: np.ndarray
 
     def clusters(self) -> dict[int, list[int]]:
         """center -> sorted member list (members include the center)."""
@@ -38,14 +41,15 @@ class ClusterLevel:
 
 @dataclass
 class ClusterSequence:
-    """The k+1 clustering levels plus the accumulated partial spanner."""
+    """The k+1 clustering levels plus the accumulated partial spanner (as
+    sorted edge codes)."""
 
     k: int
     mu: float
     seed: int
     n: int
     levels: list[ClusterLevel]
-    spanner_edges: set
+    spanner_edges: np.ndarray
 
     def centers_at(self, tau: int) -> list[int]:
         return self.levels[tau].centers
@@ -71,8 +75,9 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = g.n
-    levels = [ClusterLevel(0, list(range(n)), list(range(n)), [0] * n, set(), [], set())]
-    spanner: set = set()
+    none = np.empty(0, np.int64)
+    levels = [ClusterLevel(0, list(range(n)), list(range(n)), [0] * n, none, [], none)]
+    kept = [none]
     prev_centers = list(range(n))
     prev_assignment = np.arange(n)
     in_all_prev = np.ones(n, bool)
@@ -90,23 +95,23 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
         # every center's search stops at tau hops: farther vertices stay out
         dist, parent, assignment = _bfs_arrays(g.csr, np.array(centers, np.int64), tau)
         child = np.flatnonzero(dist > 0)  # the canonical parent shares its owner
-        forest = _edge_set(child, parent[child])
+        forest = np.sort(edge_codes(n, child, parent[child]))
 
         delta = np.flatnonzero(in_all_prev & (assignment < 0))
         # one escape edge per (vertex, adjacent previous cluster): the first
         # neighbor in the ascending list, the cluster's min-id adjacent member;
         # _ROW_BLOCK vertices per gather bound the temporaries
-        q_edges: set = set()
+        q_edges = [none]
         for lo in range(0, len(delta), _ROW_BLOCK):
             deg, nbr = csr_neighbors(g.csr, delta[lo:lo + _ROW_BLOCK])
             v, c = np.repeat(delta[lo:lo + _ROW_BLOCK], deg), prev_assignment[nbr]
             near = c >= 0
             v, u = v[near], nbr[near]
             first = np.unique(v * n + c[near], return_index=True)[1]
-            q_edges |= _edge_set(v[first], u[first])
+            q_edges.append(edge_codes(n, v[first], u[first]))
+        q_edges = np.unique(np.concatenate(q_edges))
 
-        spanner |= forest
-        spanner |= q_edges
+        kept += [forest, q_edges]
         levels.append(ClusterLevel(
             tau, centers, assignment.tolist(), dist.tolist(), forest, delta.tolist(), q_edges
         ))
@@ -114,17 +119,14 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
         prev_centers = centers
         prev_assignment = assignment
 
+    spanner = np.unique(np.concatenate(kept))
     return ClusterSequence(k=k, mu=mu, seed=seed, n=n, levels=levels, spanner_edges=spanner)
-
-
-def _edge_set(a: np.ndarray, b: np.ndarray) -> set:
-    """The pairs (a[i], b[i]) as a set of (min, max) tuples of plain ints."""
-    return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
 @dataclass
 class HubClustering:
-    """Disjoint fixed-size clusters with hub vertices plus the kept subgraph.
+    """Disjoint fixed-size clusters with hub vertices plus the kept subgraph
+    (`g_c`, sorted edge codes).
 
     Every cluster member is adjacent (in the host graph) to its hub, so any
     two members are at distance <= 2 inside the kept subgraph; every edge not
@@ -135,7 +137,7 @@ class HubClustering:
     size: int
     clusters: list[list[int]]
     hubs: list[int]
-    g_c: set
+    g_c: np.ndarray
     cluster_index: list[int]   # cluster id per vertex, or UNREACHED
 
 
@@ -144,44 +146,41 @@ def hub_clustering(g: Graph, gamma: float) -> HubClustering:
     neighbors, the minimum-id such vertex becomes the hub of a new cluster
     made of its ceil(n**gamma) smallest-id unclustered neighbors.  The kept
     subgraph holds all hub stars, every edge with an unclustered endpoint,
-    and every intra-cluster edge.
+    and every intra-cluster edge.  Reads the host's CSR and edge codes.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     n = g.n
     size = max(1, ceil_int(float(n) ** gamma)) if n > 0 else 1
-    unclustered = [True] * n
-    count = [g.degree(v) for v in range(n)]
+    indptr, indices = g.csr
+    bounds, nbrs = indptr.tolist(), indices.tolist()
+    count = [b - a for a, b in zip(bounds, bounds[1:])]  # unclustered neighbors
     cluster_index = [UNREACHED] * n
     clusters: list[list[int]] = []
     hubs: list[int] = []
-    g_c: set = set()
 
     # counts only fall, so a vertex passed over never qualifies later
     for hub in range(n):
         while count[hub] >= size:
-            members = [w for w in g.adj[hub] if unclustered[w]][:size]
+            members = [w for w in nbrs[bounds[hub]:bounds[hub + 1]] if cluster_index[w] < 0][:size]
             cid = len(clusters)
             for w in members:
-                unclustered[w] = False
                 cluster_index[w] = cid
-                for x in g.adj[w]:
+                for x in nbrs[bounds[w]:bounds[w + 1]]:
                     count[x] -= 1
-                g_c.add(norm_edge(hub, w))
             clusters.append(members)
             hubs.append(hub)
 
-    for u, v in g.edges:
-        if unclustered[u] or unclustered[v]:
-            g_c.add(norm_edge(u, v))
-        elif cluster_index[u] == cluster_index[v]:
-            g_c.add(norm_edge(u, v))
-
+    index = np.array(cluster_index, np.int64)
+    u, v = edge_ends(n, g.codes)
+    inside = (index[u] < 0) | (index[v] < 0) | (index[u] == index[v])
+    hub_of = np.repeat(np.array(hubs, np.int64), [len(c) for c in clusters])
+    member = np.fromiter(chain.from_iterable(clusters), np.int64, len(hub_of))
     return HubClustering(
         gamma=gamma,
         size=size,
         clusters=clusters,
         hubs=hubs,
-        g_c=g_c,
+        g_c=np.union1d(g.codes[inside], edge_codes(n, hub_of, member)),
         cluster_index=cluster_index,
     )

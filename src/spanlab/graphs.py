@@ -2,10 +2,11 @@
 primitives with minimum-id tie-breaking, canonical shortest paths, one
 distance core fed from edge sets, and seeded random-graph generation.
 
-A Graph is validated and laid out from one (m, 2) int64 edge array and
-keeps its CSR; a Spanner lays its CSR out on first use and keeps it, and an
-Emulator its weighted scipy matrix.  `bfs` searches level by level over the
-CSR, with `csr_neighbors`, the one neighbor-list gather.  The distance core
+One edge form: a Graph or a Spanner stores only its sorted int64 edge codes
+u*n + v, and this module alone encodes and decodes them.  The CSR, the
+`edges` frozenset and a Graph's `adj` tuples are views built on first read;
+an Emulator keeps its weighted scipy matrix.  `bfs` searches level by level
+over the CSR, with `csr_neighbors`, the one neighbor-list gather.  The distance core
 serves every bulk row.  Hop rows of a graph or a spanner, over its kept CSR,
 come from a packed-bitset BFS (64 sources per uint64 word); sources whose
 search runs past a fixed level cap, and the weighted rows of an emulator,
@@ -21,10 +22,10 @@ unreachable is the sentinel ``UNREACHED``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -40,20 +41,45 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-class Graph:
+class _CodedEdges:
+    """The one stored edge form of a Graph or a Spanner: `codes`, sorted
+    read-only int64 edge codes.  `csr` (read-only int64 indptr and indices,
+    neighbor lists ascending) and `edges` (a frozenset of (u, v) tuples of
+    plain ints) are views built on first read, then kept."""
+
+    def __init__(self, n: int, codes: np.ndarray):
+        codes.flags.writeable = False
+        self.n, self.codes = n, codes
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return _csr(self.n, self.codes)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(edge_pairs(self.n, self.codes))
+
+    def __eq__(self, other) -> bool:
+        return (
+            (isinstance(other, type(self)) or isinstance(self, type(other)))
+            and self.n == other.n
+            and np.array_equal(self.codes, other.codes)
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.codes.tobytes()))
+
+
+class Graph(_CodedEdges):
     """Simple undirected unweighted graph on vertices 0..n-1.
 
     `edges` is an integer ndarray of shape (m, 2) or any iterable of (u, v)
     pairs of integer ids.  An out-of-range id, a self-loop or a repeated
     edge (in either orientation) raises ValueError naming the first such
     pair in input order; a non-integer id raises TypeError and anything but
-    pairs ValueError.
-
-    `edges` keeps the (min, max) pairs and `adj` the adjacency lists,
-    sorted ascending, both as plain ints with one shared object per vertex
-    id.  `csr` is the same adjacency as read-only (indptr, indices) int64
-    arrays, the layout `adjacency_csr` gives.  Instances are immutable once
-    built and safe to share.
+    pairs ValueError.  Codes are u*n + v with u < v; `adj`, the ascending
+    neighbor tuples, is a view like `csr` and `edges`.  Instances are
+    immutable once built and safe to share.
     """
 
     def __init__(self, n: int, edges: np.ndarray | Iterable[tuple[int, int]]):
@@ -65,45 +91,65 @@ class Graph:
             ends.min() < 0 or ends.max() >= n or (ends[:, 0] == ends[:, 1]).any()
         ):
             _raise_first_bad(n, ends, given)
-        ids = np.fromiter(range(n), object, n)
-        self.n = n
-        self.csr = indptr, indices = _csr(n, ends)
-        nbrs = ids[indices].tolist()
-        bounds = indptr.tolist()
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])
-        )
-        del nbrs
-        # The edge set goes last: while it is young, every garbage
-        # collection that a later allocation in here triggers would scan it.
-        u, v = ends.T
-        seen = set(zip(ids[np.minimum(u, v)].tolist(), ids[np.maximum(u, v)].tolist()))
-        if len(seen) < len(ends):
+        codes = np.sort(edge_codes(n, ends[:, 0], ends[:, 1]))
+        if (codes[1:] == codes[:-1]).any():
             _raise_first_bad(n, ends, given)
-        self.m = len(seen)
-        self.edges: frozenset[tuple[int, int]] = frozenset(seen)
+        super().__init__(n, codes)
+
+    @property
+    def m(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        indptr, indices = self.csr
+        nbrs, bounds = indices.tolist(), indptr.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def degree(self, u: int) -> int:
-        return len(self.adj[u])
+        if not 0 <= u < self.n:
+            raise IndexError(f"vertex {u} out of range [0,{self.n})")
+        return self.csr[0].item(u + 1) - self.csr[0].item(u)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
+        u, v = norm_edge(u, v)
+        code = u * self.n + v
+        return 0 <= u < v < self.n and code in self.codes[np.searchsorted(self.codes, code):][:1]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
+        return edge_pairs(self.n, self.codes)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def edge_codes(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Codes min*n + max of the edges {a[i], b[i]}, ends in [0, n)."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def edge_ends(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """End arrays (u, v) of the sorted `codes`; ValueError if a code lies
+    outside [0, n*n), as that of a pair with an end out of range does."""
+    if len(codes) and (codes[0] < 0 or codes[-1] >= n * n):
+        raise ValueError(f"edge end out of range [0,{n})")
+    return np.divmod(codes, n)
+
+
+def edge_pairs(n: int, codes: np.ndarray) -> list[tuple[int, int]]:
+    """The sorted `codes` as (u, v) tuples of plain ints."""
+    u, v = edge_ends(n, codes)
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def pair_codes(n: int, pairs) -> np.ndarray:
+    """Codes u*n + v of (u, v) `pairs` in the order given, orientation kept:
+    a reversed pair or a loop matches no Graph code.  Ends are range-checked
+    first, and pair i with an end outside [0, n) takes the code -1 - i.  A
+    non-integer end raises TypeError, anything but pairs ValueError."""
+    ends = _int_pairs(n, pairs if isinstance(pairs, (np.ndarray, list)) else list(pairs))
+    out = ((ends < 0) | (ends >= n)).any(axis=1)
+    return np.where(out, -1 - np.arange(len(ends)), ends[:, 0] * n + ends[:, 1])
 
 
 def _int_pairs(n: int, given) -> np.ndarray:
@@ -132,11 +178,8 @@ def _first_bad(n: int, ends: np.ndarray) -> tuple[int, str]:
     """Index and kind ("range", "loop" or "repeat") of the first pair in
     input order that is out of range, a self-loop or a repeat of an
     earlier pair; the kinds are tried in that order for one pair."""
-    out = ((ends < 0) | (ends >= n)).any(axis=1)
-    loop = ends[:, 0] == ends[:, 1]
-    # out-of-range pairs get distinct negative codes: none repeats another
-    lo = np.minimum(ends[:, 0], ends[:, 1])
-    code = np.where(out, -1 - np.arange(len(ends)), lo * n + np.maximum(ends[:, 0], ends[:, 1]))
+    code = pair_codes(n, np.sort(ends, axis=1))
+    out, loop = code < 0, ends[:, 0] == ends[:, 1]
     order = np.argsort(code, kind="stable")
     repeat = np.zeros(len(ends), bool)
     repeat[order[1:]] = code[order[1:]] == code[order[:-1]]
@@ -155,22 +198,35 @@ def _raise_first_bad(n: int, ends: np.ndarray, given) -> None:
     raise ValueError(f"duplicate edge ({u},{v})")
 
 
-@dataclass(frozen=True)
-class Spanner:
-    """Edge subset of a host graph plus construction metadata; `csr` is
-    the edge set laid out by `adjacency_csr` on first use, then kept."""
+class Spanner(_CodedEdges):
+    """Edge subset of a host graph plus construction metadata.
 
-    n: int
-    edges: frozenset
-    meta: dict = field(default_factory=dict, compare=False)
+    `edges` is the code array a builder hands over (a 1-D integer ndarray)
+    or (u, v) pairs for `pair_codes`, which keeps a hand-built reversed,
+    looping or out-of-range pair in a code no host edge has (`is_subgraph`);
+    `csr` rejects an out-of-range one.  Equality and hashing ignore `meta`.
+    """
+
+    def __init__(self, n: int, edges, meta: Optional[dict] = None):
+        if not (isinstance(edges, np.ndarray) and edges.ndim == 1):
+            edges = pair_codes(n, edges)
+        elif edges.size and edges.dtype.kind not in "iu":
+            raise TypeError("edge codes must be integers")
+        super().__init__(n, np.unique(edges.astype(np.int64)))
+        self.meta = {} if meta is None else meta
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self.codes)
 
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return adjacency_csr(self.n, self.edges)
+    def __repr__(self) -> str:
+        return f"Spanner(n={self.n}, size={self.size})"
+
+
+def is_subgraph(h: Spanner, g: Graph) -> bool:
+    """Whether each code of `h` is one of g's sorted codes."""
+    at = np.searchsorted(g.codes, h.codes)
+    return bool(np.all(at < g.m)) and np.array_equal(g.codes[np.minimum(at, g.m - 1)], h.codes)
 
 
 class Emulator:
@@ -210,7 +266,7 @@ class Emulator:
         """The weights as a float64 scipy CSR matrix holding each unordered
         pair once; ValueError if the weights are too large for exact
         float64 distances."""
-        ends = _pair_ends(self.n, chain.from_iterable(self.weights), self.size)
+        ends = np.array(list(self.weights), np.int64).reshape(-1, 2)  # ids checked in __init__
         data = np.fromiter(self.weights.values(), np.float64, self.size)
         if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
             raise ValueError("emulator weights too large for exact distances")
@@ -318,7 +374,7 @@ def _is_int(token: str) -> bool:
 
 
 def dump_graph(g: Graph | Spanner) -> str:
-    edges = sorted(g.edges)
+    edges = edge_pairs(g.n, g.codes)
     out = [f"p {g.n} {len(edges)}"]
     out.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(out) + "\n"
@@ -399,9 +455,11 @@ def _bfs_arrays(csr, roots: np.ndarray, depth: Optional[int] = None) -> np.ndarr
     """(dist, parent, owner) of `bfs` from the sorted distinct `roots` as
     int64 rows, searched `depth` levels deep (None: all the way).
 
-    Level-synchronous: with the frontier in (owner, id) order, a level
-    sorts the unreached neighbors it gathers by (id, frontier rank), so each
-    new vertex takes the minimum (owner[w], w) over its closer neighbors w.
+    Level-synchronous, with the frontier in (owner, id) order: a level
+    takes the frontier `_ROW_BLOCK` vertices at a time and sorts the
+    unreached neighbors a block gathers by (id, frontier rank), so each new
+    vertex takes the minimum (owner[w], w) over its closer neighbors w; one
+    that an earlier block reached already holds a smaller key.
     """
     dist, parent, owner = out = np.full((3, len(csr[0]) - 1), UNREACHED, np.int64)
     dist[roots] = 0
@@ -410,14 +468,19 @@ def _bfs_arrays(csr, roots: np.ndarray, depth: Optional[int] = None) -> np.ndarr
     level = 0
     while len(frontier) and level != depth:
         level += 1
-        deg, nbr = csr_neighbors(csr, frontier)
-        rank = np.repeat(np.arange(len(frontier)), deg)
-        code = np.sort((nbr * len(frontier) + rank)[dist[nbr] < 0])
-        v, rank = np.divmod(code, len(frontier))
-        first = np.diff(v, prepend=-1) != 0
-        v, up = v[first], frontier[rank[first]]
-        dist[v], parent[v], owner[v] = level, up, owner[up]
-        frontier = v[np.argsort(owner[v], kind="stable")]  # v ascends
+        found = [np.empty(0, np.int64)]
+        for lo in range(0, len(frontier), _ROW_BLOCK):
+            block = frontier[lo:lo + _ROW_BLOCK]
+            deg, nbr = csr_neighbors(csr, block)
+            rank = np.repeat(np.arange(len(block)), deg)
+            code = np.sort((nbr * len(block) + rank)[dist[nbr] < 0])
+            v, rank = np.divmod(code, len(block))
+            first = np.diff(v, prepend=-1) != 0
+            v, up = v[first], block[rank[first]]
+            dist[v], parent[v], owner[v] = level, up, owner[up]
+            found.append(v)
+        v = np.sort(np.concatenate(found))
+        frontier = v[np.argsort(owner[v], kind="stable")]
     return out
 
 
@@ -432,17 +495,20 @@ def csr_neighbors(csr, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trace_parent_path(g: Graph, dist: Sequence[int], target: int) -> Optional[list[int]]:
-    """Walk canonical min-id parents from target down to a root.
+    """Walk canonical min-id parents from target down to a root, scanning
+    each vertex's ascending neighbor list in the kept CSR (as memoryviews,
+    which read out plain ints).
 
     Returns the root-to-target vertex sequence, or None if unreachable.
     """
     if dist[target] < 0:
         return None
+    indptr, indices = map(memoryview, g.csr)
     path = [target]
     v = target
     while dist[v] > 0:
         d1 = dist[v] - 1
-        for w in g.adj[v]:
+        for w in indices[indptr[v]:indptr[v + 1]]:
             if dist[w] == d1:
                 v = w
                 break
@@ -486,35 +552,18 @@ def _check_roots(n: int, sources: Optional[Sequence[int]]) -> np.ndarray:
     return roots
 
 
-def _pair_ends(n: int, ids: Iterable[int], m: int) -> np.ndarray:
-    """The m pairs that `ids` lists flat as an (m, 2) int64 array, in range."""
-    ends = np.fromiter(ids, np.int64, 2 * m).reshape(-1, 2)
-    if ends.size and (ends.min() < 0 or ends.max() >= n):
-        raise ValueError(f"edge end out of range [0,{n})")
-    return ends
-
-
-def _csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (indptr, indices) of the undirected pairs `ends`, an (m, 2)
-    int64 array with ends in [0, n): each pair stored in both directions,
-    every neighbor list sorted ascending."""
-    keys = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
+def _csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (indptr, indices) of the pairs that the sorted edge `codes`
+    encode: each pair stored in both directions, every neighbor list sorted
+    ascending; ValueError on an end out of range."""
+    u, v = edge_ends(n, codes)
+    keys = np.concatenate([codes, v * n + u])
     keys.sort()
     np.remainder(keys, n, out=keys)
     indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(ends.ravel(), minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
     indptr.flags.writeable = keys.flags.writeable = False
     return indptr, keys
-
-
-def adjacency_csr(n: int, pairs: Collection) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the undirected edge set `pairs` on vertices
-    0..n-1: each pair stored in both directions, every neighbor list sorted
-    ascending (the sorted adjacency lists of a Graph with these edges, and
-    its `csr`).  operator.index refuses float ends, which an int64 array
-    would truncate."""
-    ids = map(operator.index, chain.from_iterable(pairs))
-    return _csr(n, _pair_ends(n, ids, len(pairs)))
 
 
 def _dijkstra_rows(adj, roots: np.ndarray, directed: bool, unweighted: bool) -> np.ndarray:

@@ -5,7 +5,8 @@ between center pairs and between cluster pairs at complementary levels.
 The path phases are array-native: every vertex's hop row comes once from
 the packed-bitset BFS row kernel into one n x n matrix, closest cluster
 pairs are masked minima over it, and canonical-parent walks run on the
-pairs walked.
+pairs walked.  Every phase's edges are sorted edge codes, united with
+`np.union1d` into the output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, _bfs_rows, csr_neighbors, norm_edge
+from .graphs import Graph, Spanner, _bfs_rows, csr_neighbors, edge_codes, norm_edge
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
@@ -102,7 +103,7 @@ def suffix_walk(csr, dist: np.ndarray, roots, targets, ell: int) -> np.ndarray:
             deg, nbr = csr_neighbors(csr, cur)
             closer = dist[np.repeat(r, deg), nbr] == np.repeat(d - 1, deg)
             parent = np.minimum.reduceat(np.where(closer, nbr, n), np.cumsum(deg) - deg)
-            codes.append(np.minimum(cur, parent) * n + np.maximum(cur, parent))
+            codes.append(edge_codes(n, cur, parent))
             cur = parent
         out = np.unique(np.concatenate(codes))
     return out
@@ -166,8 +167,7 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
     """
     params = hybrid_params(k)
     cs = cluster_sequence(g, k, 1.0 / k, seed)
-    hk = set(cs.spanner_edges)
-    n = g.n
+    hk = cs.spanner_edges
     dist = hop_rows(g)
 
     # Center pairs across the split levels.
@@ -192,12 +192,9 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
             _, _, m, u, _ = closest_pairs(dist, sources[lo:lo + _BLOCK], targets)
             e3.append(suffix_walk(g.csr, dist, m, u, ell))
 
-    hk_codes = np.array([u * n + v for u, v in hk], np.int64)
     e3 = np.unique(np.concatenate(e3))
-    new2 = np.setdiff1d(e2, hk_codes)
-    new3 = np.setdiff1d(e3, np.union1d(hk_codes, e2))
-    lo_end, hi_end = np.divmod(np.concatenate([new2, new3]), max(n, 1))
-    edges = hk | set(zip(lo_end.tolist(), hi_end.tolist()))
+    upto2 = np.union1d(hk, e2)
+    edges = np.union1d(upto2, e3)
     meta = {
         "construction": "hybrid",
         "n": g.n,
@@ -213,11 +210,11 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
         },
         "phase_new_edges": {
             "clustering": len(hk),
-            "center_paths": len(new2),
-            "cluster_paths": len(new3),
+            "center_paths": len(upto2) - len(hk),
+            "cluster_paths": len(edges) - len(upto2),
         },
         "size": len(edges),
         "centers_low": list(z_low),
         "centers_high": list(z_high),
     }
-    return Spanner(n=g.n, edges=frozenset(edges), meta=meta)
+    return Spanner(g.n, edges, meta)

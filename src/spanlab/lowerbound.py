@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Spanner, hop_distance_matrix, norm_edge
+from .graphs import Graph, Spanner, hop_distance_matrix, is_subgraph, norm_edge
 from .util import ceil_int
 
 
@@ -148,7 +148,7 @@ def find_missing_chain(lg: LayeredGraph, h: Spanner) -> Optional[MissingChain]:
     """
     if h.n != lg.graph.n:
         raise ValueError("candidate and graph disagree on the vertex count")
-    if not h.edges <= lg.graph.edges:
+    if not is_subgraph(h, lg.graph):
         raise ValueError("candidate is not a subgraph of the layered instance")
     k = lg.k
     kept = h.edges

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, bfs_distances, trace_parent_path
+import numpy as np
+
+from .graphs import Graph, Spanner, bfs_distances, pair_codes, trace_parent_path
 from .hybrid import path_suffix
 
 
@@ -68,7 +70,7 @@ def build_sourcewise_mult(g: Graph, sources: SourceSet, k: int, seed: int) -> Sp
     sources.check_host(g)
     params = sw_params(k, sources, g.n)
     cs = cluster_sequence(g, k, params.mu, seed)
-    hk = set(cs.spanner_edges)
+    hk = cs.spanner_edges
     centers = cs.centers_at(k - 1)
 
     suffixes: set = set()
@@ -80,7 +82,7 @@ def build_sourcewise_mult(g: Graph, sources: SourceSet, k: int, seed: int) -> Sp
                 continue
             suffixes |= path_suffix(path, params.suffix_len, anchor=z_i)
 
-    edges = hk | suffixes
+    edges = np.union1d(hk, pair_codes(g.n, suffixes))
     meta = {
         "construction": "swmult",
         "n": g.n,
@@ -94,4 +96,4 @@ def build_sourcewise_mult(g: Graph, sources: SourceSet, k: int, seed: int) -> Sp
         "sources": list(sources.vertices),
         "centers": list(centers),
     }
-    return Spanner(n=g.n, edges=frozenset(edges), meta=meta)
+    return Spanner(g.n, edges, meta)

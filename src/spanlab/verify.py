@@ -24,6 +24,7 @@ from .graphs import (
     _check_roots,
     emulator_distance_matrix,
     hop_distance_matrix,
+    is_subgraph,
 )
 
 _EPS = 1e-9
@@ -245,7 +246,7 @@ def verify_spanner(
     pair.  Pairs the host graph cannot connect are skipped (and counted)."""
     if h.n != g.n:
         raise ValueError("candidate and graph disagree on the vertex count")
-    if not h.edges <= g.edges:
+    if not is_subgraph(h, g):
         raise ValueError("candidate is not a subgraph of the host graph")
     roots = None
     if spec.scope in (SOURCEWISE, SETWISE):

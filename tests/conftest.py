@@ -29,6 +29,11 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
+def pairs(n: int, codes) -> set:
+    """Edge codes u*n + v as a set of (u, v) tuples, decoded here."""
+    return {divmod(int(c), n) for c in codes}
+
+
 def random_tree(n: int, seed: int) -> Graph:
     """Deterministic random tree: each vertex attaches to an earlier one."""
     rng = np.random.default_rng(seed)

@@ -49,6 +49,22 @@ def test_swadd_rows_get_the_resample_budget():
     assert seen == [bench.RETRIES]
 
 
+def test_fast_grid_builds_no_edge_views(monkeypatch):
+    # builders and checkers read a host's codes and CSR, never its tuples
+    hosts, make = [], bench.random_graph
+
+    def recorded(*args):
+        hosts.append(make(*args))
+        return hosts[-1]
+
+    monkeypatch.setattr(bench, "random_graph", recorded)
+    for case in bench.CASES:
+        assert all(row.violations == 0 for row in bench.run_case(case, fast=True))
+    assert len(hosts) == len(bench.CASES)
+    for g in hosts:
+        assert not {"edges", "adj"} & set(vars(g))
+
+
 def _report(outcome):
     status = "PASS" if outcome.passed else "FAIL"
     print(f"criterion {outcome.number} ({outcome.name}): {status} -- {outcome.detail}")

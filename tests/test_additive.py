@@ -11,6 +11,7 @@ from spanlab import (
     HubClustering,
     Graph,
     SourceSet,
+    Spanner,
     additive_params,
     bfs,
     bfs_distances,
@@ -36,7 +37,7 @@ from spanlab.additive import (
     _path_value,
     _remove_cycles,
 )
-from conftest import parent_host, root_samples
+from conftest import pairs, parent_host, root_samples
 from oracles import canonical_path, floyd_warshall, recount_heavy
 
 INF = float("inf")
@@ -155,10 +156,10 @@ def _hand_clustering(n, clusters, hubs):
     for cid, members in enumerate(clusters):
         for m in members:
             index[m] = cid
-            g_c.add((min(hubs[cid], m), max(hubs[cid], m)))
+            g_c.add(min(hubs[cid], m) * n + max(hubs[cid], m))
     return HubClustering(
         gamma=0.5, size=len(clusters[0]) if clusters else 1,
-        clusters=clusters, hubs=hubs, g_c=g_c, cluster_index=index,
+        clusters=clusters, hubs=hubs, g_c=np.array(sorted(g_c), np.int64), cluster_index=index,
     )
 
 
@@ -215,7 +216,7 @@ def test_cluster_cap_shortens_crowded_clusters():
     # collapses onto the hub route
     clustering = _hand_clustering(10, [[1, 2, 3, 4]], [9])
     walk = [0, 1, 2, 3, 4, 5]
-    out = _enforce_cluster_cap(walk, clustering)
+    out = _enforce_cluster_cap(walk, clustering, pairs(10, clustering.g_c))
     assert out == [0, 1, 9, 4, 5]
     assert out[0] == 0 and out[-1] == 5
 
@@ -353,8 +354,8 @@ def test_long_check_counts_pairs_beyond_plus_2k(monkeypatch):
     # hops over their host distance, so the +2k bound splits them.
     g = _hub_chain(spine=12, hub_leaves=20, spine_leaves=18)  # n=491
     src = SourceSet.from_ids(range(g.n), g.n)
-    def buy_nothing(g, sources, dist_rows, short, gc, base_edges, params):
-        return set(base_edges), {"edges_bought": 0, "levels": []}
+    def buy_nothing(g, sources, dist_rows, short, gc, base, params):
+        return base, {"edges_bought": 0, "levels": []}
 
     no_draws = SimpleNamespace(random=lambda: 1.0)
     monkeypatch.setattr(additive, "subrng", lambda *labels: no_draws)
@@ -379,6 +380,7 @@ def test_short_pairs_hold_without_any_sampled_trees():
     k = 1
     params = additive_params(g, src, k)
     heavy = _heavy_flags(g, params.heavy_degree)
+    assert heavy.tolist() == [g.degree(v) >= params.heavy_degree for v in range(g.n)]
     light = {e for e in g.edges if not (heavy[e[0]] and heavy[e[1]])}
     gc = hub_clustering(g, math.log(params.heavy_degree) / math.log(g.n))
     short_targets = {s: [] for s in src.vertices}
@@ -389,8 +391,10 @@ def test_short_pairs_hold_without_any_sampled_trees():
     for i, targets in enumerate(short_targets.values()):
         short[i, targets] = True
     dist = hop_distance_matrix(g, src.vertices)
-    edges, stats = _buy_short_paths(g, src.vertices, dist, short, gc, gc.g_c | light, params)
-    sub = Graph(g.n, edges)
+    base = np.union1d(gc.g_c, [u * g.n + v for u, v in light])
+    edges, stats = _buy_short_paths(g, src.vertices, dist, short, gc, base, params)
+    assert np.isin(base, edges).all()
+    sub = Spanner(g.n, edges)
     for s, targets in short_targets.items():
         dg = bfs_distances(g, [s])
         dh = bfs_distances(sub, [s])
@@ -458,7 +462,7 @@ def test_emulator_sandwich_on_grid_instance():
 def test_subsetwise_singleton_is_bare_clustering():
     g = random_graph(60, 0.1, 2)
     sp = build_subsetwise_plus2(g, [5])
-    assert sp.edges == frozenset(hub_clustering(g, 0.0).g_c)
+    assert sp.edges == pairs(g.n, hub_clustering(g, 0.0).g_c)
 
 
 def test_subsetwise_buys_forced_edge():
@@ -555,8 +559,8 @@ def test_tree_union_is_the_union_of_per_root_bfs_trees(monkeypatch, host, block)
         for z in roots:
             want |= {norm_edge(v, p) for v, p in enumerate(bfs(g, [z]).parent) if p >= 0}
         got = additive.tree_union(g, roots)
-        assert got == want
-        assert all(type(u) is int and type(v) is int for u, v in got)
+        assert got.dtype == np.int64 and got.tolist() == sorted(got.tolist())
+        assert len(got) == len(want) and pairs(g.n, got) == want
 
 
 def _forbid_per_root_searches(monkeypatch):

@@ -243,6 +243,16 @@ def test_candidate_vertex_count_mismatch_exits_1(tmp_path):
     assert main(["verify", "--graph", g, "--candidate", str(other), "--spec", "hybrid:k=2"]) == 1
 
 
+def test_non_host_candidate_exits_1(tmp_path, capsys):
+    g = _gen_random(tmp_path)
+    u, v = next((u, v) for u in range(60) for v in range(u + 1, 60)
+                if not load_graph(open(g).read()).has_edge(u, v))
+    rogue = tmp_path / "rogue.el"
+    rogue.write_text(f"p 60 1\n{u} {v}\n")
+    assert main(["verify", "--graph", g, "--candidate", str(rogue), "--spec", "hybrid:k=2"]) == 1
+    assert "not a subgraph" in capsys.readouterr().err
+
+
 def test_audit_candidate_vertex_count_mismatch_exits_1(tmp_path, capsys):
     paths = _gen_lb(tmp_path)
     g = load_graph((tmp_path / "lb.el").read_text())
@@ -399,7 +409,7 @@ def test_swadd_long_violations_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         additive, "_buy_short_paths",
         lambda g, sources, dist, short, gc, base, params: (
-            set(base), {"edges_bought": 0, "levels": []}
+            base, {"edges_bought": 0, "levels": []}
         ),
     )
     out, report = tmp_path / "sa.el", tmp_path / "sa.json"

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from spanlab import clustering
 from spanlab import (
     Graph,
+    Spanner,
     hub_clustering,
     cluster_sequence,
     hop_distance_matrix,
     random_graph,
 )
-from conftest import no_adj
+from conftest import no_adj, pairs
 from oracles import floyd_warshall, greedy_hub_clustering
 
 INF = float("inf")
@@ -48,13 +51,18 @@ def _audit_levels(g, cs):
         # freshly unclustered vertices are recorded once, ever
         assert not (set(level.delta) & seen_delta)
         seen_delta |= set(level.delta)
+        # both edge sets are sorted unique host edge codes
+        for codes in (level.forest, level.q_edges):
+            assert codes.dtype == np.int64 and codes.tolist() == sorted(set(codes.tolist()))
+            assert pairs(g.n, codes) <= g.edges
         # forest: per cluster a spanning tree rooted at the center
         clusters = level.clusters()
         index_of = {u: z for z, members in clusters.items() for u in members}
-        for a, b in level.forest:
+        forest = pairs(g.n, level.forest)
+        for a, b in forest:
             assert index_of[a] == index_of[b]
         for z, members in clusters.items():
-            inside = [(a, b) for a, b in level.forest if index_of[a] == z]
+            inside = [(a, b) for a, b in forest if index_of[a] == z]
             assert len(inside) == len(members) - 1
             adj = {u: [] for u in members}
             for a, b in inside:
@@ -83,14 +91,14 @@ def test_level_zero_is_singletons():
     lvl = cs.levels[0]
     assert lvl.centers == list(range(24))
     assert lvl.assignment == list(range(24))
-    assert lvl.forest == set() and lvl.q_edges == set()
+    assert len(lvl.forest) == len(lvl.q_edges) == 0
 
 
 def test_k1_mu1_rebuilds_the_graph(petersen):
     cs = cluster_sequence(petersen, 1, 1.0, 7)
     assert cs.levels[1].centers == []
     assert cs.levels[1].delta == list(range(10))
-    assert cs.spanner_edges == set(petersen.edges)
+    assert pairs(10, cs.spanner_edges) == set(petersen.edges)
 
 
 def test_petersen_audit_and_golden_dump(petersen):
@@ -120,17 +128,18 @@ def test_determinism():
     g = random_graph(60, 0.1, 4)
     a = cluster_sequence(g, 2, 0.5, 9)
     b = cluster_sequence(g, 2, 0.5, 9)
-    assert a.spanner_edges == b.spanner_edges
+    assert np.array_equal(a.spanner_edges, b.spanner_edges)
     assert _assignments(a) == _assignments(b)
 
 
 def _levels(cs):
     """Every field of every level, with the accumulated spanner."""
     fields = [
-        (lv.tau, lv.centers, lv.assignment, lv.center_dist, lv.forest, lv.delta, lv.q_edges)
+        (lv.tau, lv.centers, lv.assignment, lv.center_dist, lv.forest.tolist(), lv.delta,
+         lv.q_edges.tolist())
         for lv in cs.levels
     ]
-    return fields, cs.spanner_edges
+    return fields, cs.spanner_edges.tolist()
 
 
 def test_cluster_sequence_reads_no_adjacency_tuples(petersen):
@@ -143,7 +152,7 @@ def test_cluster_sequence_reads_no_adjacency_tuples(petersen):
         assert _levels(got) == _levels(want)
         for lv in got.levels:
             assert all(type(x) is int for x in lv.centers + lv.assignment + lv.center_dist + lv.delta)
-            assert all(type(x) is int for e in lv.forest | lv.q_edges for x in e)
+            assert lv.forest.dtype == lv.q_edges.dtype == np.int64
 
 
 def test_escape_edges_do_not_depend_on_the_gather_block(monkeypatch):
@@ -167,7 +176,7 @@ def test_partial_spanner_bounds_unclustered_edges():
         g = random_graph(64, 0.1, seed)
         k = 3
         cs = cluster_sequence(g, k, 1.0 / k, seed)
-        hk = Graph(g.n, cs.spanner_edges)
+        hk = Spanner(g.n, cs.spanner_edges)
         dmat = hop_distance_matrix(hk)
         for ell in range(1, k + 1):
             clustered = _level_clustered(cs, ell)
@@ -181,7 +190,7 @@ def test_partial_spanner_is_low_stretch_at_density_one_over_k():
     for n, k, seed in [(64, 2, 1), (64, 2, 2), (96, 3, 1), (96, 4, 2)]:
         g = random_graph(n, 8.0 / (n - 1), seed)
         cs = cluster_sequence(g, k, 1.0 / k, seed)
-        hk = Graph(g.n, cs.spanner_edges)
+        hk = Spanner(g.n, cs.spanner_edges)
         dmat = hop_distance_matrix(hk)
         worst = max(dmat[u][v] for u, v in g.edges)
         assert 1 <= worst <= 2 * k - 1
@@ -220,7 +229,7 @@ def test_hub_clustering_gamma_one_keeps_everything():
     g = random_graph(40, 0.2, 6)
     c = hub_clustering(g, 1.0)
     assert c.clusters == []
-    assert c.g_c == set(g.edges)
+    assert pairs(g.n, c.g_c) == set(g.edges)
 
 
 def test_hub_clustering_star():
@@ -230,12 +239,14 @@ def test_hub_clustering_star():
     assert c.size == 9
     assert c.clusters == [list(range(1, 10))]
     assert c.hubs == [0]
-    assert c.g_c == set(star.edges)
+    assert pairs(star.n, c.g_c) == set(star.edges)
 
 
 def _audit_hub_clustering(g, c):
     n = g.n
     assert len(c.clusters) <= math.ceil(n ** (1 - c.gamma) + 1e-9)
+    assert c.g_c.dtype == np.int64 and c.g_c.tolist() == sorted(set(c.g_c.tolist()))
+    kept = pairs(n, c.g_c)
     seen = set()
     for cid, members in enumerate(c.clusters):
         assert len(members) == c.size
@@ -244,14 +255,14 @@ def _audit_hub_clustering(g, c):
         hub = c.hubs[cid]
         for m in members:
             assert g.has_edge(hub, m)
-            assert (min(hub, m), max(hub, m)) in c.g_c
+            assert (min(hub, m), max(hub, m)) in kept
     # any skipped edge joins two different clusters
     for u, v in g.edges:
-        if (u, v) not in c.g_c:
+        if (u, v) not in kept:
             cu, cv = c.cluster_index[u], c.cluster_index[v]
             assert cu >= 0 and cv >= 0 and cu != cv
     # members of one cluster sit within two hops inside the kept subgraph
-    sub = Graph(n, c.g_c)
+    sub = Graph(n, kept)
     dmat = hop_distance_matrix(sub)
     for members in c.clusters:
         for a in members:
@@ -278,7 +289,7 @@ def test_hub_clustering_is_the_rescanning_greedy():
         g = random_graph(n, p, seed)
         c = hub_clustering(g, gamma)
         want = greedy_hub_clustering(g, c.size)
-        assert (c.clusters, c.hubs, c.g_c, c.cluster_index) == want
+        assert (c.clusters, c.hubs, pairs(n, c.g_c), c.cluster_index) == want
         repeats += len(c.hubs) - len(set(c.hubs))
     assert repeats > 0  # some hub heads more than one cluster
 
@@ -290,4 +301,5 @@ def test_hub_clustering_hub_heads_two_clusters_in_a_row():
     assert c.size == size
     assert c.hubs == [0, 0]
     assert c.clusters == [[1, 2, 3, 4], [5, 6, 7, 8]]
-    assert (c.clusters, c.hubs, c.g_c, c.cluster_index) == greedy_hub_clustering(star, size)
+    kept = pairs(star.n, c.g_c)
+    assert (c.clusters, c.hubs, kept, c.cluster_index) == greedy_hub_clustering(star, size)

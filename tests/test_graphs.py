@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -220,24 +221,48 @@ def test_graph_inputs_give_equal_graphs():
 
 
 def test_graph_stores_plain_shared_ints():
+    # the one stored form is the sorted read-only int64 code array; the
+    # tuple views are built on first read, hold plain ints and are kept
     assert Graph(3, [(True, 2)]).edges == {(1, 2)}
     for given in ([(np.int64(0), np.int64(1)), (True, 2)], np.array([[0, 1], [2, 1]], np.int32)):
         g = Graph(3, given)
-        assert g.edges == {(0, 1), (1, 2)}
+        assert g.codes.dtype == np.int64 and g.codes.tolist() == [1, 5]
+        assert not g.codes.flags.writeable
+        assert not {"edges", "adj", "csr"} & set(vars(g))
+        assert g.edges == {(0, 1), (1, 2)} and g.edges is g.edges
+        assert g.adj == ((1,), (0, 2), (1,)) and g.adj is g.adj
         assert all(type(x) is int for e in g.edges for x in e)
         assert all(type(x) is int for nbrs in g.adj for x in nbrs)
-    g = random_graph(400, 0.05, 2)  # ids past the interpreter's small-int cache
-    held = {id(x) for e in g.edges for x in e} | {id(x) for nbrs in g.adj for x in nbrs}
-    assert len(held) <= g.n
+        assert g.sorted_edges() == [(0, 1), (1, 2)]
+    g = random_graph(400, 0.05, 2)
+    assert set(vars(g)) == {"n", "codes"}
+    assert g.codes.tolist() == [u * g.n + v for u, v in sorted(g.edges)]
+
+
+def test_graph_holds_codes_and_csr_only():
+    # about 24 B per edge: 8 for the code, 16 for its two CSR entries
+    tracemalloc.start()
+    try:
+        g = random_graph(2048, 0.1, 1)
+        g.csr
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.m > 200_000 and held <= 40 * g.m
 
 
 @pytest.mark.parametrize("n, p", [(0, 0.5), (1, 0.5), (50, 0.1), (50, 1.0)])
 def test_graph_keeps_a_read_only_csr(n, p):
     g = random_graph(n, p, 3)
-    for kept, built in zip(g.csr, graphs.adjacency_csr(g.n, g.edges)):
-        assert kept.dtype == np.int64 and np.array_equal(kept, built)
-        assert not kept.flags.writeable
+    nbrs = [[] for _ in range(n)]
+    for u, v in g.sorted_edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    assert g.csr is g.csr
+    for kept in g.csr:
+        assert kept.dtype == np.int64 and not kept.flags.writeable
     indptr, indices = g.csr
+    assert [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)] == [sorted(x) for x in nbrs]
     assert [tuple(indices[indptr[v]:indptr[v + 1]]) for v in range(g.n)] == list(g.adj)
 
 
@@ -251,7 +276,6 @@ def test_host_rows_read_the_kept_csr(monkeypatch):
         raise AssertionError("a host's CSR was rebuilt")
 
     monkeypatch.setattr(graphs, "_csr", rebuilt)
-    monkeypatch.setattr(graphs, "adjacency_csr", rebuilt)
     assert np.array_equal(hop_distance_matrix(g), want)
     assert np.array_equal(hybrid.hop_rows(g), want)
     build_hybrid(g, 2, 1)
@@ -384,6 +408,19 @@ def _oracle_owner_and_parent(g, roots):
                 w for w in g.adj[v] if dist[w] == dist[v] - 1 and owner[w] == owner[v]
             )
     return as_int_grid([dist])[0], owner, parent
+
+
+@pytest.mark.parametrize("depth", [None, 1, 2])
+def test_bfs_levels_go_in_frontier_blocks(monkeypatch, kernel_host, depth):
+    # levels wider than a block of 7 frontier vertices give the same
+    # (dist, parent, owner) as whole levels
+    searches = [(h, np.array(sorted(set(roots)), np.int64))
+                for h in (kernel_host[0], parent_host()) for roots in root_samples(h.n) if roots]
+    want = [graphs._bfs_arrays(h.csr, roots, depth) for h, roots in searches]
+    monkeypatch.setattr(graphs, "_ROW_BLOCK", 7)
+    for (h, roots), rows in zip(searches, want):
+        assert np.array_equal(graphs._bfs_arrays(h.csr, roots, depth), rows)
+    assert any(len(roots) > 7 for _, roots in searches)
 
 
 def test_bfs_multi_root_parents_match_oracle():
@@ -588,10 +625,11 @@ def test_hop_rows_read_a_spanner_edge_set():
 def test_spanner_keeps_its_csr():
     for g, sp in _split_instances():
         assert sp.csr is sp.csr
-        for kept, built in zip(sp.csr, graphs.adjacency_csr(g.n, sp.edges)):
+        for kept, built in zip(sp.csr, Graph(g.n, sp.edges).csr):
             assert kept.dtype == np.int64 and np.array_equal(kept, built)
             assert not kept.flags.writeable
         assert sp == Spanner(sp.n, sp.edges)  # the kept CSR is no field
+        assert sp == Spanner(sp.n, sp.codes) and hash(sp) == hash(Spanner(sp.n, sp.codes))
 
 
 def test_spanner_csr_checks_every_end():
@@ -702,7 +740,7 @@ def test_bitset_rows_on_tiny_hosts(n):
 
 def test_adjacency_csr_is_the_sorted_adjacency(kernel_host):
     g, _ = kernel_host
-    indptr, indices = graphs.adjacency_csr(g.n, g.edges)
+    indptr, indices = Spanner(g.n, g.edges).csr  # laid out from the tuples
     assert [tuple(indices[indptr[v]:indptr[v + 1]]) for v in range(g.n)] == list(g.adj)
     for bad in [(0, 3), (-1, 1)]:
         with pytest.raises(ValueError, match="out of range"):

@@ -5,6 +5,7 @@ import pytest
 
 from spanlab import (
     Graph,
+    Spanner,
     bfs,
     build_hybrid,
     cluster_sequence,
@@ -16,7 +17,6 @@ from spanlab import (
     trace_owner_path,
 )
 from spanlab import hybrid
-from spanlab.graphs import adjacency_csr
 from spanlab.hybrid import closest_pairs, hop_rows, suffix_walk
 from conftest import no_adj, random_tree
 from oracles import floyd_warshall, path_is_valid
@@ -84,7 +84,8 @@ def test_suffix_rejects_interior_anchor():
 
 
 def _walked(g, dist, roots, targets, ell):
-    codes = suffix_walk(adjacency_csr(g.n, g.edges), dist, roots, targets, ell)
+    # a CSR laid out from the edge tuples, not the host's own
+    codes = suffix_walk(Spanner(g.n, g.edges).csr, dist, roots, targets, ell)
     return {divmod(int(c), g.n) for c in codes}
 
 

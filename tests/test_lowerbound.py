@@ -152,6 +152,22 @@ def test_candidate_not_subgraph_rejected():
         find_missing_chain(lg, h)
 
 
+@pytest.mark.parametrize("kind", ["reversed", "loop", "out of range", "non-host"])
+def test_malformed_pairs_are_not_instance_edges(kind):
+    lg = _quiet_build(16, 2, 1.0)
+    n = lg.graph.n
+    u, v = lg.graph.sorted_edges()[-1]
+    # (u - 1, v + n) would encode to u*n + v, the code of host edge (u, v)
+    pair = {"reversed": (v, u), "loop": (u, u), "out of range": (u - 1, v + n),
+            "non-host": (0, 1)}[kind]
+    for edges in ({pair}, set(lg.graph.sorted_edges()[:-1]) | {pair}):
+        h = Spanner(n, edges)
+        with pytest.raises(ValueError, match="not a subgraph of the layered instance"):
+            lb_audit(lg, h)
+        with pytest.raises(ValueError, match="not a subgraph"):
+            find_missing_chain(lg, h)
+
+
 def test_audit_rejects_candidate_of_another_vertex_count():
     lg = _quiet_build(16, 2, 1.0)
     edges = frozenset(lg.graph.sorted_edges()[:60])

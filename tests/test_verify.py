@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_non_subgraph_candidate_rejected(cycle5):
     rogue = Spanner(5, frozenset({(0, 2)}), {})
     with pytest.raises(ValueError, match="subgraph"):
         verify_spanner(cycle5, rogue, None, hybrid_spec(2))
+
+
+@pytest.mark.parametrize("pair", [(1, 0), (2, 2), (0, 7), (-1, 2), (0, 2)])
+def test_malformed_pairs_are_not_host_edges(pair):
+    # a reversed pair, a loop, two out-of-range pairs and a non-host edge of
+    # the 5-path; (0, 7) would encode to 7, the code of host edge (1, 2)
+    path5 = Graph(5, [(i, i + 1) for i in range(4)])
+    assert 0 * 5 + 7 in path5.codes
+    for edges in ({pair}, {pair, (1, 2)}, set(path5.edges) | {pair}):
+        with pytest.raises(ValueError, match="candidate is not a subgraph of the host graph"):
+            verify_spanner(path5, Spanner(5, edges), None, hybrid_spec(2))
+    assert verify_spanner(path5, Spanner(5, path5.edges), None, hybrid_spec(2)).ok
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -360,13 +373,13 @@ def test_blocked_verify_builds_the_candidate_csr_once(monkeypatch):
     h = _as_spanner(g, g.sorted_edges()[::2])
     want = verify_spanner(g, h, None, hybrid_spec(2)).to_dict(violation_cap=10**9)
     built = []
-    inner = graphs.adjacency_csr
+    inner = graphs._csr
 
     def counted(*args):
         built.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(graphs, "adjacency_csr", counted)
+    monkeypatch.setattr(graphs, "_csr", counted)
     monkeypatch.setattr(graphs, "_ROW_BLOCK", 7)
     monkeypatch.setattr(verify, "_ROW_BLOCK", 7)  # 40 roots: six blocks
     h = _as_spanner(g, h.edges)
@@ -381,13 +394,15 @@ def test_blocked_verify_builds_the_emulator_adjacency_once(monkeypatch):
     want = verify_emulator(g, Emulator(g.n, triples), range(g.n), beta=2)
     assert want.n_violations and want.classes["additive-upper"].pairs
     built = []
-    inner = graphs._pair_ends
+    inner = Emulator.adjacency.func
 
-    def counted(*args):
-        built.append(args)
-        return inner(*args)
+    def counted(self):
+        built.append(self)
+        return inner(self)
 
-    monkeypatch.setattr(graphs, "_pair_ends", counted)
+    kept = cached_property(counted)
+    kept.__set_name__(Emulator, "adjacency")
+    monkeypatch.setattr(Emulator, "adjacency", kept)
     monkeypatch.setattr(graphs, "_ROW_BLOCK", 7)
     monkeypatch.setattr(verify, "_ROW_BLOCK", 7)  # 40 roots: six blocks
     em = Emulator(g.n, triples)
@@ -417,7 +432,7 @@ def test_blocks_of_roots_report_as_one_block(monkeypatch):
     isolated = [v for v in range(g.n) if not g.adj[v]]
     dist = hop_distance_matrix(g)
     firsts = [v for v in range(g.n) if (dist[v, :v] < 0).all()]  # one per component
-    h = _as_spanner(g, tree_union(g, firsts) | set(edges[::5]))
+    h = _as_spanner(g, {divmod(int(c), g.n) for c in tree_union(g, firsts)} | set(edges[::5]))
     em = Emulator(g.n, [(u, v, 1 + (i % 5 == 0)) for i, (u, v) in enumerate(edges) if i % 4]
                   + [(0, isolated[0], 1), (3, 41, 2)])
     sources = [5, 0, 17, 33, 5, 59, 41, 12, 17, 8, 22, 47, 30, 51, 2, 0, 44, 38, 19, 26]
