@@ -8,8 +8,9 @@ kernel (`hop_distance_matrix`) and their canonical min-id parents from
 `parent_rows`, so pair classification, the sampled trees and the canonical
 paths of the bought pairs run no per-root BFS.  `_relax_new_edges` both
 computes and repairs the source rows of a growing spanner.  Edge sets are
-sorted edge codes; path buying, which tests one edge at a time, keeps one
-Python set of (u, v) pairs built from them.
+sorted edge codes; path buying, which tests one edge at a time, keeps the
+growing spanner as neighbor sets built from them (`_adjacency`), and the
+edges it buys become codes once, at the end.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from .graphs import (
     Spanner,
     edge_codes,
     edge_ends,
-    edge_pairs,
     hop_distance_matrix,
-    norm_edge,
-    pair_codes,
     parent_path,
     parent_rows,
 )
@@ -151,19 +149,18 @@ def tree_union(g: Graph, roots: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(n: int, edges) -> list[set]:
-    adj: list[set] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _adjacency(n: int, codes: np.ndarray) -> list[set]:
+    """Neighbor sets of the edges `codes`: the one form of a spanner that
+    path buying grows, where edge {a, b} is kept when b is in adj[a]."""
+    indptr, indices = Spanner(n, codes).csr
+    nbrs, bounds = indices.tolist(), indptr.tolist()
+    return [set(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _insert_edges(spanner: set, adj: list[set], new_edges, rows) -> list[list[int]]:
-    """Add normalized edges to a growing spanner and repair every distance
-    row in place; returns, per row, the vertices whose distance improved."""
+def _insert_edges(adj: list[set], new_edges: list, rows) -> list[list[int]]:
+    """Add (u, v) edges to a growing spanner and repair every distance row
+    in place; returns, per row, the vertices whose distance improved."""
     for u, v in new_edges:
-        spanner.add((u, v))
         adj[u].add(v)
         adj[v].add(u)
     return [_relax_new_edges(adj, row, new_edges) for row in rows]
@@ -227,17 +224,17 @@ def _remove_cycles(walk: list[int]) -> list[int]:
     return out
 
 
-def _cluster_route(a: int, b: int, hub: int, spanner: set) -> list[int]:
+def _cluster_route(a: int, b: int, hub: int, adj: list[set]) -> list[int]:
     """Vertices strictly between a and b on a <=2-edge route inside their
     cluster: none if the spanner keeps edge (a, b), else the hub.  The
     spanner holds the clustering subgraph, so it keeps every host edge
     inside a cluster."""
-    if a == b or norm_edge(a, b) in spanner:
+    if a == b or b in adj[a]:
         return []
     return [hub]
 
 
-def _enforce_cluster_cap(walk: list[int], gc: HubClustering, spanner: set) -> list[int]:
+def _enforce_cluster_cap(walk: list[int], gc: HubClustering, adj: list[set]) -> list[int]:
     """Shorten until no cluster holds four or more path vertices."""
     while True:
         walk = _remove_cycles(walk)
@@ -251,7 +248,7 @@ def _enforce_cluster_cap(walk: list[int], gc: HubClustering, spanner: set) -> li
             return walk
         cid = crowded[0]
         a_pos, b_pos = occ[cid][0], occ[cid][-1]
-        mid = _cluster_route(walk[a_pos], walk[b_pos], gc.hubs[cid], spanner)
+        mid = _cluster_route(walk[a_pos], walk[b_pos], gc.hubs[cid], adj)
         walk = walk[: a_pos + 1] + mid + walk[b_pos:]
 
 
@@ -267,15 +264,11 @@ def _path_value(path: Sequence[int], cluster_index: Sequence[int], cdist: Sequen
     return sum(1 for cid, pos in first_pos.items() if pos < cdist[cid])
 
 
-def _missing_positions(path: Sequence[int], spanner: set) -> list[int]:
-    return [
-        i
-        for i in range(1, len(path))
-        if norm_edge(path[i - 1], path[i]) not in spanner
-    ]
+def _missing_positions(path: Sequence[int], adj: list[set]) -> list[int]:
+    return [i for i in range(1, len(path)) if path[i] not in adj[path[i - 1]]]
 
 
-def _check_candidate(path, source, target, level, base_dist, params, gc, spanner):
+def _check_candidate(path, source, target, level, base_dist, params, gc, adj):
     """Invariants every candidate path must satisfy at its level; returns
     the path's missing positions, whose count is its cost."""
     if path[0] != source or path[-1] != target:
@@ -289,7 +282,7 @@ def _check_candidate(path, source, target, level, base_dist, params, gc, spanner
             counts[cid] = counts.get(cid, 0) + 1
     if counts and max(counts.values()) > 3:
         raise RuntimeError("cluster occupancy invariant violated (internal bug)")
-    missing = _missing_positions(path, spanner)
+    missing = _missing_positions(path, adj)
     budget = params.long_threshold / (params.level_factor ** level)
     if len(missing) > budget + _EPS:
         raise RuntimeError("missing-edge budget invariant violated (internal bug)")
@@ -304,8 +297,7 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
     sources[i], and `short[i]` masks its short targets.  Starts from the
     edge codes `base` and returns the codes of the spanner bought."""
     n = g.n
-    spanner = set(edge_pairs(n, base))
-    adj = _adjacency(n, spanner)
+    adj = _adjacency(n, base)
     bought: list[tuple[int, int]] = []
     phi = params.level_factor
     k = params.k
@@ -328,13 +320,13 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
             base_dist = dist_g[v]
             level = 0
             while True:
-                missing = _check_candidate(path, s, v, level, base_dist, params, gc, spanner)
+                missing = _check_candidate(path, s, v, level, base_dist, params, gc, adj)
                 cost = len(missing)
                 value = _path_value(path, gc.cluster_index, cdist)
                 if cost <= 3.0 * phi * value + _EPS:
                     if cost:
-                        new_edges = [norm_edge(path[i - 1], path[i]) for i in missing]
-                        [improved] = _insert_edges(spanner, adj, new_edges, [dist_h])
+                        new_edges = [(path[i - 1], path[i]) for i in missing]
+                        [improved] = _insert_edges(adj, new_edges, [dist_h])
                         bought += new_edges
                         for x in improved:
                             cid = gc.cluster_index[x]
@@ -346,19 +338,17 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
                     break
                 if level == k:
                     raise RuntimeError("top-level candidate has positive cost (internal bug)")
-                path = _next_level_path(
-                    path, cost, dist_h, cdist, nearest, adj, gc, spanner, phi
-                )
+                path = _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi)
                 level += 1
-    return np.union1d(base, pair_codes(n, bought)), stats
+    return np.union1d(base, edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T)), stats
 
 
-def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, spanner, phi):
+def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi):
     """Reroute a rejected candidate: keep the longest suffix with
     floor(cost/phi) missing edges, enter it through a cluster the spanner
     already reaches at least as fast as the path does, at the cluster's
     nearest member (`nearest`, the minimum (dist_h, id))."""
-    missing = _missing_positions(path, spanner)
+    missing = _missing_positions(path, adj)
     if len(missing) != cost or cost == 0:
         raise RuntimeError("stale cost during reroute (internal bug)")
     keep = int(cost / phi)
@@ -378,13 +368,13 @@ def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, spanner, phi):
     x = path[pos]
     y = nearest[cid]
     prefix = _descend(adj, dist_h, y)
-    mid = _cluster_route(y, x, gc.hubs[cid], spanner)
+    mid = _cluster_route(y, x, gc.hubs[cid], adj)
     tail = list(path[pos:])
     if y == x:
         walk = prefix + tail[1:]
     else:
         walk = prefix + mid + tail
-    return _enforce_cluster_cap(walk, gc, spanner)
+    return _enforce_cluster_cap(walk, gc, adj)
 
 
 def build_sourcewise_additive(
@@ -432,7 +422,7 @@ def build_sourcewise_additive(
     for attempt in range(retries + 1):
         attempts = attempt + 1
         rng = subrng(seed, "tree-roots", attempt)
-        roots = [v for v in range(n) if rng.random() < sample_prob]
+        roots = np.flatnonzero(rng.random(n) < sample_prob)
         trees = tree_union(g, roots)
         edges = np.union1d(bought, trees)
         long_violations = 0
@@ -481,7 +471,7 @@ def build_sourcewise_emulator2(g: Graph, sources: SourceSet) -> Emulator:
     gc = hub_clustering(g, sources.epsilon / 2.0)
     n = g.n
     u, v = edge_ends(n, gc.g_c)
-    triples = list(zip(u.tolist(), v.tolist(), [1] * len(u)))
+    triples = [np.stack([u, v, np.ones_like(u)], axis=1)]
     if gc.clusters:
         # per (source, cluster) the minimum (dist, id) over reached members:
         # one masked minimum over the member-ordered columns
@@ -493,8 +483,8 @@ def build_sourcewise_emulator2(g: Graph, sources: SourceSet) -> Emulator:
         row, col = np.nonzero((best >= n) & (best != _NO_PAIR))  # no source to itself
         d, m = np.divmod(best[row, col], n)
         roots = np.array(sources.vertices, np.int64)[row]
-        triples += zip(roots.tolist(), m.tolist(), d.tolist())
-    return Emulator(n, triples)
+        triples.append(np.stack([roots, m, d], axis=1))
+    return Emulator(n, np.concatenate(triples))
 
 
 def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
@@ -509,8 +499,7 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     n = g.n
     kappa = math.log(len(zs)) / math.log(n) if n >= 2 else 0.0
     gc = hub_clustering(g, kappa / 2.0)
-    edges = set(edge_pairs(n, gc.g_c))
-    adj = _adjacency(n, edges)
+    adj = _adjacency(n, gc.g_c)
 
     dist = hop_distance_matrix(g, zs)
     dist_g = dict(zip(zs, dist.tolist()))
@@ -528,11 +517,11 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
             row = rows[a] = _spanner_row(adj, a)
         if row[b] > dg + 2:
             path = parent_path(parents[a], b)
-            new_edges = {norm_edge(x, y) for x, y in zip(path, path[1:])} - edges
-            _insert_edges(edges, adj, new_edges, rows.values())
+            new_edges = [(x, y) for x, y in zip(path, path[1:]) if y not in adj[x]]
+            _insert_edges(adj, new_edges, rows.values())
             bought_edges += new_edges
             bought += 1
-    codes = np.union1d(gc.g_c, pair_codes(n, bought_edges))
+    codes = np.union1d(gc.g_c, edge_codes(n, *np.array(bought_edges, np.int64).reshape(-1, 2).T))
 
     meta = {
         "construction": "subsetwise2",

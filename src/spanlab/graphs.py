@@ -2,10 +2,11 @@
 primitives with minimum-id tie-breaking, canonical shortest paths, one
 distance core fed from edge sets, and seeded random-graph generation.
 
-One edge form: a Graph or a Spanner stores only its sorted int64 edge codes
-u*n + v, and this module alone encodes and decodes them.  The CSR, the
-`edges` frozenset and a Graph's `adj` tuples are views built on first read;
-an Emulator keeps its weighted scipy matrix.  `bfs` searches level by level
+One edge form: a Graph, a Spanner or an Emulator stores only its sorted
+int64 edge codes u*n + v (an Emulator with an aligned int64 weight array),
+and this module alone encodes and decodes them.  The CSR, the `edges`
+frozenset, a Graph's `adj` tuples and an Emulator's `weights` dict and
+scipy matrix are views built on first read.  `bfs` searches level by level
 over the CSR, with `csr_neighbors`, the one neighbor-list gather.  The distance core
 serves every bulk row.  Hop rows of a graph or a spanner, over its kept CSR,
 come from a packed-bitset BFS (64 sources per uint64 word); sources whose
@@ -42,10 +43,11 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class _CodedEdges:
-    """The one stored edge form of a Graph or a Spanner: `codes`, sorted
-    read-only int64 edge codes.  `csr` (read-only int64 indptr and indices,
-    neighbor lists ascending) and `edges` (a frozenset of (u, v) tuples of
-    plain ints) are views built on first read, then kept."""
+    """The one stored edge form of a Graph, a Spanner or an Emulator:
+    `codes`, sorted read-only int64 edge codes.  `csr` (read-only int64
+    indptr and indices, neighbor lists ascending) and `edges` (a frozenset
+    of (u, v) tuples of plain ints) are views built on first read, then
+    kept."""
 
     def __init__(self, n: int, codes: np.ndarray):
         codes.flags.writeable = False
@@ -69,6 +71,13 @@ class _CodedEdges:
     def __hash__(self):
         return hash((self.n, self.codes.tobytes()))
 
+    @property
+    def size(self) -> int:
+        return len(self.codes)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, size={self.size})"
+
 
 class Graph(_CodedEdges):
     """Simple undirected unweighted graph on vertices 0..n-1.
@@ -85,12 +94,7 @@ class Graph(_CodedEdges):
     def __init__(self, n: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        given = edges if isinstance(edges, (np.ndarray, list)) else list(edges)
-        ends = _int_pairs(n, given)
-        if len(ends) and (
-            ends.min() < 0 or ends.max() >= n or (ends[:, 0] == ends[:, 1]).any()
-        ):
-            _raise_first_bad(n, ends, given)
+        ends, given = _valid_rows(n, edges, 2)
         codes = np.sort(edge_codes(n, ends[:, 0], ends[:, 1]))
         if (codes[1:] == codes[:-1]).any():
             _raise_first_bad(n, ends, given)
@@ -147,54 +151,80 @@ def pair_codes(n: int, pairs) -> np.ndarray:
     a reversed pair or a loop matches no Graph code.  Ends are range-checked
     first, and pair i with an end outside [0, n) takes the code -1 - i.  A
     non-integer end raises TypeError, anything but pairs ValueError."""
-    ends = _int_pairs(n, pairs if isinstance(pairs, (np.ndarray, list)) else list(pairs))
+    ends = _int_rows(pairs if isinstance(pairs, (np.ndarray, list)) else list(pairs), 2)
     out = ((ends < 0) | (ends >= n)).any(axis=1)
     return np.where(out, -1 - np.arange(len(ends)), ends[:, 0] * n + ends[:, 1])
 
 
-def _int_pairs(n: int, given) -> np.ndarray:
-    """The pairs of `given` (a list or an ndarray) as an (m, 2) int64
-    array; ids past int64 stay out of range (clamped to -1 or n).  A
-    non-integer id raises TypeError, anything but pairs ValueError."""
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int_rows(given, width: int) -> np.ndarray:
+    """The rows of `given` (a list or an ndarray), (u, v) pairs for width 2
+    and (u, v, w) triples for width 3, as an (m, width) int64 array, with
+    entries past int64 clamped by `_int_array`.  A non-integer entry raises
+    TypeError, a row of another width ValueError."""
     if not len(given):
-        return np.empty((0, 2), np.int64)
-    if isinstance(given, np.ndarray):
-        if given.ndim != 2 or given.shape[1] != 2:
-            raise ValueError("edges must be (u, v) pairs")
-        if given.dtype.kind in "biu":
+        return np.empty((0, width), np.int64)
+    if isinstance(given, np.ndarray) and given.ndim == 2 and given.shape[1] == width:
+        if np.can_cast(given.dtype, np.int64):
             return given.astype(np.int64, copy=False)
-    elif set(map(len, given)) != {2}:
-        raise ValueError("edges must be (u, v) pairs")
+    elif isinstance(given, np.ndarray) or set(map(len, given)) != {width}:
+        raise ValueError("edges must be " + ("(u, v) pairs" if width == 2 else "(u, v, w) triples"))
     # operator.index refuses floats, which an int64 array would truncate
-    flat = chain.from_iterable(given)
+    return _int_array(list(chain.from_iterable(given)), operator.index).reshape(-1, width)
+
+
+def _int_array(tokens: list, convert) -> np.ndarray:
+    """`tokens` read by `convert` as an int64 array.  Entries past int64 are
+    clamped, never wrapped, to -1 or the int64 maximum: an id stays out of
+    range and a weight too large for exact distances."""
     try:
-        ends = np.fromiter(map(operator.index, flat), np.int64, 2 * len(given))
+        return np.fromiter(map(convert, tokens), np.int64, len(tokens))
     except OverflowError:
-        ends = [max(-1, min(operator.index(x), n)) for x in chain.from_iterable(given)]
-    return np.asarray(ends, np.int64).reshape(-1, 2)
+        return np.array([max(-1, min(convert(x), _INT64_MAX)) for x in tokens], np.int64)
 
 
-def _first_bad(n: int, ends: np.ndarray) -> tuple[int, str]:
-    """Index and kind ("range", "loop" or "repeat") of the first pair in
-    input order that is out of range, a self-loop or a repeat of an
-    earlier pair; the kinds are tried in that order for one pair."""
-    code = pair_codes(n, np.sort(ends, axis=1))
-    out, loop = code < 0, ends[:, 0] == ends[:, 1]
-    order = np.argsort(code, kind="stable")
-    repeat = np.zeros(len(ends), bool)
-    repeat[order[1:]] = code[order[1:]] == code[order[:-1]]
-    i = int(np.flatnonzero(out | loop | repeat)[0])
-    return i, "range" if out[i] else "loop" if loop[i] else "repeat"
+def _valid_rows(n: int, edges, width: int) -> tuple[np.ndarray, Sequence]:
+    """The rows of `edges` (`_int_rows`) and the list or ndarray they were
+    read from.  Raises the ValueError of `_first_bad`'s row if some row has
+    an end out of range, is a self-loop or weighs less than 1."""
+    given = edges if isinstance(edges, (np.ndarray, list)) else list(edges)
+    rows = _int_rows(given, width)
+    ends = rows[:, :2]
+    if len(rows) and (
+        ends.min() < 0 or ends.max() >= n or (ends[:, 0] == ends[:, 1]).any()
+        or (rows[:, 2:] < 1).any()
+    ):
+        _raise_first_bad(n, rows, given)
+    return rows, given
 
 
-def _raise_first_bad(n: int, ends: np.ndarray, given) -> None:
-    """Raise the ValueError of `_first_bad`'s pair, quoting it as given."""
-    i, kind = _first_bad(n, ends)
-    u, v = given[i]
+def _first_bad(n: int, rows: np.ndarray) -> tuple[int, str]:
+    """Index and kind of the first row in input order that is bad: "range"
+    (an end out of range), "loop", "weight" (a triple weighing less than 1)
+    or "repeat" (a pair repeating an earlier pair; an emulator keeps
+    parallel entries).  The kinds are tried in that order for one row."""
+    code = pair_codes(n, np.sort(rows[:, :2], axis=1))
+    out, loop, light = code < 0, rows[:, 0] == rows[:, 1], (rows[:, 2:] < 1).any(axis=1)
+    repeat = np.zeros(len(rows), bool)
+    if rows.shape[1] == 2:
+        order = np.argsort(code, kind="stable")
+        repeat[order[1:]] = code[order[1:]] == code[order[:-1]]
+    i = int(np.flatnonzero(out | loop | light | repeat)[0])
+    return i, "range" if out[i] else "loop" if loop[i] else "weight" if light[i] else "repeat"
+
+
+def _raise_first_bad(n: int, rows: np.ndarray, given) -> None:
+    """Raise the ValueError of `_first_bad`'s row, quoting it as given."""
+    i, kind = _first_bad(n, rows)
+    u, v = given[i][:2]
     if kind == "range":
         raise ValueError(f"edge ({u},{v}) out of range for n={n}")
     if kind == "loop":
         raise ValueError(f"self-loop at vertex {u}")
+    if kind == "weight":
+        raise ValueError(f"non-positive weight {given[i][2]} on edge ({u},{v})")
     raise ValueError(f"duplicate edge ({u},{v})")
 
 
@@ -215,13 +245,6 @@ class Spanner(_CodedEdges):
         super().__init__(n, np.unique(edges.astype(np.int64)))
         self.meta = {} if meta is None else meta
 
-    @property
-    def size(self) -> int:
-        return len(self.codes)
-
-    def __repr__(self) -> str:
-        return f"Spanner(n={self.n}, size={self.size})"
-
 
 def is_subgraph(h: Spanner, g: Graph) -> bool:
     """Whether each code of `h` is one of g's sorted codes."""
@@ -229,53 +252,51 @@ def is_subgraph(h: Spanner, g: Graph) -> bool:
     return bool(np.all(at < g.m)) and np.array_equal(g.codes[np.minimum(at, g.m - 1)], h.codes)
 
 
-class Emulator:
+class Emulator(_CodedEdges):
     """Weighted graph on the host vertex set; edges need not exist in G.
 
-    Weights are positive integers.  Stored as a dict keyed by (min, max)
-    vertex pairs of plain ints; parallel entries keep the minimum weight.
-    A non-integer id or weight raises TypeError (int() would truncate it).
-    `adjacency` is the weights as a scipy CSR matrix, laid out at the
-    first weighted Dijkstra and then kept.  Instances are immutable once
-    built: the kept matrix would not follow a change to `weights`.
+    `weighted_edges`, an integer (m, 3) ndarray or (u, v, w) triples, is
+    validated as a Graph's pairs are; the first bad triple raises, an end
+    out of range before a self-loop before a weight below 1.  Stored as
+    `codes` and `weight`, the read-only int64 weights aligned with them;
+    parallel entries keep the minimum weight, and a weight past int64 is
+    kept as the int64 maximum.  `weights`, a dict of plain ints keyed by
+    (u, v), and `adjacency`, a scipy matrix, are views built on first read.
+    Equality and hashing cover the weights.
     """
 
-    def __init__(self, n: int, weighted_edges: Iterable[tuple[int, int, int]]):
-        self.n = n
-        weights: dict[tuple[int, int], int] = {}
-        for u, v, w in weighted_edges:
-            u, v, w = operator.index(u), operator.index(v), operator.index(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if w < 1:
-                raise ValueError(f"non-positive weight {w} on edge ({u},{v})")
-            e = norm_edge(u, v)
-            prev = weights.get(e)
-            if prev is None or w < prev:
-                weights[e] = w
-        self.weights = weights
+    def __init__(self, n: int, weighted_edges: np.ndarray | Iterable[tuple[int, int, int]]):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        rows = _valid_rows(n, weighted_edges, 3)[0]
+        codes = edge_codes(n, rows[:, 0], rows[:, 1])
+        order = np.lexsort((rows[:, 2], codes))  # by code, the lightest entry first
+        first = order[np.diff(codes[order], prepend=-1) != 0]
+        super().__init__(n, codes[first])
+        self.weight = rows[first, 2]
+        self.weight.flags.writeable = False
 
-    @property
-    def size(self) -> int:
-        return len(self.weights)
+    @cached_property
+    def weights(self) -> dict[tuple[int, int], int]:
+        return dict(zip(edge_pairs(self.n, self.codes), self.weight.tolist()))
 
     @cached_property
     def adjacency(self):
         """The weights as a float64 scipy CSR matrix holding each unordered
         pair once; ValueError if the weights are too large for exact
         float64 distances."""
-        ends = np.array(list(self.weights), np.int64).reshape(-1, 2)  # ids checked in __init__
-        data = np.fromiter(self.weights.values(), np.float64, self.size)
+        data = self.weight.astype(np.float64)
         if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
             raise ValueError("emulator weights too large for exact distances")
         from scipy.sparse import csr_matrix
 
-        return csr_matrix((data, (ends[:, 0], ends[:, 1])), shape=(self.n, self.n))
+        return csr_matrix((data, edge_ends(self.n, self.codes)), shape=(self.n, self.n))
 
-    def __repr__(self) -> str:
-        return f"Emulator(n={self.n}, size={self.size})"
+    def __eq__(self, other) -> bool:
+        return super().__eq__(other) and np.array_equal(self.weight, other.weight)
+
+    def __hash__(self):
+        return hash((self.n, self.codes.tobytes(), self.weight.tobytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -310,59 +331,65 @@ def _parse_header(lineno: int, line: str, tag: str) -> tuple[int, int]:
 
 
 def load_graph(document: str) -> Graph:
-    """Parse an edge-list document into a Graph.
+    """Parse an edge-list document into a Graph (`_load`)."""
+    return _load(document, "p", 2, Graph)
 
-    Rejects self-loops, duplicate edges and out-of-range ids, reporting the
-    offending line number.  The edge lines up to the first malformed one
-    are read into one int64 array, which `Graph` validates; its first bad
-    pair is reported at its line, and a malformed line only when no edge
-    before it is bad.
-    """
+
+def load_emulator(document: str) -> Emulator:
+    """Parse an emulator document into an Emulator (`_load`)."""
+    return _load(document, "e", 3, Emulator)
+
+
+def _load(document: str, tag: str, width: int, build):
+    """Parse a document with header "<tag> <n> <m>" and body lines of
+    `width` integers into `build(n, rows)`.  The body lines up to the first
+    malformed one are read into one int64 array (`_edge_ids`), which
+    `build` validates; its first bad row (`_first_bad`) is reported at its
+    line, and a malformed line only when no row before it is bad."""
     numbers, lines = _significant_lines(document)
     if not lines:
-        raise GraphFormatError("empty document (missing 'p <n> <m>' header)")
-    n, m = _parse_header(numbers[0], lines[0], "p")
-    ends, malformed = _edge_ids(n, numbers, lines)
-    del lines  # not held through the Graph build, where memory peaks
+        raise GraphFormatError(f"empty document (missing '{tag} <n> <m>' header)")
+    n, m = _parse_header(numbers[0], lines[0], tag)
+    rows, malformed = _edge_ids(numbers, lines, width)
+    del lines  # not held through the build, where memory peaks
     try:
-        g = Graph(n, ends)
+        out = build(n, rows)
     except ValueError:
-        i, kind = _first_bad(n, ends)
-        u, v = ends[i].tolist()
+        i, kind = _first_bad(n, rows)
+        u, v = rows[i, :2].tolist()
         raise GraphFormatError(f"line {numbers[i + 1]}: " + (
             f"vertex id out of range [0,{n})" if kind == "range"
             else f"self-loop at vertex {u}" if kind == "loop"
+            else "weight must be >= 1" if kind == "weight"
             else f"duplicate edge ({u},{v})"
         )) from None
     if malformed is not None:
         raise malformed
-    if g.m != m:
-        raise GraphFormatError(f"header declares m={m} but found {g.m} edges")
-    return g
+    if len(rows) != m:
+        raise GraphFormatError(f"header declares m={m} but found {len(rows)} edges")
+    return out
 
 
 def _edge_ids(
-    n: int, numbers: list[int], lines: list[str]
+    numbers: list[int], lines: list[str], width: int
 ) -> tuple[np.ndarray, Optional[GraphFormatError]]:
-    """The ids of the edge lines `lines[1:]` before the first malformed one
-    as an (m, 2) int64 array, and that line's error (None if there is
-    none).  Ids are parsed by `int`; ids past int64 are clamped to -1 or n,
-    out of range either way."""
-    end = next((i for i in range(1, len(lines)) if len(lines[i].split()) != 2), len(lines))
+    """The fields of the body lines `lines[1:]` before the first malformed
+    one as an (m, width) int64 array, and that line's error (None if there
+    is none).  Fields are parsed by `int` and clamped past int64 by
+    `_int_array`."""
+    end = next((i for i in range(1, len(lines)) if len(lines[i].split()) != width), len(lines))
     error = None
     if end < len(lines):
-        error = GraphFormatError(f"line {numbers[end]}: expected '<u> <v>', got {lines[end]!r}")
-    tokens = " ".join(lines[1:end]).split()
+        form = " ".join(("<u>", "<v>", "<w>")[:width])
+        error = GraphFormatError(f"line {numbers[end]}: expected '{form}', got {lines[end]!r}")
     try:
-        try:
-            ids = np.fromiter(map(int, tokens), np.int64, len(tokens))
-        except OverflowError:
-            ids = np.array([max(-1, min(int(x), n)) for x in tokens], np.int64)
+        ids = _int_array(" ".join(lines[1:end]).split(), int).reshape(-1, width)
     except ValueError:
         end = next(i for i in range(1, end) if not all(map(_is_int, lines[i].split())))
-        error = GraphFormatError(f"line {numbers[end]}: non-integer vertex id")
-        ids = _edge_ids(n, numbers, lines[:end])[0]
-    return ids.reshape(-1, 2), error
+        field = "vertex id" if width == 2 else "field"
+        error = GraphFormatError(f"line {numbers[end]}: non-integer {field}")
+        ids = _edge_ids(numbers, lines[:end], width)[0]
+    return ids, error
 
 
 def _is_int(token: str) -> bool:
@@ -380,35 +407,10 @@ def dump_graph(g: Graph | Spanner) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_emulator(document: str) -> Emulator:
-    numbers, lines = _significant_lines(document)
-    if not lines:
-        raise GraphFormatError("empty document (missing 'e <n> <m>' header)")
-    n, m = _parse_header(numbers[0], lines[0], "e")
-    triples: list[tuple[int, int, int]] = []
-    for lineno, line in zip(numbers[1:], lines[1:]):
-        parts = line.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected '<u> <v> <w>', got {line!r}")
-        try:
-            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer field") from None
-        if w < 1:
-            raise GraphFormatError(f"line {lineno}: weight must be >= 1")
-        triples.append((u, v, w))
-    if len(triples) != m:
-        raise GraphFormatError(f"header declares m={m} but found {len(triples)} edges")
-    try:
-        return Emulator(n, triples)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
-
-
 def dump_emulator(h: Emulator) -> str:
-    items = sorted(h.weights.items())
-    out = [f"e {h.n} {len(items)}"]
-    out.extend(f"{u} {v} {w}" for (u, v), w in items)
+    u, v = edge_ends(h.n, h.codes)
+    out = [f"e {h.n} {h.size}"]
+    out.extend(f"{a} {b} {w}" for a, b, w in zip(u.tolist(), v.tolist(), h.weight.tolist()))
     return "\n".join(out) + "\n"
 
 

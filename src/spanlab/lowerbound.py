@@ -10,7 +10,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Spanner, hop_distance_matrix, is_subgraph, norm_edge
+import numpy as np
+
+from .graphs import Graph, Spanner, edge_codes, hop_distance_matrix, is_subgraph
 from .util import ceil_int
 
 
@@ -150,18 +152,22 @@ def find_missing_chain(lg: LayeredGraph, h: Spanner) -> Optional[MissingChain]:
         raise ValueError("candidate and graph disagree on the vertex count")
     if not is_subgraph(h, lg.graph):
         raise ValueError("candidate is not a subgraph of the layered instance")
-    k = lg.k
-    kept = h.edges
+    k, n = lg.k, lg.graph.n
+    # next hops: the host's CSR cut down to the missing edges that climb a level
+    indptr, indices = lg.graph.csr
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    levels = np.asarray(lg.levels)
+    up = (levels[indices] == levels[tail] + 1) & ~np.isin(edge_codes(n, tail, indices), h.codes)
+    nbrs, bounds = indices[up].tolist(), np.searchsorted(tail[up], np.arange(n + 1)).tolist()
 
     def extend(v: int, level: int, acc: list[int]) -> Optional[list[int]]:
         acc.append(v)
         if level == k + 1:
             return acc
-        for w in lg.graph.adj[v]:
-            if lg.levels[w] == level + 1 and norm_edge(v, w) not in kept:
-                found = extend(w, level + 1, acc)
-                if found is not None:
-                    return found
+        for w in nbrs[bounds[v]:bounds[v + 1]]:
+            found = extend(w, level + 1, acc)
+            if found is not None:
+                return found
         acc.pop()
         return None
 

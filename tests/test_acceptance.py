@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from spanlab import bench
+from spanlab import Emulator, bench
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +50,37 @@ def test_swadd_rows_get_the_resample_budget():
 
 
 def test_fast_grid_builds_no_edge_views(monkeypatch):
-    # builders and checkers read a host's codes and CSR, never its tuples
-    hosts, make = [], bench.random_graph
+    # builders, checkers and the lower-bound audit read codes and CSRs,
+    # never the tuple views of a host, an output or a candidate
+    hosts, outputs, audited = [], [], []
+    make, audit = bench.random_graph, bench.lb_audit
 
     def recorded(*args):
         hosts.append(make(*args))
         return hosts[-1]
 
+    def recorded_audit(lg, h):
+        audited.extend([lg.graph, h])
+        return audit(lg, h)
+
     monkeypatch.setattr(bench, "random_graph", recorded)
+    monkeypatch.setattr(bench, "lb_audit", recorded_audit)
     for case in bench.CASES:
-        assert all(row.violations == 0 for row in bench.run_case(case, fast=True))
-    assert len(hosts) == len(bench.CASES)
-    for g in hosts:
+        def build(*args, build=case.build):
+            outputs.append(build(*args))
+            return outputs[-1]
+
+        rows = bench.run_case(dataclasses.replace(case, build=build), fast=True)
+        assert all(row.violations == 0 for row in rows)
+    lb_rows = bench.run_lowerbound_check()
+    assert all(row.violations == 0 for row in lb_rows)
+    assert len(hosts) == len(outputs) == len(bench.CASES)
+    assert len(audited) == 2 * len(lb_rows) * bench.LB_CANDIDATES
+    for g in hosts + audited:
         assert not {"edges", "adj"} & set(vars(g))
+    for h in outputs:
+        assert not {"edges", "weights"} & set(vars(h))
+    assert any(isinstance(h, Emulator) for h in outputs)
 
 
 def _report(outcome):

@@ -197,7 +197,7 @@ def test_value_requires_source_anchor():
     clustering = _hand_clustering(4, [[2]], [1])
     params = AdditiveParams(k=1, epsilon=0.5, heavy_degree=2, long_threshold=1, level_factor=2.0)
     with pytest.raises(RuntimeError, match="endpoints drifted"):
-        _check_candidate([1, 2], 0, 2, 0, 1, params, clustering, set())
+        _check_candidate([1, 2], 0, 2, 0, 1, params, clustering, [set()] * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_cluster_cap_shortens_crowded_clusters():
     # collapses onto the hub route
     clustering = _hand_clustering(10, [[1, 2, 3, 4]], [9])
     walk = [0, 1, 2, 3, 4, 5]
-    out = _enforce_cluster_cap(walk, clustering, pairs(10, clustering.g_c))
+    out = _enforce_cluster_cap(walk, clustering, additive._adjacency(10, clustering.g_c))
     assert out == [0, 1, 9, 4, 5]
     assert out[0] == 0 and out[-1] == 5
 
@@ -227,20 +227,17 @@ def test_reroute_keeps_the_budgeted_suffix():
     from spanlab.additive import _missing_positions, _next_level_path
 
     path = [0, 1, 2, 3, 4, 5, 6]
-    spanner = {(0, 1), (2, 3), (4, 5), (0, 7), (3, 7)}  # path gaps at (1,2),(3,4),(5,6)
-    adj = [set() for _ in range(11)]
-    for u, v in spanner:
-        adj[u].add(v)
-        adj[v].add(u)
+    spanner = Graph(11, [(0, 1), (2, 3), (4, 5), (0, 7), (3, 7)])  # path gaps at (1,2),(3,4),(5,6)
+    adj = additive._adjacency(11, spanner.codes)
     # clusters: head of the suffix (vertex 2) and the reroute entry (vertex 3)
     clustering = _hand_clustering(11, [[2, 8], [3, 9]], [10, 7])
     dist_h = [0.0, 1.0, INF, 2.0, INF, INF, INF, 1.0, INF, INF, INF]
     cdist = [INF, 2.0]  # cluster of vertex 3 reachable at distance 2
     nearest = [2, 3]  # each cluster's minimum (dist_h, id) member
     phi = 1.5  # floor(3 / 1.5) = 2 missing edges stay in the suffix
-    out = _next_level_path(path, 3, dist_h, cdist, nearest, adj, clustering, spanner, phi)
+    out = _next_level_path(path, 3, dist_h, cdist, nearest, adj, clustering, phi)
     assert out == [0, 7, 3, 4, 5, 6]  # spanner prefix to 3, then the old tail
-    assert len(_missing_positions(out, spanner)) == 2  # (3,4) and (5,6) kept
+    assert len(_missing_positions(out, adj)) == 2  # (3,4) and (5,6) kept
 
 
 def test_fresh_spanner_rows_are_the_oracle_rows():
@@ -254,9 +251,10 @@ def test_fresh_spanner_rows_are_the_oracle_rows():
             edges += [(u + base, v + base) for u, v in part.edges]
             base += part.n + int(rng.integers(1, 3))
         order = rng.permutation(base)
-        kept = [norm_edge(int(order[u]), int(order[v])) for u, v in edges if rng.random() < 0.7]
-        want = floyd_warshall(Graph(base, kept))
-        adj = additive._adjacency(base, kept)
+        kept = Graph(base, [(int(order[u]), int(order[v])) for u, v in edges if rng.random() < 0.7])
+        want = floyd_warshall(kept)
+        adj = additive._adjacency(base, kept.codes)
+        assert [sorted(nbrs) for nbrs in adj] == [list(nbrs) for nbrs in kept.adj]
         assert any(not nbrs for nbrs in adj)  # isolated sources are covered
         for s in range(base):
             assert additive._spanner_row(adj, s) == want[s]
@@ -357,7 +355,7 @@ def test_long_check_counts_pairs_beyond_plus_2k(monkeypatch):
     def buy_nothing(g, sources, dist_rows, short, gc, base, params):
         return base, {"edges_bought": 0, "levels": []}
 
-    no_draws = SimpleNamespace(random=lambda: 1.0)
+    no_draws = SimpleNamespace(random=lambda size: np.ones(size))
     monkeypatch.setattr(additive, "subrng", lambda *labels: no_draws)
     monkeypatch.setattr(additive, "_buy_short_paths", buy_nothing)
     sp = build_sourcewise_additive(g, src, 1, seed=0)

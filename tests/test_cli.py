@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from spanlab import SourceSet, load_graph
@@ -404,7 +405,7 @@ def test_swadd_long_violations_exit_2(tmp_path, monkeypatch, capsys):
     g = _hub_chain(spine=12, hub_leaves=20, spine_leaves=18)
     host = tmp_path / "chain.el"
     host.write_text(dump_graph(g))
-    no_draws = SimpleNamespace(random=lambda: 1.0)
+    no_draws = SimpleNamespace(random=lambda size: np.ones(size))
     monkeypatch.setattr(additive, "subrng", lambda *labels: no_draws)
     monkeypatch.setattr(
         additive, "_buy_short_paths",

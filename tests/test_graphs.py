@@ -138,15 +138,94 @@ def test_dump_load_roundtrip():
 def test_emulator_roundtrip_and_validation():
     em = Emulator(4, [(0, 1, 1), (1, 3, 5)])
     assert load_emulator(dump_emulator(em)).weights == em.weights
+    assert load_emulator(dump_emulator(em)) == em
     with pytest.raises(GraphFormatError, match="weight"):
         load_emulator("e 2 1\n0 1 0\n")
     with pytest.raises(ValueError, match="self-loop"):
         Emulator(3, [(1, 1, 2)])
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("", "empty document (missing 'e <n> <m>' header)"),
+        ("p 3 1\n0 1 1\n", "line 1: expected header 'e <n> <m>', got 'p 3 1'"),
+        ("e 3 1\n0 1\n", "line 2: expected '<u> <v> <w>', got '0 1'"),
+        ("e 3 1\n0 1 x\n", "line 2: non-integer field"),
+        ("e 3 1\n0 5 2\n", "line 2: vertex id out of range [0,3)"),
+        ("e 3 1\n-1 1 2\n", "line 2: vertex id out of range [0,3)"),
+        ("e 3 1\n0 99999999999999999999999 2\n", "line 2: vertex id out of range [0,3)"),
+        ("e 3 1\n4 4 0\n", "line 2: vertex id out of range [0,3)"),  # range, loop, weight
+        ("e 3 1\n1 1 0\n", "line 2: self-loop at vertex 1"),
+        ("e 3 1\n0 1 0\n", "line 2: weight must be >= 1"),
+        ("e 3 1\n0 1 -99999999999999999999999\n", "line 2: weight must be >= 1"),
+        ("e 3 2\n0 1 1\n", "header declares m=2 but found 1 edges"),
+        # line numbers count comments and blank lines; the first bad line wins
+        ("# c\ne 4 3\n0 1 1\n\n2 2 1\n0 9 1\n", "line 5: self-loop at vertex 2"),
+        ("e 4 3\n0 1 1\n0 9 1\n0 1 0\n", "line 3: vertex id out of range [0,4)"),
+        ("e 4 3\n0 1 0\n0 1\n0 9 1\n", "line 2: weight must be >= 1"),
+        ("e 4 3\n0 1 1\n0 1\n0 9 1\n", "line 3: expected '<u> <v> <w>', got '0 1'"),
+    ],
+)
+def test_load_emulator_error_messages(document, message):
+    with pytest.raises(GraphFormatError) as info:
+        load_emulator(document)
+    assert str(info.value) == message
+
+
 def test_emulator_parallel_entries_keep_min_weight():
     em = Emulator(3, [(0, 1, 4), (1, 0, 2)])
     assert em.weights == {(0, 1): 2}
+    # a document counts its lines, not the entries they merge into
+    assert load_emulator("e 3 2\n0 1 4\n1 0 2\n") == em
+
+
+@pytest.mark.parametrize(
+    "n, triples, message",
+    [
+        (3, [(0, 3, 1)], "edge (0,3) out of range for n=3"),
+        (3, [(-1, 1, 1)], "edge (-1,1) out of range for n=3"),
+        (3, [(4, 4, 0)], "edge (4,4) out of range for n=3"),  # range, loop, weight
+        (0, [(0, 1, 1)], "edge (0,1) out of range for n=0"),
+        (3, [(0, 2**70, 1)], f"edge (0,{2**70}) out of range for n=3"),
+        (3, [(-2**64 + 1, 1, 1)], f"edge ({-2**64 + 1},1) out of range for n=3"),
+        (3, [(1, 1, 0)], "self-loop at vertex 1"),
+        (3, [(0, 1, 0)], "non-positive weight 0 on edge (0,1)"),
+        (3, [(0, 1, -2**64 + 1)], f"non-positive weight {-2**64 + 1} on edge (0,1)"),
+        # the first bad triple in input order wins
+        (4, [(0, 1, 1), (2, 2, 1), (1, 0, 0), (0, 9, 1)], "self-loop at vertex 2"),
+        (4, [(0, 1, 1), (1, 0, 0), (2, 2, 1), (0, 9, 1)], "non-positive weight 0 on edge (1,0)"),
+        (4, [(0, 1, 1), (0, 9, 1), (1, 0, 0), (2, 2, 1)], "edge (0,9) out of range for n=4"),
+    ],
+)
+def test_emulator_names_the_first_bad_triple(n, triples, message):
+    for given in (triples, (t for t in triples), np.array(triples)):
+        with pytest.raises(ValueError) as info:
+            Emulator(n, given)
+        assert str(info.value) == message
+
+
+def test_emulator_vertex_count_and_big_weights():
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Emulator(-1, [])
+    # a weight past int64 neither wraps nor truncates: it stays too large
+    for given in ([(0, 1, 2**64 + 1)], np.array([[0, 1, 2**64 - 1]], np.uint64)):
+        em = Emulator(3, given)
+        assert em.weight.tolist() == [np.iinfo(np.int64).max]
+        with pytest.raises(ValueError, match="too large"):
+            weighted_sssp(em, 0)
+
+
+def test_emulator_stores_codes_and_weights_only():
+    em = Emulator(4, [(3, 1, 5), (0, 1, 4), (1, 0, 2), (2, 3, 7)])
+    assert set(vars(em)) == {"n", "codes", "weight"}  # no dict until `weights` is read
+    assert em.codes.tolist() == [1, 7, 11] and em.weight.tolist() == [2, 5, 7]
+    assert not em.codes.flags.writeable and not em.weight.flags.writeable
+    assert em.weights == {(0, 1): 2, (1, 3): 5, (2, 3): 7} and em.weights is em.weights
+    same = Emulator(4, np.array([[1, 0, 2], [1, 3, 5], [3, 2, 7]], np.int32))
+    assert em == same and hash(em) == hash(same)
+    assert em != Emulator(4, [(0, 1, 3), (1, 3, 5), (2, 3, 7)])  # equality covers weights
+    assert em != Graph(4, [(0, 1), (1, 3), (2, 3)])
 
 
 def test_emulator_refuses_non_integer_ids_and_weights():
