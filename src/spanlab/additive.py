@@ -7,10 +7,12 @@ sources and of the sampled tree roots come from the packed-bitset BFS
 kernel (`hop_distance_matrix`) and their canonical min-id parents from
 `parent_rows`, so pair classification, the sampled trees and the canonical
 paths of the bought pairs run no per-root BFS.  `_relax_new_edges` both
-computes and repairs the source rows of a growing spanner.  Edge sets are
-sorted edge codes; path buying, which tests one edge at a time, keeps the
-growing spanner as neighbor sets built from them (`_adjacency`), and the
-edges it buys become codes once, at the end.
+computes and repairs the source rows of a growing +2k spanner; the +2
+subsetwise helper takes all of its members' rows from one row kernel call
+and repairs them the same way.  Edge sets are sorted edge codes; path
+buying, which tests one edge at a time, keeps the growing spanner as
+neighbor sets built from them (`_adjacency`), and the edges it buys become
+codes once, at the end.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .graphs import (
     hop_distance_matrix,
     parent_path,
     parent_rows,
+    unique_codes,
 )
 from .sourcewise import SourceSet
 from .util import ceil_int, subrng
@@ -129,7 +132,7 @@ def tree_union(g: Graph, roots: Sequence[int]) -> np.ndarray:
     Hop rows and parent rows come `_ROOT_BLOCK` roots at a time, so
     temporaries stay near _ROOT_BLOCK * n cells however many roots there
     are; each vertex's parents are sorted across a block's roots, so only
-    its distinct tree edges become codes for one `np.unique`.
+    its distinct tree edges become codes for one `unique_codes`.
     """
     n = g.n
     codes = [np.empty(0, np.int64)]
@@ -141,7 +144,7 @@ def tree_union(g: Graph, roots: Sequence[int]) -> np.ndarray:
         child, k = np.nonzero(distinct)
         up = ups[child, k].astype(np.int64)
         codes.append(edge_codes(n, child, up))
-    return np.unique(np.concatenate(codes))
+    return unique_codes(*codes)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +305,8 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
     phi = params.level_factor
     k = params.k
     stats = {"paths_bought": 0, "edges_bought": 0, "levels": [0] * (k + 1)}
+    member = np.fromiter(chain.from_iterable(gc.clusters), np.int64)
+    starts = np.cumsum([0] + [len(c) for c in gc.clusters[:-1]])
 
     for s, row, parents, targets in zip(sources, dist_rows, parent_rows(g.csr, dist_rows), short):
         dist_g = row.tolist()
@@ -310,11 +315,7 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
         # per cluster the spanner distance to its nearest member and that
         # member, the minimum (dist_h, id); distances only decrease, so the
         # running minimum over improved members stays exact
-        cdist, nearest = [], []
-        for mem in gc.clusters:
-            d, y = min(((dist_h[x], x) for x in mem), default=(_INF, -1))
-            cdist.append(d)
-            nearest.append(y)
+        cdist, nearest = _nearest_members(dist_h, member, starts, n)
         for v in np.flatnonzero(targets).tolist():
             path = parent_path(parent, v)
             base_dist = dist_g[v]
@@ -340,7 +341,20 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
                     raise RuntimeError("top-level candidate has positive cost (internal bug)")
                 path = _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi)
                 level += 1
-    return np.union1d(base, edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T)), stats
+    return unique_codes(base, edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T)), stats
+
+
+def _nearest_members(dist_h: list, member: np.ndarray, starts: np.ndarray, n: int):
+    """Per cluster the minimum (dist_h[x], x) over its members x, as lists
+    (cdist, nearest): one masked minimum over the member-ordered columns
+    `member`, where cluster i starts at `starts[i]`.  A cluster with no
+    member reached gets (_INF, its min-id member)."""
+    if not len(member):
+        return [], []
+    d = np.array(dist_h)[member]
+    key = np.where(d < _INF, d, n).astype(np.int64) * n + member
+    d, y = np.divmod(np.minimum.reduceat(key, starts), n)
+    return np.where(d < n, d, _INF).tolist(), y.tolist()
 
 
 def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi):
@@ -407,7 +421,7 @@ def build_sourcewise_additive(
     short = reached & ~long  # a source is paired with itself too
 
     bought, stats = _buy_short_paths(
-        g, sources.vertices, dist_g, short, gc, np.union1d(gc.g_c, light), params
+        g, sources.vertices, dist_g, short, gc, unique_codes(gc.g_c, light), params
     )
 
     long_rows = np.flatnonzero(long.any(axis=1))
@@ -424,7 +438,7 @@ def build_sourcewise_additive(
         rng = subrng(seed, "tree-roots", attempt)
         roots = np.flatnonzero(rng.random(n) < sample_prob)
         trees = tree_union(g, roots)
-        edges = np.union1d(bought, trees)
+        edges = unique_codes(bought, trees)
         long_violations = 0
         if long_sources:
             dh = hop_distance_matrix(Spanner(n, edges), long_sources)[long]
@@ -507,21 +521,23 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     order = sorted(
         ((dist_g[a][b], a, b) for a in zs for b in zs if a < b and dist_g[a][b] >= 0)
     )
-    # spanner distances per source, kept exact by repair after every purchase
-    rows: dict[int, list[float]] = {}
+    # spanner distances per member (_INF where cut off), all from one row
+    # kernel call over the clustering subgraph and kept exact by repair
+    # after every purchase
+    hops = hop_distance_matrix(Spanner(n, gc.g_c), zs)
+    cells = hops.astype(object)
+    cells[hops < 0] = _INF
+    rows = dict(zip(zs, cells.tolist()))
     bought = 0
     bought_edges: list[tuple[int, int]] = []
     for dg, a, b in order:
-        row = rows.get(a)
-        if row is None:
-            row = rows[a] = _spanner_row(adj, a)
-        if row[b] > dg + 2:
+        if rows[a][b] > dg + 2:
             path = parent_path(parents[a], b)
             new_edges = [(x, y) for x, y in zip(path, path[1:]) if y not in adj[x]]
             _insert_edges(adj, new_edges, rows.values())
             bought_edges += new_edges
             bought += 1
-    codes = np.union1d(gc.g_c, edge_codes(n, *np.array(bought_edges, np.int64).reshape(-1, 2).T))
+    codes = unique_codes(gc.g_c, edge_codes(n, *np.array(bought_edges, np.int64).reshape(-1, 2).T))
 
     meta = {
         "construction": "subsetwise2",
@@ -550,7 +566,7 @@ def build_sourcewise_additive4(g: Graph, sources: SourceSet) -> Spanner:
     gc = hub_clustering(g, sources.epsilon / 2.0)
     core = sorted(set(gc.hubs) | set(sources.vertices))
     inner = build_subsetwise_plus2(g, core)
-    edges = np.union1d(gc.g_c, inner.codes)
+    edges = unique_codes(gc.g_c, inner.codes)
     meta = {
         "construction": "sw4",
         "n": n,

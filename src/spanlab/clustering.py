@@ -12,7 +12,16 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import _ROW_BLOCK, UNREACHED, Graph, _bfs_arrays, csr_neighbors, edge_codes, edge_ends
+from .graphs import (
+    _ROW_BLOCK,
+    UNREACHED,
+    Graph,
+    _bfs_arrays,
+    csr_neighbors,
+    edge_codes,
+    edge_ends,
+    unique_codes,
+)
 from .util import ceil_int, subrng
 
 
@@ -109,7 +118,7 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
             v, u = v[near], nbr[near]
             first = np.unique(v * n + c[near], return_index=True)[1]
             q_edges.append(edge_codes(n, v[first], u[first]))
-        q_edges = np.unique(np.concatenate(q_edges))
+        q_edges = unique_codes(*q_edges)
 
         kept += [forest, q_edges]
         levels.append(ClusterLevel(
@@ -119,7 +128,7 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
         prev_centers = centers
         prev_assignment = assignment
 
-    spanner = np.unique(np.concatenate(kept))
+    spanner = unique_codes(*kept)
     return ClusterSequence(k=k, mu=mu, seed=seed, n=n, levels=levels, spanner_edges=spanner)
 
 
@@ -181,6 +190,6 @@ def hub_clustering(g: Graph, gamma: float) -> HubClustering:
         size=size,
         clusters=clusters,
         hubs=hubs,
-        g_c=np.union1d(g.codes[inside], edge_codes(n, hub_of, member)),
+        g_c=unique_codes(g.codes[inside], edge_codes(n, hub_of, member)),
         cluster_index=cluster_index,
     )

@@ -14,7 +14,9 @@ search runs past a fixed level cap, and the weighted rows of an emulator,
 come from one batched scipy Dijkstra.  scipy is imported at those two
 Dijkstra sites only, on first use.  `parent_rows` turns hop rows into rows
 of canonical min-id BFS parents, the parents `bfs` and `trace_parent_path`
-pick, one neighbor rank at a time over the CSR.
+pick: the root at distance 1, and beyond it one neighbor rank at a time
+over the CSR.  `unique_codes` is the one edge-code dedupe, a sort and a
+neighbor comparison.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -132,6 +134,21 @@ def edge_codes(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(a, b) * n + np.maximum(a, b)
 
 
+def unique_codes(*parts) -> np.ndarray:
+    """The sorted distinct values of the concatenated integer `parts` as a
+    fresh int64 array: one sort and one neighbor comparison, the one
+    dedupe of edge codes (`np.unique` on numpy 2.4 hashes int64 instead,
+    which is several times slower at these sizes)."""
+    if not parts:
+        return np.empty(0, np.int64)
+    codes = np.concatenate(parts, dtype=np.int64, casting="unsafe")
+    codes.sort()
+    keep = np.empty(len(codes), bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
 def edge_ends(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """End arrays (u, v) of the sorted `codes`; ValueError if a code lies
     outside [0, n*n), as that of a pair with an end out of range does."""
@@ -242,7 +259,7 @@ class Spanner(_CodedEdges):
             edges = pair_codes(n, edges)
         elif edges.size and edges.dtype.kind not in "iu":
             raise TypeError("edge codes must be integers")
-        super().__init__(n, np.unique(edges.astype(np.int64)))
+        super().__init__(n, unique_codes(edges))
         self.meta = {} if meta is None else meta
 
 
@@ -658,9 +675,10 @@ def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndar
     UNREACHED at the root and where the row does not reach.
 
     `dist` holds exact hop rows over the CSR graph, as `hop_distance_matrix`
-    gives them.  Neighbor lists are scanned one rank at a time (every
-    vertex's j-th smallest neighbor) over the vertices some row still needs
-    a parent for, until every reached vertex but the root has one.  Rows go
+    gives them.  A vertex at distance 1 takes the row's root, its only 0.
+    The others scan neighbor lists one rank at a time (every vertex's j-th
+    smallest neighbor) over the vertices some row still needs a parent
+    for, until every vertex at distance 2 or more has one.  Rows go
     `_ROW_BLOCK` at a time, so temporaries stay near _ROW_BLOCK * n entries.
     Returns an int32 matrix shaped like `dist`.
     """
@@ -671,7 +689,8 @@ def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndar
         # vertex-major copy: a rank gathers each neighbor's cells as one row
         dist_t = np.ascontiguousarray(dist[lo:lo + _ROW_BLOCK].T)
         parent = out[lo:lo + _ROW_BLOCK].T
-        need = dist_t > 0
+        np.copyto(parent, np.argmax(dist_t == 0, axis=0), where=dist_t == 1)
+        need = dist_t > 1
         todo = np.flatnonzero(need.any(axis=1))
         need = need[todo]
         want = dist_t[todo] - 1

@@ -5,8 +5,8 @@ between center pairs and between cluster pairs at complementary levels.
 The path phases are array-native: every vertex's hop row comes once from
 the packed-bitset BFS row kernel into one n x n matrix, closest cluster
 pairs are masked minima over it, and canonical-parent walks run on the
-pairs walked.  Every phase's edges are sorted edge codes, united with
-`np.union1d` into the output.
+pairs walked.  Every phase's edges are sorted edge codes, united into the
+output by `unique_codes`, the one sort-based dedupe.
 """
 
 from __future__ import annotations
@@ -18,13 +18,16 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, _bfs_rows, csr_neighbors, edge_codes, norm_edge
+from .graphs import Graph, Spanner, _bfs_rows, edge_codes, norm_edge, unique_codes
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
 # Source clusters per closest-pair block and member rows per chunk of it,
 # so temporaries stay near _BLOCK * n entries; walks go _BLOCK**2 at a time.
 _BLOCK = 256
+# Neighbor ranks a canonical-parent step reads per round before it stops
+# the pairs that found their parent.
+_RANK_CHUNK = 8
 _NO_PAIR = np.iinfo(np.int64).max
 
 
@@ -81,11 +84,13 @@ def suffix_walk(csr, dist: np.ndarray, roots, targets, ell: int) -> np.ndarray:
     the matching root, as sorted unique codes min*n + max.
 
     The canonical parent of v under root r is the minimum-id neighbor w
-    with dist[r, w] == dist[r, v] - 1, the rule of `trace_parent_path`.
-    Pairs at distance 0 or unreachable add nothing.  Walks go _BLOCK**2
-    at a time.
+    with dist[r, w] == dist[r, v] - 1, the rule of `trace_parent_path`:
+    r itself at distance 1, else the first such w of v's ascending
+    neighbor list (`_closer_neighbors`).  Pairs at distance 0 or
+    unreachable add nothing.  Walks go _BLOCK**2 at a time.
     """
     n = dist.shape[0]
+    cells = dist.reshape(-1)
     roots = np.asarray(roots, np.int64)
     targets = np.asarray(targets, np.int64)
     out = np.empty(0, np.int64)
@@ -94,18 +99,48 @@ def suffix_walk(csr, dist: np.ndarray, roots, targets, ell: int) -> np.ndarray:
         codes = [out]
         for _ in range(ell):
             # walks that meet share every later step
-            r, cur = np.divmod(np.unique(r * n + cur), n)
-            d = dist[r, cur].astype(np.int64)
+            key = unique_codes(r * n + cur)
+            d = cells[key]
             live = d > 0
-            r, cur, d = r[live], cur[live], d[live]
-            if not len(cur):
+            key, d = key[live], d[live]
+            if not len(key):
                 break
-            deg, nbr = csr_neighbors(csr, cur)
-            closer = dist[np.repeat(r, deg), nbr] == np.repeat(d - 1, deg)
-            parent = np.minimum.reduceat(np.where(closer, nbr, n), np.cumsum(deg) - deg)
+            r, cur = np.divmod(key, n)
+            parent = r.copy()
+            far = np.flatnonzero(d > 1)
+            parent[far] = _closer_neighbors(csr, cells, r[far], cur[far], d[far] - 1)
             codes.append(edge_codes(n, cur, parent))
             cur = parent
-        out = np.unique(np.concatenate(codes))
+        out = unique_codes(*codes)
+    return out
+
+
+def _closer_neighbors(csr, cells: np.ndarray, r, v, want) -> np.ndarray:
+    """Per pair i the minimum-id neighbor w of v[i] with dist[r[i], w] ==
+    want[i], where `cells` is the flattened n x n matrix of exact hop rows
+    and every pair has such a neighbor.
+
+    The ascending neighbor lists are read `_RANK_CHUNK` ranks at a time,
+    and a pair stops at its first hit: most canonical parents sit among a
+    vertex's smallest neighbors, so the scan seldom reads a whole list.
+    A pair's first hit lies inside its own list, so the ranks past its end
+    that a chunk reads (the next lists in the CSR) are never taken.
+    """
+    indptr, indices = csr
+    n = len(indptr) - 1
+    start = indptr[v]
+    base = r * n
+    out = np.empty(len(v), np.int64)
+    todo = np.arange(len(v))
+    rank = np.arange(_RANK_CHUNK)
+    for lo in range(0, int((indptr[v + 1] - start).max(initial=0)), _RANK_CHUNK):
+        nbr = indices.take(start[todo, None] + (lo + rank), mode="clip")
+        hit = cells[base[todo, None] + nbr] == want[todo, None]
+        found = hit.any(axis=1)
+        out[todo[found]] = nbr[found, hit[found].argmax(axis=1)]
+        todo = todo[~found]
+        if not len(todo):
+            break
     return out
 
 
@@ -192,9 +227,9 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
             _, _, m, u, _ = closest_pairs(dist, sources[lo:lo + _BLOCK], targets)
             e3.append(suffix_walk(g.csr, dist, m, u, ell))
 
-    e3 = np.unique(np.concatenate(e3))
-    upto2 = np.union1d(hk, e2)
-    edges = np.union1d(upto2, e3)
+    e3 = unique_codes(*e3)
+    upto2 = unique_codes(hk, e2)
+    edges = unique_codes(upto2, e3)
     meta = {
         "construction": "hybrid",
         "n": g.n,

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .clustering import cluster_sequence
-import numpy as np
-
-from .graphs import Graph, Spanner, bfs_distances, pair_codes, trace_parent_path
+from .graphs import Graph, Spanner, bfs_distances, pair_codes, trace_parent_path, unique_codes
 from .hybrid import path_suffix
 
 
@@ -82,7 +80,7 @@ def build_sourcewise_mult(g: Graph, sources: SourceSet, k: int, seed: int) -> Sp
                 continue
             suffixes |= path_suffix(path, params.suffix_len, anchor=z_i)
 
-    edges = np.union1d(hk, pair_codes(g.n, suffixes))
+    edges = unique_codes(hk, pair_codes(g.n, suffixes))
     meta = {
         "construction": "swmult",
         "n": g.n,

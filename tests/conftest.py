@@ -55,6 +55,30 @@ def parent_host() -> Graph:
     return Graph(base, [(int(order[u]), int(order[v])) for u, v in edges])
 
 
+def broom(rank: int) -> Graph:
+    """A hub whose one neighbor closer to the largest-id root sits at
+    `rank` of its ascending neighbor list: leaves 0..rank-1 and p = rank
+    hang off the hub rank+1, p is adjacent to the root rank+4, and the
+    tail rank+2 - rank+3 leads away from the hub."""
+    hub, root = rank + 1, rank + 4
+    edges = [(leaf, hub) for leaf in range(rank)]
+    edges += [(rank, hub), (rank, root), (hub, rank + 2), (rank + 2, rank + 3)]
+    return Graph(rank + 5, edges)
+
+
+def parent_step_hosts() -> list[Graph]:
+    """Hosts for the canonical-parent steps: brooms whose closer neighbor
+    sits at rank 0, 7 (the last of an 8-rank chunk), 8 and 20; a star with
+    a path, where the center's closer neighbor under the path's end sits at
+    rank 19; a star whose largest-id center reaches only distance 1; a
+    dense random graph; two components with isolated vertices; and edgeless
+    hosts."""
+    star_path = Graph(24, [(0, leaf) for leaf in range(1, 21)] + [(20, 21), (21, 22), (22, 23)])
+    star = Graph(6, [(leaf, 5) for leaf in range(5)])
+    return [broom(0), broom(7), broom(8), broom(20), star_path, star,
+            random_graph(48, 0.5, 7), parent_host(), Graph(5, []), Graph(1, [])]
+
+
 def root_samples(n: int) -> list:
     """No root, one root, every vertex, and repeated unsorted roots."""
     rng = np.random.default_rng(n)

@@ -7,6 +7,7 @@ and direct recounts by walking the data.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
 INF = float("inf")
@@ -53,6 +54,45 @@ def canonical_path(g, u: int, v: int):
         path.append(min(w for w in g.adj[x] if dist[w] == dist[x] - 1))
     path.reverse()
     return path
+
+
+def hop_row(g, root: int) -> list[float]:
+    """Hop distances from `root` by a plain FIFO queue over `g.adj`; INF
+    where disconnected."""
+    dist = [INF] * g.n
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for w in g.adj[x]:
+            if dist[w] == INF:
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    return dist
+
+
+def canonical_parents(g, root: int) -> list[int]:
+    """Per vertex the minimum-id neighbor one hop closer to `root` (over
+    `hop_row`), found by reading every neighbor; -1 at the root and where
+    the root does not reach."""
+    dist = hop_row(g, root)
+    return [
+        min(w for w in g.adj[v] if dist[w] == dist[v] - 1) if 0 < dist[v] < INF else -1
+        for v in range(g.n)
+    ]
+
+
+def suffix_edges(parent, target: int, ell: int) -> set:
+    """The (min, max) edges of the first `ell` steps from `target` along
+    the parent list `parent` (fewer where the chain ends)."""
+    out = set()
+    v = target
+    for _ in range(ell):
+        if parent[v] < 0:
+            break
+        out.add((min(v, parent[v]), max(v, parent[v])))
+        v = parent[v]
+    return out
 
 
 def path_is_valid(g, path) -> bool:

@@ -260,6 +260,30 @@ def test_fresh_spanner_rows_are_the_oracle_rows():
             assert additive._spanner_row(adj, s) == want[s]
 
 
+def test_nearest_members_is_the_per_cluster_minimum():
+    # the loop it replaced is the reference: minimum (dist_h, id) per
+    # cluster, (_INF, min-id member) when no member is reached
+    rng = np.random.default_rng(4)
+    inf = additive._INF
+    for trial in range(20):
+        n = int(rng.integers(4, 40))
+        ids = rng.permutation(n).tolist()
+        cuts = sorted(set(rng.integers(1, n, int(rng.integers(0, 6))).tolist()))
+        clusters = [sorted(ids[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        dist_h = [inf if rng.random() < 0.4 else int(rng.integers(0, 5)) for _ in range(n)]
+        dist_h[clusters[0][-1]] = inf
+        if trial % 3 == 0:
+            for x in clusters[-1]:
+                dist_h[x] = inf
+        member = np.fromiter((x for c in clusters for x in c), np.int64)
+        starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
+        want = [min((dist_h[x], x) for x in c) for c in clusters]
+        cdist, nearest = additive._nearest_members(dist_h, member, starts, n)
+        assert list(zip(cdist, nearest)) == want
+    no_clusters = (np.empty(0, np.int64), np.zeros(1, np.int64))
+    assert additive._nearest_members([0, 1], *no_clusters, 2) == ([], [])
+
+
 # ---------------------------------------------------------------------------
 # the +2k builder
 # ---------------------------------------------------------------------------

@@ -28,8 +28,15 @@ from spanlab import (
     trace_parent_path,
     weighted_sssp,
 )
-from conftest import no_adj, parent_host, random_tree, root_samples
-from oracles import as_int_grid, bellman_ford, canonical_path, floyd_warshall, path_is_valid
+from conftest import no_adj, parent_host, parent_step_hosts, random_tree, root_samples
+from oracles import (
+    as_int_grid,
+    bellman_ford,
+    canonical_parents,
+    canonical_path,
+    floyd_warshall,
+    path_is_valid,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +697,47 @@ def _split_instances():
         yield g, Spanner(g.n, kept, {})
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (),
+        (np.empty(0, np.int64),),
+        (np.array([7]),),
+        (np.full(5, 3),),
+        (np.arange(10),),
+        (np.array([9, -2, 4, 4, 1, -2], np.int32),),
+        (graphs.pair_codes(4, [(0, 4), (2, 3), (-1, 1), (2, 3)]),),
+        ([], np.array([5, 1]), np.empty(0, np.int64), np.array([1, 8, 5]), []),
+        tuple(np.random.default_rng(2).integers(-50, 5000, size) for size in (3000, 0, 4000)),
+    ],
+)
+def test_unique_codes_is_np_unique(parts):
+    want = np.unique(np.concatenate([np.empty(0, np.int64), *parts]).astype(np.int64))
+    given = [np.copy(p) for p in parts]
+    got = graphs.unique_codes(*given)
+    assert got.dtype == np.int64 and got.flags.writeable
+    assert got.tolist() == want.tolist()
+    assert all(np.array_equal(a, b) for a, b in zip(given, parts))  # inputs untouched
+    for p in given:
+        if len(p):
+            assert not np.shares_memory(got, p)
+
+
+def test_spanner_normalizes_codes_as_np_unique():
+    given = [
+        np.array([12, 3, 3, 7, 1], np.int32),
+        np.array([5, 5, 0], np.uint64),
+        np.array([], np.int16),
+        graphs.pair_codes(3, [(0, 3), (-1, 1), (1, 2), (1, 2)]),
+    ]
+    for codes in given:
+        kept = Spanner(3, codes)
+        assert kept.codes.dtype == np.int64 and not kept.codes.flags.writeable
+        assert kept.codes.tolist() == np.unique(codes.astype(np.int64)).tolist()
+    hand_built = Spanner(3, [(0, 3), (-1, 1), (2, 1), (0, 1)])
+    assert hand_built.codes.tolist() == [-2, -1, 1, 7]
+
+
 def test_hop_rows_read_a_spanner_edge_set():
     for g, sp in _split_instances():
         want = as_int_grid(floyd_warshall(Graph(g.n, sp.edges)))
@@ -849,6 +897,18 @@ def test_parent_rows_are_the_canonical_bfs_parents(monkeypatch, block):
                 if path is not None:
                     assert graphs.parent_path(parents, v) == path
     assert handed  # some rows came from the Dijkstra fallback
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_parent_rows_are_the_oracle_parents(monkeypatch, block):
+    # every root, the largest id too, on hosts whose closer neighbors sit
+    # at chosen ranks, rows that reach only distance 1, and edgeless hosts
+    if block is not None:
+        monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
+    for g in parent_step_hosts():
+        roots = list(range(g.n))[::-1]
+        got = graphs.parent_rows(g.csr, hop_distance_matrix(g, roots))
+        assert got.tolist() == [canonical_parents(g, z) for z in roots]
 
 
 def test_parent_rows_on_tiny_hosts():

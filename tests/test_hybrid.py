@@ -18,8 +18,15 @@ from spanlab import (
 )
 from spanlab import hybrid
 from spanlab.hybrid import closest_pairs, hop_rows, suffix_walk
-from conftest import no_adj, random_tree
-from oracles import floyd_warshall, path_is_valid
+from conftest import broom, no_adj, pairs, parent_step_hosts, random_tree
+from oracles import (
+    as_int_grid,
+    canonical_parents,
+    floyd_warshall,
+    hop_row,
+    path_is_valid,
+    suffix_edges,
+)
 
 INF = float("inf")
 
@@ -144,6 +151,38 @@ def test_closest_pairs_and_walks_match_reference_chain(seed):
                     assert _walked(g, dist, [pick[0]], [pick[1]], ell) == suffix
                 union |= suffix
         assert _walked(g, dist, m, u, ell) == union
+
+
+def test_parent_step_hosts_place_the_closer_neighbor():
+    # the broom hub's one closer neighbor under the largest-id root sits at
+    # the named rank: the first, the last of a chunk, the next chunk's first
+    for rank in (0, 7, 8, 20):
+        g = broom(rank)
+        assert canonical_parents(g, g.n - 1)[rank + 1] == rank == g.adj[rank + 1].index(rank)
+    star_path = parent_step_hosts()[4]
+    assert canonical_parents(star_path, 23)[0] == 20 == star_path.adj[0][19]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_suffix_walk_is_the_oracle_walk(monkeypatch, chunk):
+    # every ordered pair, unreachable and distance-0 ones included, walked
+    # over oracle hop rows, at any number of ranks per chunk
+    if chunk is not None:
+        monkeypatch.setattr(hybrid, "_RANK_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    for g in parent_step_hosts():
+        dist = np.array(as_int_grid([hop_row(g, r) for r in range(g.n)]), np.int16)
+        parents = [canonical_parents(g, r) for r in range(g.n)]
+        roots, targets = np.divmod(np.arange(g.n * g.n), g.n)
+        for ell in (0, 1, 2, 9):
+            want = [suffix_edges(parents[r], t, ell)
+                    for r, t in zip(roots.tolist(), targets.tolist())]
+            got = suffix_walk(g.csr, dist, roots, targets, ell)
+            assert pairs(g.n, got) == set().union(*want)
+            assert np.all(got[1:] > got[:-1])
+            for i in rng.integers(0, g.n * g.n, 30).tolist():  # single walks
+                got = suffix_walk(g.csr, dist, roots[i:i + 1], targets[i:i + 1], ell)
+                assert pairs(g.n, got) == want[i]
 
 
 def test_closest_pair_adjacent_clusters():
