@@ -5,14 +5,14 @@ for large source sets.
 The +2k spanner reads every host search off arrays: the hop rows of the
 sources and of the sampled tree roots come from the packed-bitset BFS
 kernel (`hop_distance_matrix`) and their canonical min-id parents from
-`parent_rows`, so pair classification, the sampled trees and the canonical
-paths of the bought pairs run no per-root BFS.  `_relax_new_edges` both
-computes and repairs the source rows of a growing +2k spanner; the +2
-subsetwise helper takes all of its members' rows from one row kernel call
-and repairs them the same way.  Edge sets are sorted edge codes; path
-buying, which tests one edge at a time, keeps the growing spanner as
-neighbor sets built from them (`_adjacency`), and the edges it buys become
-codes once, at the end.
+`parent_rows`; pair classification and path buying share one source
+split (`_source_rows`).  The spanner rows of path buying and of the +2
+subsetwise helper come from one row kernel call (`_spanner_rows`), which
+`_relax_new_edges` keeps exact as edges are bought; path buying and the +2
+emulator share one per-cluster minimum (`_nearest_members`).  Edge sets
+are sorted edge codes; path buying, which tests one edge at a time, keeps
+the growing spanner as neighbor sets built from them (`_adjacency`), and
+the edges it buys become codes once, at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ from .util import ceil_int, subrng
 
 _INF = float("inf")
 _EPS = 1e-9
-_NO_PAIR = np.iinfo(np.int64).max
 # Sampled tree roots per hop-row and parent-row call in `tree_union`.
 _ROOT_BLOCK = 64
 
@@ -94,10 +92,8 @@ def _heavy_flags(g: Graph, heavy_degree: int) -> np.ndarray:
 def classify_pairs(g: Graph, sources: SourceSet, params: AdditiveParams) -> list[PairClass]:
     """Heavy-vertex count along the canonical path of every connected
     source/vertex pair; a pair is long when the count reaches the threshold.
-    The counts come from the sources' hop rows (`_heavy_counts`), as the
-    builder's short/long split does."""
-    dist = hop_distance_matrix(g, sources.vertices)
-    count = _heavy_counts(g, dist, params.heavy_degree)
+    The counts come from the same source split as the builder's."""
+    dist, _, _, count = _source_rows(g, sources, params.heavy_degree)
     out: list[PairClass] = []
     for s, row, counts in zip(sources.vertices, dist, count):
         targets = np.flatnonzero(row >= 0)
@@ -108,17 +104,24 @@ def classify_pairs(g: Graph, sources: SourceSet, params: AdditiveParams) -> list
     return out
 
 
-def _heavy_counts(g: Graph, dist: np.ndarray, heavy_degree: int) -> np.ndarray:
-    """Heavy vertices on the canonical path from each row's root to every
-    vertex the row reaches (0 where it does not), with the parents of
-    `parent_rows`: level by level, each vertex adds its parent's count,
-    which the level before made final."""
-    heavy = _heavy_flags(g, heavy_degree).astype(np.int32)
-    count = np.where(dist >= 0, heavy, 0).ravel()
+def _source_rows(g: Graph, sources: SourceSet, heavy_degree: int):
+    """The sources' hop rows and parent rows, the heavy flags and the counts."""
+    dist = hop_distance_matrix(g, sources.vertices)
+    parents = parent_rows(g.csr, dist)
+    heavy = _heavy_flags(g, heavy_degree)
+    return dist, parents, heavy, _heavy_counts(dist, parents, heavy)
+
+
+def _heavy_counts(dist: np.ndarray, parents: np.ndarray, heavy: np.ndarray) -> np.ndarray:
+    """Heavy vertices (flags `heavy`) on the canonical path from each row's
+    root to every vertex the row reaches (0 where it does not), with the
+    parent rows `parents`: level by level, each vertex adds its parent's
+    count, which the level before made final."""
+    count = np.where(dist >= 0, heavy.astype(np.int32), 0).ravel()
     # cell i * n + v, visited by nondecreasing distance; roots already final
     order = np.argsort(dist, axis=None, kind="stable")
     levels = np.searchsorted(dist.ravel()[order], np.arange(1, int(dist.max(initial=0)) + 2))
-    parent_cell = (parent_rows(g.csr, dist) + np.arange(0, dist.size, g.n)[:, None]).ravel()
+    parent_cell = (parents + np.arange(0, dist.size, dist.shape[1])[:, None]).ravel()
     for lo, hi in zip(levels, levels[1:]):
         cells = order[lo:hi]
         count[cells] += count[parent_cell[cells]]
@@ -160,6 +163,15 @@ def _adjacency(n: int, codes: np.ndarray) -> list[set]:
     return [set(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _spanner_rows(n: int, codes: np.ndarray, roots: Sequence[int]) -> list[list]:
+    """Hop rows from `roots` over the spanner edges `codes` as lists, _INF
+    where cut off, for `_relax_new_edges` to keep exact as edges are added."""
+    hops = hop_distance_matrix(Spanner(n, codes), roots)
+    cells = hops.astype(object)
+    cells[hops < 0] = _INF
+    return cells.tolist()
+
+
 def _insert_edges(adj: list[set], new_edges: list, rows) -> list[list[int]]:
     """Add (u, v) edges to a growing spanner and repair every distance row
     in place; returns, per row, the vertices whose distance improved."""
@@ -189,15 +201,6 @@ def _relax_new_edges(adj: list[set], dist: list[float], new_edges) -> list[int]:
                 queue.append(w)
                 improved.append(w)
     return improved
-
-
-def _spanner_row(adj: list[set], source: int) -> list[float]:
-    """Hop distances from `source` over the spanner adjacency (_INF where
-    cut off): a row that reaches only the source, repaired for its edges."""
-    dist = [_INF] * len(adj)
-    dist[source] = 0  # int hops keep cached rows small; unreached stays _INF
-    _relax_new_edges(adj, dist, [(source, w) for w in adj[source]])
-    return dist
 
 
 def _descend(adj: list[set], dist: list[float], target: int) -> list[int]:
@@ -292,30 +295,28 @@ def _check_candidate(path, source, target, level, base_dist, params, gc, adj):
     return missing
 
 
-def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
+def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
     """Iterate short pairs in ascending (source, target) order, buying one
     candidate path per pair once its missing-edge cost is at most
     3 * level_factor * value; failed levels reroute through a cluster that
-    the path does not improve.  Row i of the hop rows `dist_rows` is from
-    sources[i], and `short[i]` masks its short targets.  Starts from the
-    edge codes `base` and returns the codes of the spanner bought."""
+    the path does not improve.  Row i of `dist_rows`, `parents` (hop and
+    parent rows) and `short` (short targets) is from sources[i].  Starts
+    from the edge codes `base` and returns the codes of the spanner bought."""
     n = g.n
     adj = _adjacency(n, base)
     bought: list[tuple[int, int]] = []
     phi = params.level_factor
     k = params.k
     stats = {"paths_bought": 0, "edges_bought": 0, "levels": [0] * (k + 1)}
-    member = np.fromiter(chain.from_iterable(gc.clusters), np.int64)
-    starts = np.cumsum([0] + [len(c) for c in gc.clusters[:-1]])
 
-    for s, row, parents, targets in zip(sources, dist_rows, parent_rows(g.csr, dist_rows), short):
-        dist_g = row.tolist()
-        parent = parents.tolist()
-        dist_h = _spanner_row(adj, s)
+    rows = zip(sources, dist_rows, parents, short, _spanner_rows(n, base, sources))
+    for s, row, up, targets, dist_h in rows:
+        dist_g, parent = row.tolist(), up.tolist()
+        _relax_new_edges(adj, dist_h, bought)  # catch up with earlier sources' edges
         # per cluster the spanner distance to its nearest member and that
         # member, the minimum (dist_h, id); distances only decrease, so the
         # running minimum over improved members stays exact
-        cdist, nearest = _nearest_members(dist_h, member, starts, n)
+        cdist, nearest = (col[0].tolist() for col in _nearest_members([dist_h], gc))
         for v in np.flatnonzero(targets).tolist():
             path = parent_path(parent, v)
             base_dist = dist_g[v]
@@ -344,17 +345,20 @@ def _buy_short_paths(g, sources, dist_rows, short, gc, base, params):
     return unique_codes(base, edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T)), stats
 
 
-def _nearest_members(dist_h: list, member: np.ndarray, starts: np.ndarray, n: int):
-    """Per cluster the minimum (dist_h[x], x) over its members x, as lists
-    (cdist, nearest): one masked minimum over the member-ordered columns
-    `member`, where cluster i starts at `starts[i]`.  A cluster with no
-    member reached gets (_INF, its min-id member)."""
-    if not len(member):
-        return [], []
-    d = np.array(dist_h)[member]
-    key = np.where(d < _INF, d, n).astype(np.int64) * n + member
-    d, y = np.divmod(np.minimum.reduceat(key, starts), n)
-    return np.where(d < n, d, _INF).tolist(), y.tolist()
+def _nearest_members(rows, gc: HubClustering) -> tuple[np.ndarray, np.ndarray]:
+    """Per row and cluster the minimum (dist, x) over the cluster's members
+    x, as (cdist, nearest) arrays of shape (rows, clusters): one masked
+    minimum over the member-ordered columns of `gc`.  `rows` is a block of
+    hop rows, cut-off cells UNREACHED in int rows or _INF in list rows; a
+    cluster with no member reached gets (_INF, its min-id member)."""
+    block = np.asarray(rows)
+    n = block.shape[1]
+    if not len(gc.members):
+        return np.empty((len(block), 0)), np.empty((len(block), 0), np.int64)
+    d = block[:, gc.members]
+    key = np.where((d >= 0) & (d < _INF), d, n).astype(np.int64) * n + gc.members
+    d, y = np.divmod(np.minimum.reduceat(key, gc.starts, axis=1), n)
+    return np.where(d < n, d, _INF), y
 
 
 def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi):
@@ -408,20 +412,20 @@ def build_sourcewise_additive(
         raise ValueError("retries must be >= 0")
     params = additive_params(g, sources, k)
     n = g.n
-    heavy = _heavy_flags(g, params.heavy_degree)
+    # the source split serves the light edges, the pair split, the buying
+    # and the long check
+    dist_g, parents, heavy, count = _source_rows(g, sources, params.heavy_degree)
     u, v = edge_ends(n, g.codes)
     light = g.codes[~(heavy[u] & heavy[v])]
     gamma = math.log(params.heavy_degree) / math.log(n)
     gc = hub_clustering(g, gamma)
 
-    # the sources' hop rows serve the pair split, the buying and the long check
-    dist_g = hop_distance_matrix(g, sources.vertices)
     reached = dist_g >= 0
-    long = reached & (_heavy_counts(g, dist_g, params.heavy_degree) >= params.long_threshold)
+    long = reached & (count >= params.long_threshold)
     short = reached & ~long  # a source is paired with itself too
 
     bought, stats = _buy_short_paths(
-        g, sources.vertices, dist_g, short, gc, unique_codes(gc.g_c, light), params
+        g, sources.vertices, dist_g, parents, short, gc, unique_codes(gc.g_c, light), params
     )
 
     long_rows = np.flatnonzero(long.any(axis=1))
@@ -485,20 +489,12 @@ def build_sourcewise_emulator2(g: Graph, sources: SourceSet) -> Emulator:
     gc = hub_clustering(g, sources.epsilon / 2.0)
     n = g.n
     u, v = edge_ends(n, gc.g_c)
-    triples = [np.stack([u, v, np.ones_like(u)], axis=1)]
-    if gc.clusters:
-        # per (source, cluster) the minimum (dist, id) over reached members:
-        # one masked minimum over the member-ordered columns
-        member = np.fromiter(chain.from_iterable(gc.clusters), np.int64)
-        starts = np.cumsum([0] + [len(c) for c in gc.clusters[:-1]])
-        dist = hop_distance_matrix(g, sources.vertices)[:, member].astype(np.int64)
-        key = np.where(dist >= 0, dist * n + member, _NO_PAIR)
-        best = np.minimum.reduceat(key, starts, axis=1)
-        row, col = np.nonzero((best >= n) & (best != _NO_PAIR))  # no source to itself
-        d, m = np.divmod(best[row, col], n)
-        roots = np.array(sources.vertices, np.int64)[row]
-        triples.append(np.stack([roots, m, d], axis=1))
-    return Emulator(n, np.concatenate(triples))
+    # per (source, cluster) the minimum (dist, id) over reached members
+    cdist, nearest = _nearest_members(hop_distance_matrix(g, sources.vertices), gc)
+    row, col = np.nonzero((cdist > 0) & (cdist < _INF))  # no source to itself
+    roots = np.array(sources.vertices, np.int64)[row]
+    shortcuts = np.stack([roots, nearest[row, col], cdist[row, col].astype(np.int64)], axis=1)
+    return Emulator(n, np.concatenate([np.stack([u, v, np.ones_like(u)], axis=1), shortcuts]))
 
 
 def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
@@ -521,13 +517,8 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     order = sorted(
         ((dist_g[a][b], a, b) for a in zs for b in zs if a < b and dist_g[a][b] >= 0)
     )
-    # spanner distances per member (_INF where cut off), all from one row
-    # kernel call over the clustering subgraph and kept exact by repair
-    # after every purchase
-    hops = hop_distance_matrix(Spanner(n, gc.g_c), zs)
-    cells = hops.astype(object)
-    cells[hops < 0] = _INF
-    rows = dict(zip(zs, cells.tolist()))
+    # spanner distances per member, kept exact by repair after every purchase
+    rows = dict(zip(zs, _spanner_rows(n, gc.g_c, zs)))
     bought = 0
     bought_edges: list[tuple[int, int]] = []
     for dg, a, b in order:

@@ -7,7 +7,7 @@ their edge sets as sorted int64 edge codes (`graphs.edge_codes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -148,6 +148,14 @@ class HubClustering:
     hubs: list[int]
     g_c: np.ndarray
     cluster_index: list[int]   # cluster id per vertex, or UNREACHED
+    # derived member-ordered columns: cluster i is members[starts[i]:starts[i + 1]]
+    members: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = [len(c) for c in self.clusters]
+        self.members = np.fromiter(chain.from_iterable(self.clusters), np.int64, sum(sizes))
+        self.starts = np.cumsum([0] + sizes[:-1])
 
 
 def hub_clustering(g: Graph, gamma: float) -> HubClustering:
@@ -183,13 +191,13 @@ def hub_clustering(g: Graph, gamma: float) -> HubClustering:
     index = np.array(cluster_index, np.int64)
     u, v = edge_ends(n, g.codes)
     inside = (index[u] < 0) | (index[v] < 0) | (index[u] == index[v])
-    hub_of = np.repeat(np.array(hubs, np.int64), [len(c) for c in clusters])
-    member = np.fromiter(chain.from_iterable(clusters), np.int64, len(hub_of))
+    member = np.flatnonzero(index >= 0)
+    stars = edge_codes(n, np.array(hubs, np.int64)[index[member]], member)
     return HubClustering(
         gamma=gamma,
         size=size,
         clusters=clusters,
         hubs=hubs,
-        g_c=unique_codes(g.codes[inside], edge_codes(n, hub_of, member)),
+        g_c=unique_codes(g.codes[inside], stars),
         cluster_index=cluster_index,
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from spanlab import (
     Graph,
     SourceSet,
     Spanner,
+    UNREACHED,
     additive_params,
     bfs,
     bfs_distances,
@@ -27,7 +29,7 @@ from spanlab import (
     trace_parent_path,
     weighted_sssp,
 )
-from spanlab import additive, graphs
+from spanlab import additive, bench, graphs
 from spanlab.additive import (
     AdditiveParams,
     _buy_short_paths,
@@ -240,9 +242,10 @@ def test_reroute_keeps_the_budgeted_suffix():
     assert len(_missing_positions(out, adj)) == 2  # (3,4) and (5,6) kept
 
 
-def test_fresh_spanner_rows_are_the_oracle_rows():
-    # two random parts and isolated vertices, ids interleaved, and a random
-    # edge subset as the spanner: every vertex is a source once
+def test_caught_up_spanner_rows_are_the_oracle_rows():
+    # two random parts and isolated vertices, ids interleaved; a random edge
+    # subset is the base spanner and the rest is bought in several batches,
+    # then every row catches up in one repair: every vertex is a source once
     rng = np.random.default_rng(12)
     for seed in range(6):
         parts = [random_graph(int(rng.integers(3, 16)), 0.3, 10 * seed + i) for i in range(2)]
@@ -251,18 +254,30 @@ def test_fresh_spanner_rows_are_the_oracle_rows():
             edges += [(u + base, v + base) for u, v in part.edges]
             base += part.n + int(rng.integers(1, 3))
         order = rng.permutation(base)
-        kept = Graph(base, [(int(order[u]), int(order[v])) for u, v in edges if rng.random() < 0.7])
-        want = floyd_warshall(kept)
+        host = [(int(order[u]), int(order[v])) for u, v in edges]
+        in_base = rng.random(len(host)) < 0.7
+        kept = Graph(base, [e for e, b in zip(host, in_base) if b])
         adj = additive._adjacency(base, kept.codes)
         assert [sorted(nbrs) for nbrs in adj] == [list(nbrs) for nbrs in kept.adj]
         assert any(not nbrs for nbrs in adj)  # isolated sources are covered
-        for s in range(base):
-            assert additive._spanner_row(adj, s) == want[s]
+        rows = additive._spanner_rows(base, kept.codes, range(base))
+        assert rows == floyd_warshall(kept)
+        assert all(type(d) is int for row in rows for d in row if d != INF)
+        bought = [e for e, b in zip(host, in_base) if not b]
+        cuts = sorted(rng.integers(0, len(bought) + 1, 2).tolist())
+        for lo, hi in zip([0] + cuts, cuts + [len(bought)]):
+            additive._insert_edges(adj, bought[lo:hi], [])
+        full = Graph(base, host)
+        assert [sorted(nbrs) for nbrs in adj] == [list(nbrs) for nbrs in full.adj]
+        for row in rows:
+            additive._relax_new_edges(adj, row, bought)
+        assert rows == floyd_warshall(full)
 
 
 def test_nearest_members_is_the_per_cluster_minimum():
-    # the loop it replaced is the reference: minimum (dist_h, id) per
-    # cluster, (_INF, min-id member) when no member is reached
+    # the loop it replaced is the reference: minimum (dist, id) per row and
+    # cluster, (_INF, min-id member) when no member is reached; cut-off
+    # cells are UNREACHED in int rows and _INF in list rows
     rng = np.random.default_rng(4)
     inf = additive._INF
     for trial in range(20):
@@ -270,18 +285,24 @@ def test_nearest_members_is_the_per_cluster_minimum():
         ids = rng.permutation(n).tolist()
         cuts = sorted(set(rng.integers(1, n, int(rng.integers(0, 6))).tolist()))
         clusters = [sorted(ids[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-        dist_h = [inf if rng.random() < 0.4 else int(rng.integers(0, 5)) for _ in range(n)]
-        dist_h[clusters[0][-1]] = inf
+        gc = _hand_clustering(n, clusters, [c[0] for c in clusters])
+        hops = rng.integers(0, 5, (4, n))
+        hops[rng.random((4, n)) < 0.4] = UNREACHED
+        hops[:, clusters[0][-1]] = UNREACHED
+        hops[1] = UNREACHED  # a row that reaches nothing
         if trial % 3 == 0:
-            for x in clusters[-1]:
-                dist_h[x] = inf
-        member = np.fromiter((x for c in clusters for x in c), np.int64)
-        starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
-        want = [min((dist_h[x], x) for x in c) for c in clusters]
-        cdist, nearest = additive._nearest_members(dist_h, member, starts, n)
-        assert list(zip(cdist, nearest)) == want
-    no_clusters = (np.empty(0, np.int64), np.zeros(1, np.int64))
-    assert additive._nearest_members([0, 1], *no_clusters, 2) == ([], [])
+            hops[:, clusters[-1]] = UNREACHED
+        lists = [[inf if d == UNREACHED else d for d in row] for row in hops.tolist()]
+        want = [[min((row[x], x) for x in c) for c in clusters] for row in lists]
+        for block, rows in [(hops.astype(np.int32), want), (hops, want), (lists, want),
+                            (lists[2:3], want[2:3])]:
+            cdist, nearest = additive._nearest_members(block, gc)
+            assert cdist.shape == nearest.shape == (len(block), len(clusters))
+            assert [list(zip(*pair)) for pair in zip(cdist.tolist(), nearest.tolist())] == rows
+    no_clusters = _hand_clustering(2, [], [])
+    for block in ([[0, 1]], np.array([[0, UNREACHED]], np.int32)):
+        cdist, nearest = additive._nearest_members(block, no_clusters)
+        assert cdist.shape == nearest.shape == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +397,7 @@ def test_long_check_counts_pairs_beyond_plus_2k(monkeypatch):
     # hops over their host distance, so the +2k bound splits them.
     g = _hub_chain(spine=12, hub_leaves=20, spine_leaves=18)  # n=491
     src = SourceSet.from_ids(range(g.n), g.n)
-    def buy_nothing(g, sources, dist_rows, short, gc, base, params):
+    def buy_nothing(g, sources, dist_rows, parents, short, gc, base, params):
         return base, {"edges_bought": 0, "levels": []}
 
     no_draws = SimpleNamespace(random=lambda size: np.ones(size))
@@ -413,8 +434,9 @@ def test_short_pairs_hold_without_any_sampled_trees():
     for i, targets in enumerate(short_targets.values()):
         short[i, targets] = True
     dist = hop_distance_matrix(g, src.vertices)
+    parents = graphs.parent_rows(g.csr, dist)
     base = np.union1d(gc.g_c, [u * g.n + v for u, v in light])
-    edges, stats = _buy_short_paths(g, src.vertices, dist, short, gc, base, params)
+    edges, stats = _buy_short_paths(g, src.vertices, dist, parents, short, gc, base, params)
     assert np.isin(base, edges).all()
     sub = Spanner(g.n, edges)
     for s, targets in short_targets.items():
@@ -423,6 +445,54 @@ def test_short_pairs_hold_without_any_sampled_trees():
         for v in targets:
             assert 0 <= dh[v] <= dg[v] + 2 * k
     assert stats["levels"][0] >= 1
+
+
+def test_buyer_rows_are_exact_at_each_sources_turn(monkeypatch):
+    # every source's row comes from one row kernel call over the base and
+    # catches up with the edges earlier sources bought: when its turn comes
+    # it is the hop row over the spanner bought so far
+    spanners, caught_up = [], []
+    adjacency, nearest_members = additive._adjacency, additive._nearest_members
+
+    def recorded_adjacency(n, codes):
+        spanners.append((Spanner(n, codes), adjacency(n, codes)))
+        return spanners[-1][1]
+
+    def hop_row(h, s):
+        return [INF if d == UNREACHED else d for d in hop_distance_matrix(h, [s])[0].tolist()]
+
+    def checked_nearest_members(rows, gc):
+        if isinstance(rows, list):  # the buyer passes one source's row
+            [row] = rows
+            base, adj = spanners[-1]
+            kept = Graph(len(adj), [(a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b])
+            assert row == hop_row(kept, row.index(0))
+            caught_up.append(row != hop_row(base, row.index(0)))
+        return nearest_members(rows, gc)
+
+    monkeypatch.setattr(additive, "_adjacency", recorded_adjacency)
+    monkeypatch.setattr(additive, "_nearest_members", checked_nearest_members)
+    for seed in (1, 2):
+        g = random_graph(128, 8 / 127, seed)
+        build_sourcewise_additive(g, SourceSet.from_ids(range(12), g.n), 2, seed, 2)
+    assert len(caught_up) == 24 and any(caught_up)
+
+
+def test_swadd_split_is_classify_pairs():
+    # the builder's short/long split and the public classification read the
+    # same source rows: the acceptance grid's swadd rows and the caterpillar
+    swadd = next(case for case in bench.CASES if case.command == "swadd")
+    cases = []
+    for n, k, eps, seed in itertools.product(*swadd.full):
+        g = bench.random_graph(n, bench.degree8_p(n), seed)
+        cases.append((g, SourceSet.from_ids(bench.pick_sources(n, eps), n), k, seed, bench.RETRIES))
+    cat = _caterpillar(spine=40, leaves=10)
+    cases.append((cat, SourceSet.from_ids(range(34), cat.n), 1, 2, 3))
+    for g, src, k, seed, retries in cases:
+        meta = build_sourcewise_additive(g, src, k, seed, retries).meta
+        split = Counter(pc.is_long for pc in classify_pairs(g, src, additive_params(g, src, k)))
+        assert (meta["short_pairs"], meta["long_pairs"]) == (split[False], split[True])
+    assert meta["long_pairs"] > 0
 
 
 def test_negative_retries_rejected():
@@ -460,6 +530,39 @@ def test_emulator_never_adds_self_shortcut():
     src = SourceSet.from_ids(range(8), 80)
     em = build_sourcewise_emulator2(g, src)
     assert all(u != v for (u, v) in em.weights)
+
+
+def _two_parts(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+@pytest.mark.parametrize("host", ["source_in_cluster", "unreached_cluster", "edgeless"])
+def test_emulator_shortcuts_are_the_brute_force_minimum(host):
+    # one shortcut per (source, cluster) to the minimum (distance, id)
+    # member, none when the source is a member or reaches no member
+    g, sources = {
+        "source_in_cluster": lambda: (random_graph(120, 0.07, 11), range(11)),
+        "unreached_cluster": lambda: (
+            _two_parts(random_graph(40, 0.15, 2), random_graph(40, 0.4, 3)), range(6)),
+        "edgeless": lambda: (Graph(10, []), [0, 3, 9]),
+    }[host]()
+    src = SourceSet.from_ids(sources, g.n)
+    gc = hub_clustering(g, src.epsilon / 2.0)
+    dist = floyd_warshall(g)
+    want = {e: 1 for e in pairs(g.n, gc.g_c)}
+    for s in src.vertices:
+        for members in gc.clusters:
+            d, m = min((dist[s][x], x) for x in members)
+            if 0 < d < INF:
+                want[norm_edge(s, m)] = d
+    assert build_sourcewise_emulator2(g, src).weights == want
+    clustered = [gc.cluster_index[s] >= 0 for s in src.vertices]
+    unreached = [all(dist[s][x] == INF for s in src.vertices for x in c) for c in gc.clusters]
+    assert {
+        "source_in_cluster": any(clustered) and not any(unreached),
+        "unreached_cluster": any(unreached) and not all(unreached),
+        "edgeless": not gc.clusters and not want,
+    }[host]
 
 
 def test_emulator_sandwich_on_grid_instance():

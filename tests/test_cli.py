@@ -409,7 +409,7 @@ def test_swadd_long_violations_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(additive, "subrng", lambda *labels: no_draws)
     monkeypatch.setattr(
         additive, "_buy_short_paths",
-        lambda g, sources, dist, short, gc, base, params: (
+        lambda g, sources, dist, parents, short, gc, base, params: (
             base, {"edges_bought": 0, "levels": []}
         ),
     )
