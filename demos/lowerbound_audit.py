@@ -8,8 +8,6 @@ endpoints drift from distance k to at least 3k.
 Usage: python demos/lowerbound_audit.py
 """
 
-import warnings
-
 import numpy as np
 
 from spanlab import Spanner, build_lb_graph, lb_audit
@@ -21,9 +19,7 @@ def main():
     print("=" * 70)
 
     for r, k, eps in [(16, 2, 1.0), (8, 3, 1.0), (16, 2, 0.5)]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lg = build_lb_graph(r, k, eps)
+        lg = build_lb_graph(r, k, eps)
         g = lg.graph
         budget = g.m // k
         print(

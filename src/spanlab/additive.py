@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,6 +27,7 @@ import numpy as np
 
 from .clustering import HubClustering, hub_clustering
 from .graphs import (
+    _ROW_BLOCK,
     Emulator,
     Graph,
     Spanner,
@@ -43,8 +43,6 @@ from .util import ceil_int, subrng
 
 _INF = float("inf")
 _EPS = 1e-9
-# Sampled tree roots per hop-row and parent-row call in `tree_union`.
-_ROOT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -132,15 +130,15 @@ def tree_union(g: Graph, roots: Sequence[int]) -> np.ndarray:
     """Edges of the canonical BFS trees (min-id parents, as `bfs` gives
     them) from every root, as sorted edge codes.
 
-    Hop rows and parent rows come `_ROOT_BLOCK` roots at a time, so
-    temporaries stay near _ROOT_BLOCK * n cells however many roots there
+    Hop rows and parent rows come `_ROW_BLOCK` roots at a time, so
+    temporaries stay near _ROW_BLOCK * n cells however many roots there
     are; each vertex's parents are sorted across a block's roots, so only
     its distinct tree edges become codes for one `unique_codes`.
     """
     n = g.n
     codes = [np.empty(0, np.int64)]
-    for lo in range(0, len(roots), _ROOT_BLOCK):
-        rows = hop_distance_matrix(g, roots[lo:lo + _ROOT_BLOCK])
+    for lo in range(0, len(roots), _ROW_BLOCK):
+        rows = hop_distance_matrix(g, roots[lo:lo + _ROW_BLOCK])
         ups = np.sort(parent_rows(g.csr, rows).T, axis=1)
         distinct = ups >= 0
         distinct[:, 1:] &= ups[:, 1:] != ups[:, :-1]
@@ -545,15 +543,11 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
 def build_sourcewise_additive4(g: Graph, sources: SourceSet) -> Spanner:
     """Additive +4 spanner on source/vertex pairs, intended for source sets
     of size at least n^(2/3): clustering subgraph plus a +2 subsetwise
-    spanner over the hubs and the sources together."""
+    spanner over the hubs and the sources together.  Below that regime,
+    recorded as meta["in_regime"], the +4 bound still holds but the size
+    guarantee degrades."""
     sources.check_host(g)
     n = g.n
-    if len(sources) < n ** (2.0 / 3.0) - 1e-9:
-        warnings.warn(
-            "source set below the n^(2/3) regime; the +4 bound still holds "
-            "but the size guarantee degrades",
-            stacklevel=2,
-        )
     gc = hub_clustering(g, sources.epsilon / 2.0)
     core = sorted(set(gc.hubs) | set(sources.vertices))
     inner = build_subsetwise_plus2(g, core)
@@ -570,5 +564,6 @@ def build_sourcewise_additive4(g: Graph, sources: SourceSet) -> Spanner:
         },
         "size": len(edges),
         "sources": list(sources.vertices),
+        "in_regime": len(sources) >= n ** (2.0 / 3.0) - 1e-9,
     }
     return Spanner(n, edges, meta)

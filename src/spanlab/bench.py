@@ -272,14 +272,10 @@ def _outcome(number, name, rows, passes, detail) -> CriterionOutcome:
 
 
 def run_lowerbound_check() -> list[GridRow]:
-    import warnings as _warnings
-
     triples = [(16, 2, 1.0), (8, 3, 1.0), (16, 2, 0.5)]
     rows = []
     for r, k, eps in triples:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            lg = build_lb_graph(r, k, eps)
+        lg = build_lb_graph(r, k, eps)
         n1, n2 = lg.width1, lg.width2
         expect_v = n1 ** k + k * n2 * n1 ** (k - 1)
         expect_e = k * (n1 ** k) * n2
@@ -366,8 +362,6 @@ def oracle_parents(dist: np.ndarray) -> np.ndarray:
 
 
 def oracle_suite_graphs() -> list[tuple[str, Graph]]:
-    import warnings as _warnings
-
     path8 = Graph(8, [(i, i + 1) for i in range(7)])
     cycle5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     petersen = Graph(
@@ -377,9 +371,6 @@ def oracle_suite_graphs() -> list[tuple[str, Graph]]:
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
     )
     two_parts = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])  # disconnected
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        layered = build_lb_graph(8, 3, 1.0).graph
     return [
         ("path8", path8),
         ("cycle5", cycle5),
@@ -387,7 +378,7 @@ def oracle_suite_graphs() -> list[tuple[str, Graph]]:
         ("disconnected7", two_parts),
         ("gnp32", random_graph(32, 0.15, 3)),
         ("gnp64", random_graph(64, 0.1, 7)),
-        ("layered32", layered),
+        ("layered32", build_lb_graph(8, 3, 1.0).graph),
     ]
 
 

@@ -161,12 +161,18 @@ def cmd_gen_lb(args) -> int:
         "m": lg.graph.m,
         "level_sizes": lg.level_sizes,
         "level_offsets": lg.level_offsets,
+        "in_regime": lg.in_regime,
     }
     _write_json(args.meta, meta)
     print(
         f"wrote layered instance r={lg.r} k={lg.k} eps={lg.epsilon} "
         f"(n={lg.graph.n}, m={lg.graph.m}) to {args.out}"
     )
+    if not lg.in_regime:
+        print(
+            f"warning: k={lg.k} is outside the intended k <= ln(r)/ln(ln(r)) regime for r={lg.r}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -192,6 +198,12 @@ def cmd_build(args) -> int:
     if args.report:
         _write_json(args.report, report)
     print(f"{report['construction']}: kept {h.size} of {g.m} edges, ratio {ratio:.3f}")
+    if report.get("in_regime") is False:
+        print(
+            f"warning: {report['construction']} input is outside its intended regime; "
+            "the stretch bound still holds but the size guarantee degrades",
+            file=sys.stderr,
+        )
     if report.get("long_violations"):
         print(
             f"warning: {report['long_violations']} long pairs above +{2 * args.k} "
@@ -232,11 +244,7 @@ def cmd_audit_lb(args) -> int:
         r, k, eps = int(meta["r"]), int(meta["k"]), float(meta["epsilon"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{args.meta}: bad metadata: {exc}") from None
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        lg = build_lb_graph(r, k, eps)
+    lg = build_lb_graph(r, k, eps)
     if lg.graph != g:
         raise CliError("graph file does not match the instance described by the metadata")
     h = _load_candidate(args.candidate)

@@ -6,7 +6,6 @@ distortion of at least 2k in a candidate subgraph.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +51,13 @@ class LayeredGraph:
     level_sizes: list[int]
     level_offsets: list[int]
 
+    @property
+    def in_regime(self) -> bool:
+        """Whether k <= ln(r)/ln(ln(r)), the regime the family is meant for
+        (always, for r = 2, where ln(ln(r)) is negative)."""
+        loglog = math.log(math.log(self.r))
+        return loglog <= 0 or self.k <= math.log(self.r) / loglog
+
     def radices(self, level: int) -> list[int]:
         return _level_radices(self.k, self.width1, self.width2, level)
 
@@ -62,10 +68,11 @@ class LayeredGraph:
 def build_lb_graph(
     r: int, k: int, epsilon: float, max_vertices: int = 1_000_000
 ) -> LayeredGraph:
-    """Materialize the layered instance for the given parameters.
+    """Materialize the layered instance for the given parameters, in or out
+    of its regime (`LayeredGraph.in_regime`).
 
-    The per-level vertex and edge counts satisfy exact closed forms which
-    are asserted after generation.
+    The edge count satisfies an exact closed form, asserted after
+    generation.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -82,42 +89,25 @@ def build_lb_graph(
         raise ValueError(
             f"instance would have {total} vertices (cap {max_vertices})"
         )
-    if r >= 3 and math.log(math.log(r)) > 0 and k > math.log(r) / math.log(math.log(r)):
-        warnings.warn(
-            f"k={k} is outside the intended k <= ln(r)/ln(ln(r)) regime for r={r}",
-            stacklevel=2,
-        )
-
     level_sizes = [size1] + [size_other] * k
-    level_offsets = [0]
-    for s in level_sizes[:-1]:
-        level_offsets.append(level_offsets[-1] + s)
+    level_offsets = np.cumsum([0] + level_sizes[:-1]).tolist()
+    radices = [_level_radices(k, width1, width2, lv) for lv in range(1, k + 2)]
+    # 0-based coordinates, one row per vertex, each level in rank order
+    digits = np.concatenate([np.indices(rs).reshape(k, -1).T for rs in radices])
 
-    levels: list[int] = []
-    coords: list[tuple] = []
-    for level in range(1, k + 2):
-        tuples = [()]
-        for radix in _level_radices(k, width1, width2, level):
-            tuples = [t + (a,) for t in tuples for a in range(1, radix + 1)]
-        for t in tuples:
-            levels.append(level)
-            coords.append(t)
+    # a level-lv vertex meets every level-(lv+1) vertex that differs from it
+    # only in coordinate lv-1, whose stride is width1**(k-lv) on both levels:
+    # zero that digit of its rank, then step through the next level's radix
+    tails, heads = [], []
+    for lv in range(1, k + 1):
+        stride, radix = width1 ** (k - lv), radices[lv][lv - 1]
+        tail = np.arange(level_offsets[lv - 1], level_offsets[lv])
+        base = tail - level_offsets[lv - 1] - stride * digits[tail, lv - 1]
+        tails.append(np.repeat(tail, radix))
+        heads.append((level_offsets[lv] + base[:, None] + stride * np.arange(radix)).ravel())
 
-    edges: list[tuple[int, int]] = []
-    for u in range(total):
-        level = levels[u]
-        if level > k:
-            continue
-        cs = coords[u]
-        i = level - 1  # 0-based coordinate rewritten by this level's edges
-        radices = _level_radices(k, width1, width2, level + 1)
-        for c in range(1, radices[i] + 1):
-            nxt = cs[:i] + (c,) + cs[i + 1:]
-            edges.append((u, level_offsets[level] + _rank(nxt, radices)))
-
-    graph = Graph(total, edges)
-    expected_m = k * size1 * width2
-    if graph.n != total or graph.m != expected_m:
+    graph = Graph(total, np.column_stack([np.concatenate(tails), np.concatenate(heads)]))
+    if graph.m != k * size1 * width2:
         raise RuntimeError("layered-instance counting identity failed (internal bug)")
 
     return LayeredGraph(
@@ -127,8 +117,8 @@ def build_lb_graph(
         width1=width1,
         width2=width2,
         graph=graph,
-        levels=levels,
-        coords=coords,
+        levels=np.repeat(np.arange(1, k + 2), level_sizes).tolist(),
+        coords=list(zip(*(digits + 1).T.tolist())),
         sources=list(range(size1)),
         level_sizes=level_sizes,
         level_offsets=level_offsets,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from itertools import product
 
 INF = float("inf")
 
@@ -159,3 +160,22 @@ def greedy_hub_clustering(g, size: int):
         if unclustered[u] or unclustered[v] or cluster_index[u] == cluster_index[v]:
             kept.add((u, v))
     return clusters, hubs, kept, cluster_index
+
+
+def layered_instance(k: int, width1: int, width2: int):
+    """The layered lower-bound family by enumeration: per-vertex levels and
+    coordinate tuples, each level's tuples in lexicographic order, and the
+    edge set, one edge per rewrite of coordinate lv-1 of a level-lv vertex."""
+    levels, coords = [], []
+    for lv in range(1, k + 2):
+        first = width1 if lv == 1 else width2
+        for t in product(range(1, first + 1), *[range(1, width1 + 1)] * (k - 1)):
+            levels.append(lv)
+            coords.append(t)
+    index = {(lv, t): v for v, (lv, t) in enumerate(zip(levels, coords))}
+    edges = set()
+    for v, (lv, t) in enumerate(zip(levels, coords)):
+        if lv <= k:
+            for c in range(1, (width2 if lv == 1 else width1) + 1):
+                edges.add((v, index[lv + 1, t[:lv - 1] + (c,) + t[lv:]]))
+    return levels, coords, edges

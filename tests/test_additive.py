@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -649,11 +650,13 @@ def test_plus4_on_grid_instance():
     assert _additive_violations(g, sp.edges, src.vertices, 4) == 0
 
 
-def test_plus4_warns_below_regime():
+def test_plus4_records_its_regime():
     g = random_graph(100, 0.08, 4)
-    src = SourceSet.from_ids(range(5), 100)
-    with pytest.warns(UserWarning, match="regime"):
-        build_sourcewise_additive4(g, src)
+    for size, in_regime in [(5, False), (21, False), (22, True), (100, True)]:  # 100^(2/3) = 21.5
+        src = SourceSet.from_ids(range(size), 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the advisory is data, not a warning
+            assert build_sourcewise_additive4(g, src).meta["in_regime"] is in_regime
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +681,7 @@ def test_tree_union_is_the_union_of_per_root_bfs_trees(monkeypatch, host, block)
     }[host]()
     if block is not None:
         monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
-        monkeypatch.setattr(additive, "_ROOT_BLOCK", block + 2)
+        monkeypatch.setattr(additive, "_ROW_BLOCK", block + 2)
     for roots in root_samples(g.n):
         want = set()
         for z in roots:

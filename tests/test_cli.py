@@ -50,6 +50,20 @@ def test_gen_lb_writes_graph_sources_meta(tmp_path):
     assert len((tmp_path / "lb.sources").read_text().split()) == 16
 
 
+@pytest.mark.parametrize("r,k,in_regime", [(16, 2, True), (8, 3, False), (2, 4, True)])
+def test_gen_lb_reports_its_regime(tmp_path, capsys, r, k, in_regime):
+    meta = tmp_path / "lb.json"
+    assert main(
+        ["gen", "lb", "--r", str(r), "--k", str(k), "--eps", "1.0",
+         "--out", str(tmp_path / "lb.el"), "--sources", str(tmp_path / "lb.sources"),
+         "--meta", str(meta)]
+    ) == 0
+    assert json.loads(meta.read_text())["in_regime"] is in_regime
+    err = capsys.readouterr().err
+    advisory = f"warning: k={k} is outside the intended k <= ln(r)/ln(ln(r)) regime for r={r}\n"
+    assert err == ("" if in_regime else advisory)
+
+
 # ---------------------------------------------------------------------------
 # build + verify round trips
 # ---------------------------------------------------------------------------
@@ -172,6 +186,21 @@ def test_sw4_end_to_end(tmp_path):
         ["verify", "--graph", g, "--candidate", str(out),
          "--sources", src, "--spec", "additive:beta=4"]
     ) == 0
+
+
+@pytest.mark.parametrize("size,in_regime", [(20, True), (5, False)])
+def test_sw4_reports_its_regime(tmp_path, capsys, size, in_regime):
+    g = _gen_random(tmp_path)
+    src = _sources_file(tmp_path, range(size))  # 60^(2/3) = 15.3
+    report = tmp_path / "s4.json"
+    assert main(
+        ["build", "sw4", "--sources", src, "--in", g, "--out", str(tmp_path / "s4.el"),
+         "--report", str(report)]
+    ) == 0
+    assert json.loads(report.read_text())["in_regime"] is in_regime
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == (0 if in_regime else 1)
+    assert all(line.startswith("warning: sw4 input is outside its intended regime") for line in lines)
 
 
 # ---------------------------------------------------------------------------

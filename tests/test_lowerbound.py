@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import warnings
 from itertools import product
 
 import numpy as np
@@ -15,11 +14,7 @@ from spanlab import (
     norm_edge,
 )
 
-
-def _quiet_build(r, k, eps, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_lb_graph(r, k, eps, **kw)
+from oracles import layered_instance
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +31,7 @@ def _quiet_build(r, k, eps, **kw):
     ],
 )
 def test_counts_match_closed_forms(r, k, eps, w1, w2, nv, ne):
-    lg = _quiet_build(r, k, eps)
+    lg = build_lb_graph(r, k, eps)
     assert (lg.width1, lg.width2) == (w1, w2)
     assert lg.graph.n == nv and lg.graph.m == ne
     # recount by brute force over coordinate tuples
@@ -50,7 +45,7 @@ def test_counts_match_closed_forms(r, k, eps, w1, w2, nv, ne):
 
 
 def test_edges_change_exactly_one_coordinate():
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     for u, v in lg.graph.edges:
         lo, hi = (u, v) if lg.levels[u] < lg.levels[v] else (v, u)
         assert lg.levels[hi] == lg.levels[lo] + 1
@@ -68,13 +63,13 @@ def test_k1_is_complete_bipartite():
 
 
 def test_vertex_id_roundtrip():
-    lg = _quiet_build(16, 2, 0.5)
+    lg = build_lb_graph(16, 2, 0.5)
     for v in range(lg.graph.n):
         assert lg.vertex_id(lg.levels[v], lg.coords[v]) == v
 
 
 def test_sources_are_level_one():
-    lg = _quiet_build(8, 3, 1.0)
+    lg = build_lb_graph(8, 3, 1.0)
     assert lg.sources == [v for v in range(lg.graph.n) if lg.levels[v] == 1]
 
 
@@ -83,14 +78,37 @@ def test_size_cap():
         build_lb_graph(16, 2, 1.0, max_vertices=10)
 
 
-def test_regime_warning():
-    with pytest.warns(UserWarning, match="regime"):
-        build_lb_graph(8, 3, 1.0)
+def test_matches_brute_force_enumeration():
+    # k = 1, eps = 0 (width1 = 1) and width2 > width1 included
+    for r, k, eps in product((2, 3, 5, 16, 27, 64), (1, 2, 3, 4), (0.0, 0.5, 1.0)):
+        lg = build_lb_graph(r, k, eps)
+        levels, coords, edges = layered_instance(k, lg.width1, lg.width2)
+        assert lg.levels == levels and lg.coords == coords, (r, k, eps)
+        assert lg.graph.edges == edges, (r, k, eps)
+        assert lg.sources == [v for v, lv in enumerate(levels) if lv == 1]
+        assert lg.level_offsets == [levels.index(lv) for lv in range(1, k + 2)]
+        assert lg.level_sizes == [levels.count(lv) for lv in range(1, k + 2)]
+        assert build_lb_graph(r, k, eps, max_vertices=len(levels)).graph == lg.graph
+        with pytest.raises(ValueError, match="cap"):
+            build_lb_graph(r, k, eps, max_vertices=len(levels) - 1)
+
+
+@pytest.mark.parametrize(
+    "r,k,want",
+    # ln(ln(2)) < 0 puts every k in regime; ln(8)/ln(ln(8)) = 2.84, ln(16)/ln(ln(16)) = 2.72
+    [(2, 1, True), (2, 5, True), (3, 5, True), (8, 2, True), (8, 3, False),
+     (16, 2, True), (16, 3, False), (256, 3, True), (256, 4, False)],
+)
+def test_in_regime_truth_table(r, k, want):
+    lg = build_lb_graph(r, k, 1.0)
+    assert lg.in_regime is want
+    with pytest.raises(AttributeError):
+        lg.in_regime = not want  # derived from r and k, never stored
 
 
 def test_diameter_stays_small():
     for r, k, eps in [(16, 2, 1.0), (8, 3, 1.0), (16, 2, 0.5)]:
-        lg = _quiet_build(r, k, eps)
+        lg = build_lb_graph(r, k, eps)
         dmat = hop_distance_matrix(lg.graph)
         assert dmat.min() >= 0  # connected
         assert dmat.max() <= 3 * k
@@ -115,20 +133,20 @@ def _all_chains(lg):
 
 
 def test_full_candidate_has_no_chain():
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     h = Spanner(lg.graph.n, lg.graph.edges, {})
     assert find_missing_chain(lg, h) is None
     assert lb_audit(lg, h)["certified"] is False
 
 
 def test_empty_candidate_yields_first_chain():
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     h = Spanner(lg.graph.n, frozenset(), {})
     assert find_missing_chain(lg, h).vertices == [0, 16, 32]
 
 
 def test_chain_matches_exhaustive_enumeration():
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     edge_list = lg.graph.sorted_edges()
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -146,7 +164,7 @@ def test_chain_matches_exhaustive_enumeration():
 
 
 def test_candidate_not_subgraph_rejected():
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     h = Spanner(lg.graph.n, frozenset({(0, 1)}), {})  # not an instance edge
     with pytest.raises(ValueError):
         find_missing_chain(lg, h)
@@ -154,7 +172,7 @@ def test_candidate_not_subgraph_rejected():
 
 @pytest.mark.parametrize("kind", ["reversed", "loop", "out of range", "non-host"])
 def test_malformed_pairs_are_not_instance_edges(kind):
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     n = lg.graph.n
     u, v = lg.graph.sorted_edges()[-1]
     # (u - 1, v + n) would encode to u*n + v, the code of host edge (u, v)
@@ -169,7 +187,7 @@ def test_malformed_pairs_are_not_instance_edges(kind):
 
 
 def test_audit_rejects_candidate_of_another_vertex_count():
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     edges = frozenset(lg.graph.sorted_edges()[:60])
     for n in (lg.graph.n + 7, lg.graph.n + 1):
         with pytest.raises(ValueError, match="vertex count"):
@@ -178,7 +196,7 @@ def test_audit_rejects_candidate_of_another_vertex_count():
 
 
 def test_audit_certifies_sparse_candidates():
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     edge_list = lg.graph.sorted_edges()
     rng = np.random.default_rng(23)
     keep = rng.choice(len(edge_list), size=60, replace=False)  # < 128/2
@@ -208,7 +226,7 @@ def _walks_avoiding(g, start, goal, banned_edges, max_len):
 
 def test_every_short_walk_uses_a_chain_edge():
     # drop exactly the canonical chain's edges: the endpoints drift to >= 3k
-    lg = _quiet_build(16, 2, 1.0)
+    lg = build_lb_graph(16, 2, 1.0)
     chain = [0, 16, 32]
     banned = {norm_edge(a, b) for a, b in zip(chain, chain[1:])}
     h = Spanner(lg.graph.n, frozenset(lg.graph.edges - banned), {})

@@ -3,8 +3,6 @@ sets, and a small randomized sweep beyond the acceptance grid."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from spanlab import (
@@ -57,9 +55,8 @@ def test_disconnected_host_all_builders(split_graph):
     sub = build_subsetwise_plus2(g, members)
     assert verify_spanner(g, sub, members, subsetwise_spec(2)).ok
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        s4 = build_sourcewise_additive4(g, src)
+    s4 = build_sourcewise_additive4(g, src)
+    assert s4.meta["in_regime"] is False  # 4 sources < 85^(2/3)
     assert verify_spanner(g, s4, src.vertices, additive_spec(4)).ok
 
 
