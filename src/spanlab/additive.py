@@ -322,8 +322,10 @@ def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
             while True:
                 missing = _check_candidate(path, s, v, level, base_dist, params, gc, adj)
                 cost = len(missing)
-                value = _path_value(path, gc.cluster_index, cdist)
-                if cost <= 3.0 * phi * value + _EPS:
+                # a free path is bought whatever its value, which is >= 0
+                if cost == 0 or (
+                    cost <= 3.0 * phi * _path_value(path, gc.cluster_index, cdist) + _EPS
+                ):
                     if cost:
                         new_edges = [(path[i - 1], path[i]) for i in missing]
                         [improved] = _insert_edges(adj, new_edges, [dist_h])

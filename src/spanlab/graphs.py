@@ -5,18 +5,19 @@ distance core fed from edge sets, and seeded random-graph generation.
 One edge form: a Graph, a Spanner or an Emulator stores only its sorted
 int64 edge codes u*n + v (an Emulator with an aligned int64 weight array),
 and this module alone encodes and decodes them.  The CSR, the `edges`
-frozenset, a Graph's `adj` tuples and an Emulator's `weights` dict and
-scipy matrix are views built on first read.  `bfs` searches level by level
-over the CSR, with `csr_neighbors`, the one neighbor-list gather.  The distance core
-serves every bulk row.  Hop rows of a graph or a spanner, over its kept CSR,
-come from a packed-bitset BFS (64 sources per uint64 word); sources whose
-search runs past a fixed level cap, and the weighted rows of an emulator,
-come from one batched scipy Dijkstra.  scipy is imported at those two
-Dijkstra sites only, on first use.  `parent_rows` turns hop rows into rows
-of canonical min-id BFS parents, the parents `bfs` and `trace_parent_path`
-pick: the root at distance 1, and beyond it one neighbor rank at a time
-over the CSR.  `unique_codes` is the one edge-code dedupe, a sort and a
-neighbor comparison.
+frozenset, a Graph's `adj` tuples and an Emulator's `weights` dict,
+per-weight CSRs and scipy matrix are views built on first read.  `bfs`
+searches level by level over the CSR, with `csr_neighbors`, the one
+neighbor-list gather.  The distance core serves every bulk row: one
+packed-bitset level loop (64 sources per uint64 word, `_bfs_rows`) gives
+the hop rows of a graph or a spanner, over its kept CSR, and the weighted
+rows of an emulator, over one CSR per weight.  Only sources whose search
+runs past a fixed level cap take rows of one batched scipy Dijkstra;
+scipy is imported there only, on first use.  `parent_rows` turns hop rows
+into rows of canonical min-id BFS parents, the parents `bfs` and
+`trace_parent_path` pick: the root at distance 1, and beyond it one
+neighbor rank at a time over the CSR.  `unique_codes` is the one edge-code
+dedupe, a sort and a neighbor comparison.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -269,6 +270,15 @@ def is_subgraph(h: Spanner, g: Graph) -> bool:
     return bool(np.all(at < g.m)) and np.array_equal(g.codes[np.minimum(at, g.m - 1)], h.codes)
 
 
+def _check_exact(weight: np.ndarray) -> np.ndarray:
+    """`weight` as float64; ValueError if its sum, which bounds every
+    distance, reaches 2**53, past which float64 sums are not exact."""
+    data = weight.astype(np.float64)
+    if data.sum() >= 2.0**53:
+        raise ValueError("emulator weights too large for exact distances")
+    return data
+
+
 class Emulator(_CodedEdges):
     """Weighted graph on the host vertex set; edges need not exist in G.
 
@@ -278,8 +288,10 @@ class Emulator(_CodedEdges):
     `codes` and `weight`, the read-only int64 weights aligned with them;
     parallel entries keep the minimum weight, and a weight past int64 is
     kept as the int64 maximum.  `weights`, a dict of plain ints keyed by
-    (u, v), and `adjacency`, a scipy matrix, are views built on first read.
-    Equality and hashing cover the weights.
+    (u, v), `weight_classes`, the per-weight CSRs that distance rows are
+    searched over, and `adjacency`, the scipy matrix that only the Dijkstra
+    fallback reads, are views built on first read.  Equality and hashing
+    cover the weights.
     """
 
     def __init__(self, n: int, weighted_edges: np.ndarray | Iterable[tuple[int, int, int]]):
@@ -298,13 +310,23 @@ class Emulator(_CodedEdges):
         return dict(zip(edge_pairs(self.n, self.codes), self.weight.tolist()))
 
     @cached_property
+    def weight_classes(self) -> tuple[tuple[int, tuple[np.ndarray, np.ndarray]], ...]:
+        """The level classes of `_bfs_rows`: (w, CSR of the entries of
+        weight w) for each weight w <= the level cap, ascending, then the
+        entries heavier than the cap as one class of weight cap + 1.
+        ValueError if the weights are too large for exact distances."""
+        _check_exact(self.weight)
+        group = np.minimum(self.weight, _LEVEL_CAP + 1)
+        present = np.flatnonzero(np.bincount(group, minlength=1)).tolist()
+        return tuple((w, _csr(self.n, self.codes[group == w])) for w in present)
+
+    @cached_property
     def adjacency(self):
         """The weights as a float64 scipy CSR matrix holding each unordered
-        pair once; ValueError if the weights are too large for exact
+        pair once, read only by the Dijkstra fallback for rows past the
+        level cap; ValueError if the weights are too large for exact
         float64 distances."""
-        data = self.weight.astype(np.float64)
-        if data.sum() >= 2.0**53:  # bounds every distance; float64 sums stay exact below it
-            raise ValueError("emulator weights too large for exact distances")
+        data = _check_exact(self.weight)
         from scipy.sparse import csr_matrix
 
         return csr_matrix((data, edge_ends(self.n, self.codes)), shape=(self.n, self.n))
@@ -595,11 +617,14 @@ def _dijkstra_rows(adj, roots: np.ndarray, directed: bool, unweighted: bool) -> 
     return rows
 
 
-# Roots per bitset block (one bit each, 64 to a uint64 word).  A BFS level
+# Roots per bitset block (one bit each, 64 to a uint64 word).  A level
 # costs O((n + nnz) * words) however small its frontier, so roots whose
-# search goes past _LEVEL_CAP levels take Dijkstra rows instead: on long
-# diameters that bounds the wasted levels, and levels stay below 128 so a
-# block's rows fit int8.  Rows are written _WRITE_CHUNK vertices at a time.
+# search goes past _LEVEL_CAP levels (hops, or emulator weight) take
+# Dijkstra rows instead: on long diameters that bounds the wasted levels,
+# it bounds the ring of frontiers a weighted search keeps, and levels stay
+# below 128 so a block's rows fit int8.  An emulator weight above the cap
+# is in no level's weight class; a root that reaches such an edge goes to
+# Dijkstra too.  Rows are written _WRITE_CHUNK vertices at a time.
 _ROW_BLOCK = 1024
 _LEVEL_CAP = 64
 _WRITE_CHUNK = 64
@@ -610,49 +635,97 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
 
 
-def _bfs_rows(csr: tuple[np.ndarray, np.ndarray], roots: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[i] with the hop distances from roots[i] (UNREACHED where cut
-    off) over the CSR graph.
-
-    Level-synchronous BFS for `_ROW_BLOCK` roots at once: the frontier holds
-    one bit per (vertex, root), and a level ORs the frontier words of every
-    vertex's neighbors (`bitwise_or.reduceat` over the CSR) and keeps the
-    bits not yet seen.  Levels are recorded bit-sliced (plane i gets the new
-    bits of every level with bit i set) and unpacked once per block.  Roots
-    whose search passes `_LEVEL_CAP` levels get Dijkstra rows instead.
-    """
+def _spread(csr: tuple[np.ndarray, np.ndarray]):
+    """(gather, starts, isolated) of a CSR for `_reach`: its indices with
+    the id n appended, so the last segment ends in range even when trailing
+    vertices are isolated, its segment starts, and the vertices without an
+    edge, whose rows `_reach` zeroes."""
     indptr, indices = csr
     n = len(indptr) - 1
-    # frontier row n stays zero, so the last segment ends in range even
-    # when trailing vertices are isolated; isolated rows are zeroed after
-    gather = np.append(indices, n)
-    isolated = np.flatnonzero(indptr[1:] == indptr[:-1])
+    return np.append(indices, n), indptr[:-1], np.flatnonzero(indptr[1:] == indptr[:-1])
+
+
+def _reach(frontier: np.ndarray, spread) -> np.ndarray:
+    """Per vertex the OR of the frontier words of its neighbors in one CSR
+    (`_spread`); `frontier` has n + 1 rows, the last one zero."""
+    gather, starts, isolated = spread
+    reached = np.bitwise_or.reduceat(frontier.take(gather, axis=0), starts, axis=0)
+    reached[isolated] = 0
+    return reached
+
+
+def _bfs_rows(classes, roots: np.ndarray, out: np.ndarray, dijkstra) -> None:
+    """Fill out[i] with the distances from roots[i] (UNREACHED where cut
+    off) over a graph with positive integer edge weights.
+
+    `classes` splits the edges by weight: one (w, CSR) per weight w <=
+    `_LEVEL_CAP`, ascending, each CSR holding that weight's edges in both
+    directions, and the edges heavier than the cap, if any, as one last
+    class of weight _LEVEL_CAP + 1.  Hop rows have the one class
+    (1, csr) (`_hop_rows`).  `dijkstra(roots)` gives the exact rows of the
+    roots handed to it.
+
+    Level-synchronous search for `_ROW_BLOCK` roots at once, in Dial's
+    bucket order on bit-parallel frontiers: a frontier holds one bit per
+    (vertex, root), and level d ORs, per class w, the frontier words of
+    level d - w over that class's CSR (`bitwise_or.reduceat`) and keeps the
+    bits not yet seen.  A ring keeps the frontiers of the last W levels, W
+    the largest class weight; the search ends once all of them are empty.
+    Levels are recorded bit-sliced (plane i gets the new bits of every
+    level with bit i set) and unpacked once per block.  A root is deep when,
+    after `_LEVEL_CAP` levels or when some edge is heavier than that, a
+    vertex it found has an edge of any class to one it did not: one more
+    level's pass over every class with all found bits.  Deep roots get
+    `dijkstra` rows; every other unfound vertex is cut off.
+    """
+    n = out.shape[1]
+    spreads = [(w, _spread(c)) for w, c in classes]
+    span = max((w for w, _ in spreads if w <= _LEVEL_CAP), default=1)
+    heavy = bool(spreads) and spreads[-1][0] > _LEVEL_CAP
     for lo in range(0, len(roots), _ROW_BLOCK):
         block = roots[lo:lo + _ROW_BLOCK]
         b = len(block)
         col = np.arange(b)
         packed = np.zeros((n + 1, -(-b // 64) * 8), np.uint8)
         np.bitwise_or.at(packed, (block, col >> 3), np.left_shift(1, col & 7).astype(np.uint8))
-        frontier = packed.view(np.uint64)
-        new = frontier[:n]
-        unseen = ~new
+        # ring[d % span] is the frontier of level d (row n zero), None if empty
+        ring: list[Optional[np.ndarray]] = [None] * span
+        ring[0] = packed.view(np.uint64)
+        unseen = ~ring[0][:n]
         planes: list[np.ndarray] = []
+        for level in range(1, _LEVEL_CAP + 1):
+            reached = None
+            for w, spread in spreads:
+                source = ring[(level - w) % span] if w <= _LEVEL_CAP else None
+                if source is not None:
+                    part = _reach(source, spread)
+                    reached = part if reached is None else np.bitwise_or(reached, part, out=reached)
+            # the slot of level - span, read above, takes this level's frontier
+            frontier, ring[level % span] = ring[level % span], None
+            if reached is not None:
+                if frontier is None:
+                    frontier = np.zeros((n + 1, reached.shape[1]), np.uint64)
+                new = frontier[:n]
+                np.bitwise_and(reached, unseen, out=new)
+                if new.any():
+                    ring[level % span] = frontier
+                    unseen ^= new
+                    while level.bit_length() > len(planes):  # weighted levels may skip
+                        planes.append(np.zeros_like(unseen))
+                    for i, plane in enumerate(planes):
+                        if level >> i & 1:
+                            plane |= new
+            if all(f is None for f in ring):
+                break
         deep = np.empty(0, np.int64)
-        for level in range(1, _LEVEL_CAP + 2):
-            reached = np.bitwise_or.reduceat(frontier.take(gather, axis=0), indptr[:-1], axis=0)
-            reached[isolated] = 0
-            np.bitwise_and(reached, unseen, out=new)
-            if not new.any():
-                break
-            if level > _LEVEL_CAP:  # roots whose search goes past the cap
-                deep = np.flatnonzero(_unpack(np.bitwise_or.reduce(new, axis=0)[None], b)[0])
-                break
-            unseen ^= new
-            if level.bit_length() > len(planes):
-                planes.append(np.zeros_like(unseen))
-            for i, plane in enumerate(planes):
-                if level >> i & 1:
-                    plane |= new
+        if heavy or any(f is not None for f in ring):
+            seen = np.zeros((n + 1, unseen.shape[1]), np.uint64)
+            np.invert(unseen, out=seen[:n])
+            reached = np.zeros_like(unseen)
+            for _, spread in spreads:
+                reached |= _reach(seen, spread)
+            reached &= unseen
+            deep = np.flatnonzero(_unpack(np.bitwise_or.reduce(reached, axis=0)[None], b)[0])
         if len(deep) < b:
             dist = _unpack(unseen, b) * np.uint8(255)  # UNREACHED once read as int8
             for i, plane in enumerate(planes):
@@ -661,11 +734,23 @@ def _bfs_rows(csr: tuple[np.ndarray, np.ndarray], roots: np.ndarray, out: np.nda
             for v in range(0, n, _WRITE_CHUNK):
                 rows[:, v:v + _WRITE_CHUNK] = signed[v:v + _WRITE_CHUNK].T
         if len(deep):
-            from scipy.sparse import csr_matrix
+            out[lo + deep] = dijkstra(block[deep])
 
-            adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-            # adj holds both directions of every pair, so directed is exact
-            out[lo + deep] = _dijkstra_rows(adj, block[deep], directed=True, unweighted=True)
+
+def _hop_rows(csr: tuple[np.ndarray, np.ndarray], roots: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[i] with the hop distances from roots[i] over the CSR graph:
+    `_bfs_rows` with one weight-1 class, and unit-weight Dijkstra rows for
+    the roots past the level cap."""
+    def dijkstra(deep: np.ndarray) -> np.ndarray:
+        from scipy.sparse import csr_matrix
+
+        indptr, indices = csr
+        n = len(indptr) - 1
+        adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        # adj holds both directions of every pair, so directed is exact
+        return _dijkstra_rows(adj, deep, directed=True, unweighted=True)
+
+    _bfs_rows(((1, csr),), roots, out, dijkstra)
 
 
 def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndarray:
@@ -713,23 +798,29 @@ def hop_distance_matrix(
 ) -> np.ndarray:
     """Hop distances from each source (default: all vertices) over the kept
     `csr` of a Graph or a Spanner, as an int32 matrix from the
-    packed-bitset BFS (`_bfs_rows`); UNREACHED where cut off.  Rows follow
+    packed-bitset BFS (`_hop_rows`); UNREACHED where cut off.  Rows follow
     the order of `sources`."""
     roots = _check_roots(g.n, sources)
     out = np.empty((len(roots), g.n), np.int32)
     if len(roots):
-        _bfs_rows(g.csr, roots, out)
+        _hop_rows(g.csr, roots, out)
     return out
 
 
 def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
     """Exact weighted distances from each source in an emulator as an int64
-    matrix from one batched scipy Dijkstra over its kept `adjacency`;
-    UNREACHED where cut off.  Rows follow the order of `sources`."""
+    matrix; UNREACHED where cut off.  Rows follow the order of `sources`.
+    They come from the level kernel (`_bfs_rows`) over the emulator's
+    `weight_classes`; roots past the level cap take rows of one batched
+    scipy Dijkstra over its `adjacency`.  ValueError if the weights are too
+    large for exact distances and some row is asked for."""
     roots = _check_roots(h.n, sources)
     out = np.empty((len(roots), h.n), np.int64)
     if len(roots):
-        out[...] = _dijkstra_rows(h.adjacency, roots, directed=False, unweighted=False)
+        _bfs_rows(
+            h.weight_classes, roots, out,
+            lambda deep: _dijkstra_rows(h.adjacency, deep, directed=False, unweighted=False),
+        )
     return out
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, _bfs_rows, edge_codes, norm_edge, unique_codes
+from .graphs import Graph, Spanner, _hop_rows, edge_codes, norm_edge, unique_codes
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
@@ -75,7 +75,7 @@ def hop_rows(g: Graph) -> np.ndarray:
     packed-bitset BFS row kernel over the graph's kept CSR."""
     n = g.n
     dist = np.empty((n, n), np.int16 if n < 2**15 else np.int32)
-    _bfs_rows(g.csr, np.arange(n), dist)
+    _hop_rows(g.csr, np.arange(n), dist)
     return dist
 
 

@@ -265,8 +265,9 @@ def verify_emulator(
 ) -> StretchReport:
     """Weighted distances in the emulator against BFS in the host graph:
     the emulator may never undershoot a distance and may overshoot by at
-    most beta on every (source, vertex) pair.  Host rows are packed-bitset
-    BFS rows and emulator rows batched weighted Dijkstra rows."""
+    most beta on every (source, vertex) pair.  Host rows and emulator
+    rows come from the one packed-bitset level loop, the emulator's over
+    its per-weight CSRs; only roots past the level cap take Dijkstra rows."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     roots = _source_roots(sources)

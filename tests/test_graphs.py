@@ -368,20 +368,32 @@ def test_host_rows_read_the_kept_csr(monkeypatch):
 
 
 def test_import_defers_scipy_to_the_first_dijkstra():
+    # scipy is loaded only for rows past the level cap, never for the
+    # shallow hop and weighted rows every verifier reads; each deep row
+    # runs in a fresh interpreter
     src = Path(graphs.__file__).resolve().parents[1]
-    code = "\n".join([
-        "import sys",
-        "import spanlab as sl",
-        "assert 'scipy.sparse' not in sys.modules",
-        "g = sl.random_graph(40, 0.1, 1)",
-        "assert sl.verify_spanner(g, sl.build_hybrid(g, 2, 1), None, sl.hybrid_spec(2)).ok",
-        "assert 'scipy.sparse' not in sys.modules",
-        "assert sl.weighted_sssp(sl.Emulator(2, [(0, 1, 3)]), 0) == [0, 3]",
-        "assert 'scipy.sparse' in sys.modules",
-    ])
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    for deep_row in (
+        # a hop row past the level cap: one end of a 70-edge path
+        "sl.hop_distance_matrix(sl.Graph(71, [(i, i + 1) for i in range(70)]), [0])[0, 70] == 70",
+        # a weighted row past the level cap: one weight-100 edge
+        "sl.weighted_sssp(sl.Emulator(2, [(0, 1, 100)]), 0) == [0, 100]",
+    ):
+        code = "\n".join([
+            "import sys",
+            "import spanlab as sl",
+            "assert 'scipy.sparse' not in sys.modules",
+            "g = sl.random_graph(40, 0.1, 1)",
+            "assert sl.verify_spanner(g, sl.build_hybrid(g, 2, 1), None, sl.hybrid_spec(2)).ok",
+            "assert sl.weighted_sssp(sl.Emulator(2, [(0, 1, 3)]), 0) == [0, 3]",
+            "h = sl.build_sourcewise_emulator2(g, sl.SourceSet.from_ids(range(6), g.n))",
+            "assert sl.verify_emulator(g, h, range(6), 2).ok",
+            "assert 'scipy.sparse' not in sys.modules",
+            f"assert {deep_row}",
+            "assert 'scipy.sparse' in sys.modules",
+        ])
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +884,107 @@ def test_adjacency_csr_is_the_sorted_adjacency(kernel_host):
     for bad in [(0, 3), (-1, 1)]:
         with pytest.raises(ValueError, match="out of range"):
             hop_distance_matrix(Spanner(3, frozenset({bad}), {}))
+
+
+# ---------------------------------------------------------------------------
+# weighted rows from the same level kernel, Dijkstra only past the level cap
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def weighted_host():
+    """An emulator on 120 vertices, ids interleaved: random weights 1..9 on
+    a random part, a weight-7 path of 14 edges (its end roots run past the
+    level cap, its middle roots do not), a tree with weights 40..90
+    (several above the cap), one class holding a single edge (weight 13)
+    and isolated vertices between the parts and at the last id.  Returns
+    the emulator, its Bellman-Ford rows and per vertex whether its search
+    runs past the cap (some finite distance above it)."""
+    rng = np.random.default_rng(11)
+    rand = random_graph(40, 0.12, 6)
+    parts = [
+        [(u, v, int(rng.integers(1, 10))) for u, v in sorted(rand.edges)],
+        [(i, i + 1, 7) for i in range(14)] + [(14, 15, 13)],
+        [(u, v, int(rng.integers(40, 91))) for u, v in sorted(random_tree(12, 2).edges)],
+    ]
+    triples, base = [], 0
+    for size, part in zip((40, 16, 12), parts):
+        triples += [(u + base, v + base, w) for u, v, w in part]
+        base += size + 6
+    order = np.random.default_rng(5).permutation(119)
+    em = Emulator(120, [(int(order[u]), int(order[v]), w) for u, v, w in triples])
+    assert (em.weight == 13).sum() == 1 and em.weight.max() > graphs._LEVEL_CAP
+    want = [as_int_grid([bellman_ford(em, r)])[0] for r in range(em.n)]
+    deep = [max(row) > graphs._LEVEL_CAP for row in want]
+    assert any(deep) and not all(deep) and want[119] == [-1] * 119 + [0]  # last id isolated
+    return em, want, deep
+
+
+@pytest.mark.parametrize("block", [None, 1, 5])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+def test_weighted_rows_match_bellman_ford(monkeypatch, weighted_host, count, block):
+    em, want, deep = weighted_host
+    if block is not None:
+        monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
+    handed = _count_dijkstra_rows(monkeypatch)
+    rng = np.random.default_rng(count)
+    # repeated, unsorted roots across 64-bit words; always the isolated last id
+    roots = [em.n - 1] + rng.integers(0, em.n, count - 1).tolist()
+    got = emulator_distance_matrix(em, roots)
+    assert got.dtype == np.int64 and got.tolist() == [want[r] for r in roots]
+    # deep and shallow roots share blocks: only the deep ones take Dijkstra rows
+    assert sorted(handed) == sorted(r for r in roots if deep[r])
+
+
+@pytest.mark.parametrize("top", [9, graphs._LEVEL_CAP, 200])
+def test_random_weights_match_bellman_ford(monkeypatch, top):
+    rng = np.random.default_rng(top)
+    for t in range(6):
+        n = int(rng.integers(2, 40))
+        g = random_graph(n, float(rng.uniform(0.05, 0.3)), t)
+        em = Emulator(n, [(u, v, int(rng.integers(1, top + 1))) for u, v in sorted(g.edges)])
+        handed = _count_dijkstra_rows(monkeypatch)
+        want = [as_int_grid([bellman_ford(em, r)])[0] for r in range(n)]
+        assert emulator_distance_matrix(em, range(n)).tolist() == want
+        assert handed == [r for r in range(n) if max(want[r]) > graphs._LEVEL_CAP]
+
+
+@pytest.mark.parametrize("total", [graphs._LEVEL_CAP - 1, graphs._LEVEL_CAP, graphs._LEVEL_CAP + 1])
+def test_weighted_search_goes_deep_only_past_the_cap(monkeypatch, total):
+    # 0 -(32)- 1 -(total - 32)- 2: only the end roots see distance `total`
+    em = Emulator(4, [(0, 1, 32), (1, 2, total - 32)])
+    handed = _count_dijkstra_rows(monkeypatch)
+    got = emulator_distance_matrix(em, [2, 0, 1, 3])
+    assert got.tolist() == [[total, total - 32, 0, -1], [0, 32, total, -1],
+                            [32, 0, total - 32, -1], [-1, -1, -1, 0]]
+    assert handed == ([2, 0] if total > graphs._LEVEL_CAP else [])
+
+
+def test_unit_weight_rows_are_hop_rows(monkeypatch):
+    # a random part and a path longer than the level cap, with isolated vertices
+    g = parent_host()
+    em = Emulator(g.n, [(u, v, 1) for u, v in sorted(g.edges)])
+    handed = _count_dijkstra_rows(monkeypatch)
+    roots = list(range(g.n))[::-1] + [0, 0]
+    hop = hop_distance_matrix(g, roots)
+    hop_handed = sorted(handed)
+    handed.clear()
+    assert np.array_equal(emulator_distance_matrix(em, roots), hop.astype(np.int64))
+    assert sorted(handed) == hop_handed and hop_handed  # the same roots go deep
+
+
+def test_inexact_weights_raise_even_when_no_root_goes_deep(monkeypatch):
+    # the heavy edge lies on no shortest path: no root's search goes deep
+    handed = _count_dijkstra_rows(monkeypatch)
+    fine = Emulator(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2**53 - 3)])
+    assert emulator_distance_matrix(fine, [2, 0]).tolist() == [[2, 1, 0], [0, 1, 2]]
+    assert handed == []
+    big = Emulator(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2**53 - 2)])  # weights sum to 2**53
+    for roots in ([0], [1, 1]):
+        with pytest.raises(ValueError, match="too large for exact distances"):
+            emulator_distance_matrix(big, roots)
+    assert emulator_distance_matrix(big, []).shape == (0, 3)  # no root, no distance
+    assert handed == []
 
 
 # ---------------------------------------------------------------------------
