@@ -5,19 +5,19 @@ distance core fed from edge sets, and seeded random-graph generation.
 One edge form: a Graph, a Spanner or an Emulator stores only its sorted
 int64 edge codes u*n + v (an Emulator with an aligned int64 weight array),
 and this module alone encodes and decodes them.  The CSR, the `edges`
-frozenset, a Graph's `adj` tuples and an Emulator's `weights` dict,
-per-weight CSRs and scipy matrix are views built on first read.  `bfs`
-searches level by level over the CSR, with `csr_neighbors`, the one
-neighbor-list gather.  The distance core serves every bulk row: one
-packed-bitset level loop (64 sources per uint64 word, `_bfs_rows`) gives
-the hop rows of a graph or a spanner, over its kept CSR, and the weighted
-rows of an emulator, over one CSR per weight.  Only sources whose search
-runs past a fixed level cap take rows of one batched scipy Dijkstra;
-scipy is imported there only, on first use.  `parent_rows` turns hop rows
-into rows of canonical min-id BFS parents, the parents `bfs` and
-`trace_parent_path` pick: the root at distance 1, and beyond it one
-neighbor rank at a time over the CSR.  `unique_codes` is the one edge-code
-dedupe, a sort and a neighbor comparison.
+frozenset, a Graph's `adj` tuples and an Emulator's `weights` dict and
+per-weight CSRs are views built on first read.  `bfs` searches level by
+level over the CSR, with `csr_neighbors`, the one neighbor-list gather.
+The distance core serves every bulk row: one packed-bitset level loop (64
+sources per uint64 word, `_bfs_rows`) gives the hop rows of a graph or a
+spanner, over its kept CSR, and the weighted rows of an emulator, over one
+CSR per weight.  Only sources whose search runs past a fixed level cap
+take rows of `_dijkstra_rows`, one batched scipy Dijkstra over the same
+edge codes; scipy is imported there only, on first use.  `parent_rows`
+turns hop rows into rows of canonical min-id BFS parents, the parents
+`bfs` and `trace_parent_path` pick: the root at distance 1, and beyond it
+one neighbor rank at a time over the CSR.  `unique_codes` is the one
+edge-code dedupe, a sort and a neighbor comparison.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -288,10 +288,9 @@ class Emulator(_CodedEdges):
     `codes` and `weight`, the read-only int64 weights aligned with them;
     parallel entries keep the minimum weight, and a weight past int64 is
     kept as the int64 maximum.  `weights`, a dict of plain ints keyed by
-    (u, v), `weight_classes`, the per-weight CSRs that distance rows are
-    searched over, and `adjacency`, the scipy matrix that only the Dijkstra
-    fallback reads, are views built on first read.  Equality and hashing
-    cover the weights.
+    (u, v), and `weight_classes`, the per-weight CSRs that distance rows
+    are searched over, are views built on first read.  Equality and
+    hashing cover the weights.
     """
 
     def __init__(self, n: int, weighted_edges: np.ndarray | Iterable[tuple[int, int, int]]):
@@ -319,17 +318,6 @@ class Emulator(_CodedEdges):
         group = np.minimum(self.weight, _LEVEL_CAP + 1)
         present = np.flatnonzero(np.bincount(group, minlength=1)).tolist()
         return tuple((w, _csr(self.n, self.codes[group == w])) for w in present)
-
-    @cached_property
-    def adjacency(self):
-        """The weights as a float64 scipy CSR matrix holding each unordered
-        pair once, read only by the Dijkstra fallback for rows past the
-        level cap; ValueError if the weights are too large for exact
-        float64 distances."""
-        data = _check_exact(self.weight)
-        from scipy.sparse import csr_matrix
-
-        return csr_matrix((data, edge_ends(self.n, self.codes)), shape=(self.n, self.n))
 
     def __eq__(self, other) -> bool:
         return super().__eq__(other) and np.array_equal(self.weight, other.weight)
@@ -607,12 +595,16 @@ def _csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, keys
 
 
-def _dijkstra_rows(adj, roots: np.ndarray, directed: bool, unweighted: bool) -> np.ndarray:
-    """float64 rows of scipy's Dijkstra from each root over the scipy sparse
-    matrix `adj`; UNREACHED where cut off."""
+def _dijkstra_rows(n: int, codes: np.ndarray, weight, roots: np.ndarray) -> np.ndarray:
+    """float64 rows of scipy's Dijkstra from each root over the undirected
+    graph of the sorted edge `codes`, with unit weights when `weight` is
+    None; UNREACHED where cut off.  The one place scipy is imported."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    rows = dijkstra(adj, directed=directed, unweighted=unweighted, indices=roots)
+    data = np.ones(len(codes)) if weight is None else _check_exact(weight)
+    adj = csr_matrix((data, edge_ends(n, codes)), shape=(n, n))
+    rows = dijkstra(adj, directed=False, indices=roots)
     rows[np.isinf(rows)] = UNREACHED
     return rows
 
@@ -654,16 +646,14 @@ def _reach(frontier: np.ndarray, spread) -> np.ndarray:
     return reached
 
 
-def _bfs_rows(classes, roots: np.ndarray, out: np.ndarray, dijkstra) -> None:
-    """Fill out[i] with the distances from roots[i] (UNREACHED where cut
-    off) over a graph with positive integer edge weights.
-
-    `classes` splits the edges by weight: one (w, CSR) per weight w <=
-    `_LEVEL_CAP`, ascending, each CSR holding that weight's edges in both
-    directions, and the edges heavier than the cap, if any, as one last
-    class of weight _LEVEL_CAP + 1.  Hop rows have the one class
-    (1, csr) (`_hop_rows`).  `dijkstra(roots)` gives the exact rows of the
-    roots handed to it.
+def _bfs_rows(edges: _CodedEdges, sources: Optional[Sequence[int]], dtype) -> np.ndarray:
+    """The distances from each source (default: all vertices; `_check_roots`)
+    over `edges` as a `dtype` matrix, one row per source in the order given,
+    UNREACHED where cut off: hops over the kept CSR of a Graph or a Spanner,
+    the one class (1, csr), or weights over an Emulator's `weight_classes`, one
+    (w, CSR) per weight w <= `_LEVEL_CAP`, ascending, each CSR holding that
+    weight's edges in both directions, and the edges heavier than the cap,
+    if any, as one last class of weight _LEVEL_CAP + 1.
 
     Level-synchronous search for `_ROW_BLOCK` roots at once, in Dial's
     bucket order on bit-parallel frontiers: a frontier holds one bit per
@@ -676,9 +666,14 @@ def _bfs_rows(classes, roots: np.ndarray, out: np.ndarray, dijkstra) -> None:
     after `_LEVEL_CAP` levels or when some edge is heavier than that, a
     vertex it found has an edge of any class to one it did not: one more
     level's pass over every class with all found bits.  Deep roots get
-    `dijkstra` rows; every other unfound vertex is cut off.
+    `_dijkstra_rows`; every other unfound vertex is cut off.
     """
-    n = out.shape[1]
+    n, roots = edges.n, _check_roots(edges.n, sources)
+    out = np.empty((len(roots), n), dtype)
+    if not len(roots):
+        return out
+    weight = edges.weight if isinstance(edges, Emulator) else None
+    classes = ((1, edges.csr),) if weight is None else edges.weight_classes
     spreads = [(w, _spread(c)) for w, c in classes]
     span = max((w for w, _ in spreads if w <= _LEVEL_CAP), default=1)
     heavy = bool(spreads) and spreads[-1][0] > _LEVEL_CAP
@@ -734,23 +729,8 @@ def _bfs_rows(classes, roots: np.ndarray, out: np.ndarray, dijkstra) -> None:
             for v in range(0, n, _WRITE_CHUNK):
                 rows[:, v:v + _WRITE_CHUNK] = signed[v:v + _WRITE_CHUNK].T
         if len(deep):
-            out[lo + deep] = dijkstra(block[deep])
-
-
-def _hop_rows(csr: tuple[np.ndarray, np.ndarray], roots: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[i] with the hop distances from roots[i] over the CSR graph:
-    `_bfs_rows` with one weight-1 class, and unit-weight Dijkstra rows for
-    the roots past the level cap."""
-    def dijkstra(deep: np.ndarray) -> np.ndarray:
-        from scipy.sparse import csr_matrix
-
-        indptr, indices = csr
-        n = len(indptr) - 1
-        adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-        # adj holds both directions of every pair, so directed is exact
-        return _dijkstra_rows(adj, deep, directed=True, unweighted=True)
-
-    _bfs_rows(((1, csr),), roots, out, dijkstra)
+            out[lo + deep] = _dijkstra_rows(n, edges.codes, weight, block[deep])
+    return out
 
 
 def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndarray:
@@ -798,13 +778,9 @@ def hop_distance_matrix(
 ) -> np.ndarray:
     """Hop distances from each source (default: all vertices) over the kept
     `csr` of a Graph or a Spanner, as an int32 matrix from the
-    packed-bitset BFS (`_hop_rows`); UNREACHED where cut off.  Rows follow
+    packed-bitset BFS (`_bfs_rows`); UNREACHED where cut off.  Rows follow
     the order of `sources`."""
-    roots = _check_roots(g.n, sources)
-    out = np.empty((len(roots), g.n), np.int32)
-    if len(roots):
-        _hop_rows(g.csr, roots, out)
-    return out
+    return _bfs_rows(g, sources, np.int32)
 
 
 def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
@@ -812,16 +788,9 @@ def emulator_distance_matrix(h: Emulator, sources: Sequence[int]) -> np.ndarray:
     matrix; UNREACHED where cut off.  Rows follow the order of `sources`.
     They come from the level kernel (`_bfs_rows`) over the emulator's
     `weight_classes`; roots past the level cap take rows of one batched
-    scipy Dijkstra over its `adjacency`.  ValueError if the weights are too
-    large for exact distances and some row is asked for."""
-    roots = _check_roots(h.n, sources)
-    out = np.empty((len(roots), h.n), np.int64)
-    if len(roots):
-        _bfs_rows(
-            h.weight_classes, roots, out,
-            lambda deep: _dijkstra_rows(h.adjacency, deep, directed=False, unweighted=False),
-        )
-    return out
+    scipy Dijkstra.  ValueError if the weights are too large for exact
+    distances and some row is asked for."""
+    return _bfs_rows(h, sources, np.int64)
 
 
 def weighted_sssp(h: Emulator, root: int) -> list[int]:

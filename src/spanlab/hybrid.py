@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, _hop_rows, edge_codes, norm_edge, unique_codes
+from .graphs import Graph, Spanner, _bfs_rows, edge_codes, norm_edge, unique_codes
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
@@ -72,11 +72,8 @@ def path_suffix(path: Sequence[int], ell: int, anchor: int) -> set:
 def hop_rows(g: Graph) -> np.ndarray:
     """Every vertex's hop row as one n x n matrix (int16, int32 once
     n >= 2**15; UNREACHED where cut off), filled by one call of the
-    packed-bitset BFS row kernel over the graph's kept CSR."""
-    n = g.n
-    dist = np.empty((n, n), np.int16 if n < 2**15 else np.int32)
-    _hop_rows(g.csr, np.arange(n), dist)
-    return dist
+    packed-bitset BFS row kernel (`_bfs_rows`) over the graph's kept CSR."""
+    return _bfs_rows(g, None, np.int16 if g.n < 2**15 else np.int32)
 
 
 def suffix_walk(csr, dist: np.ndarray, roots, targets, ell: int) -> np.ndarray:

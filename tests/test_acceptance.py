@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from spanlab import Emulator, bench
+from spanlab import Emulator, bench, graphs
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +146,28 @@ def test_criterion_9_checks_the_canonical_parents(monkeypatch):
     assert not all(r.extra["parents_ok"] for r in rows)
     assert all(r.violations == (not r.extra["parents_ok"]) for r in rows)
     assert all(r.extra["matrix_ok"] and r.extra["bfs_ok"] for r in rows)
+
+
+def test_criterion_9_checks_the_multi_root_owners(monkeypatch):
+    min_id_owners = graphs._bfs_arrays
+
+    def max_id_owners(csr, roots, depth=None):
+        # the same search over the graph with its ids reversed: every owner
+        # tie goes to the larger root
+        indptr, indices = csr
+        n = len(indptr) - 1
+        u = np.repeat(np.arange(n), np.diff(indptr))
+        codes = graphs.unique_codes(graphs.edge_codes(n, n - 1 - u, n - 1 - indices))
+        out = min_id_owners(graphs._csr(n, codes), np.sort(n - 1 - roots), depth)[:, ::-1]
+        out[1:] = np.where(out[1:] < 0, -1, n - 1 - out[1:])  # parents and owners
+        return out
+
+    monkeypatch.setattr(graphs, "_bfs_arrays", max_id_owners)
+    rows = bench.run_oracle_check()
+    assert not all(r.extra["bfs_ok"] for r in rows)
+    assert all(r.violations == (not r.extra["bfs_ok"]) for r in rows)
+    assert all(r.extra["matrix_ok"] and r.extra["parents_ok"] for r in rows)
+    # singletons have no tie to break: only the multi-root sets catch it
+    for _, g in bench.oracle_suite_graphs():
+        want = bench.floyd_warshall_oracle(g)
+        assert all(bench.bfs_matches_oracle(g, want, [r]) for r in range(g.n))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanlab import graphs
+from spanlab import graphs, hybrid
 from spanlab import (
     Emulator,
     Graph,
@@ -353,7 +353,7 @@ def test_graph_keeps_a_read_only_csr(n, p):
 
 
 def test_host_rows_read_the_kept_csr(monkeypatch):
-    from spanlab import build_hybrid, hybrid
+    from spanlab import build_hybrid
 
     g = random_graph(60, 0.1, 5)
     want = hybrid.hop_rows(g)
@@ -812,9 +812,9 @@ def _count_dijkstra_rows(monkeypatch) -> list:
     handed = []
     inner = graphs._dijkstra_rows
 
-    def counted(adj, roots, directed, unweighted):
+    def counted(n, codes, weight, roots):
         handed.extend(int(r) for r in roots)
-        return inner(adj, roots, directed, unweighted)
+        return inner(n, codes, weight, roots)
 
     monkeypatch.setattr(graphs, "_dijkstra_rows", counted)
     return handed
@@ -971,6 +971,44 @@ def test_unit_weight_rows_are_hop_rows(monkeypatch):
     handed.clear()
     assert np.array_equal(emulator_distance_matrix(em, roots), hop.astype(np.int64))
     assert sorted(handed) == hop_handed and hop_handed  # the same roots go deep
+
+
+def _long_host(name: str) -> tuple[Graph, np.ndarray]:
+    """A 300-path, a 200-cycle or an 8 x 128 grid (vertex 128 r + c at row r,
+    column c) and its distances in closed form."""
+    if name == "grid8x128":
+        row, col = np.divmod(np.arange(8 * 128), 128)
+        edges = [(v, v + 1) for v in np.flatnonzero(col < 127)]
+        edges += [(v, v + 128) for v in range(7 * 128)]
+        want = abs(row[:, None] - row) + abs(col[:, None] - col)
+        return Graph(8 * 128, edges), want
+    n = 300 if name == "path300" else 200
+    gap = abs(np.arange(n)[:, None] - np.arange(n))
+    if name == "path300":
+        return Graph(n, [(i, i + 1) for i in range(n - 1)]), gap
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)]), np.minimum(gap, n - gap)
+
+
+@pytest.mark.parametrize("name", ["path300", "cycle200", "grid8x128"])
+def test_long_diameter_rows_match_closed_forms(monkeypatch, name):
+    # the host's, a spanner's and a unit-weight emulator's rows over the
+    # same edges all take the one Dijkstra fallback, for the same roots
+    g, want = _long_host(name)
+    u, v = graphs.edge_ends(g.n, g.codes)
+    em = Emulator(g.n, np.column_stack([u, v, np.ones_like(u)]))
+    deep = np.flatnonzero(want.max(axis=1) > graphs._LEVEL_CAP).tolist()
+    roots = list(range(g.n))[::-1]
+    handed = _count_dijkstra_rows(monkeypatch)
+    for rows in (
+        lambda: hop_distance_matrix(g, roots),
+        lambda: hop_distance_matrix(Spanner(g.n, g.codes), roots),
+        lambda: emulator_distance_matrix(em, roots),
+    ):
+        handed.clear()
+        assert np.array_equal(rows(), want[roots])
+        assert sorted(handed) == deep
+    handed.clear()
+    assert np.array_equal(hybrid.hop_rows(g), want) and handed == deep
 
 
 def test_inexact_weights_raise_even_when_no_root_goes_deep(monkeypatch):

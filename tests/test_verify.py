@@ -388,36 +388,42 @@ def test_blocked_verify_builds_the_candidate_csr_once(monkeypatch):
     assert len(built) == 1
 
 
-def test_blocked_verify_builds_the_emulator_adjacency_once(monkeypatch):
+def test_blocked_verify_builds_the_weight_classes_once(monkeypatch):
     g = random_graph(40, 0.15, 3)
     triples = [(u, v, 1 + i % 3) for i, (u, v) in enumerate(g.sorted_edges()) if i % 4]
     # vertex 0 is reached only over an entry heavier than the level cap, so
-    # the roots that reach vertex 1 take rows of the Dijkstra fallback, the
-    # one reader of `adjacency`
+    # the roots that reach vertex 1 take rows of the Dijkstra fallback
     triples = [t for t in triples if 0 not in t[:2]] + [(0, 1, graphs._LEVEL_CAP + 30)]
     want = verify_emulator(g, Emulator(g.n, triples), range(g.n), beta=2)
     assert want.n_violations and want.classes["additive-upper"].pairs
-    built = {"adjacency": [], "weight_classes": []}
+    built, handed = [], []
+    inner = Emulator.weight_classes.func
 
-    def counting(name):
-        inner = getattr(Emulator, name).func
+    def counted(self):
+        built.append(self)
+        return inner(self)
 
-        def counted(self):
-            built[name].append(self)
-            return inner(self)
+    kept = cached_property(counted)
+    kept.__set_name__(Emulator, "weight_classes")
+    monkeypatch.setattr(Emulator, "weight_classes", kept)
+    dijkstra_rows = graphs._dijkstra_rows
 
-        kept = cached_property(counted)
-        kept.__set_name__(Emulator, name)
-        return kept
+    def spied(n, codes, weight, roots):
+        handed.extend(roots.tolist())
+        return dijkstra_rows(n, codes, weight, roots)
 
-    for name in built:
-        monkeypatch.setattr(Emulator, name, counting(name))
+    monkeypatch.setattr(graphs, "_dijkstra_rows", spied)
     monkeypatch.setattr(graphs, "_ROW_BLOCK", 7)
     monkeypatch.setattr(verify, "_ROW_BLOCK", 7)  # 40 roots: six blocks
     em = Emulator(g.n, triples)
     for _ in range(2):
         assert verify_emulator(g, em, range(g.n), beta=2) == want
-    assert {name: len(log) for name, log in built.items()} == {"adjacency": 1, "weight_classes": 1}
+    assert len(built) == 1
+    # only emulator roots whose exact distances run past the cap go deep,
+    # block by block in each verify; no host row does
+    far = [max(d for d in bellman_ford(em, r) if d < INF) for r in range(g.n)]
+    deep = [r for r in range(g.n) if far[r] > graphs._LEVEL_CAP]
+    assert deep and handed == deep * 2
 
 
 def _every_scope(g, h, em, sources):
