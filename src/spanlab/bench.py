@@ -29,9 +29,9 @@ from .graphs import (
     parent_rows,
     random_graph,
 )
-from .hybrid import build_hybrid
+from .hybrid import _closer_neighbors, build_hybrid, hybrid_params
 from .lowerbound import build_lb_graph, lb_audit
-from .sourcewise import SourceSet, build_sourcewise_mult
+from .sourcewise import SourceSet, build_sourcewise_mult, sw_params
 from .util import ceil_int
 from .verify import (
     additive_spec,
@@ -109,16 +109,14 @@ def format_rows(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _center_pair_violations(g: Graph, sp: Spanner, row_key: str, col_key: str, far: int) -> int:
-    """Distances between the recorded (row, column) vertex pairs: exact up
-    to the suffix budget ell, at most far * (d + 1) - ell beyond it."""
-    rows = sp.meta[row_key]
-    cols = sp.meta[col_key]
+def _center_pair_violations(g: Graph, h: Spanner, rows, cols, ell: int, far: int) -> int:
+    """Distances between the (row, column) vertex pairs: exact up to the
+    suffix budget ell of the construction's parameters (not of the output's
+    meta), at most far * (d + 1) - ell beyond it."""
     if not rows or not cols:
         return 0
-    ell = sp.meta["suffix_len"]
     dg = hop_distance_matrix(g, rows)[:, cols].astype(np.int64)
-    dh = hop_distance_matrix(sp, rows)[:, cols].astype(np.int64)
+    dh = hop_distance_matrix(h, rows)[:, cols].astype(np.int64)
     reach = dg >= 0
     bad_near = reach & (dg <= ell) & (dh != dg)
     bad_far = reach & (dg > ell) & ((dh < 0) | (dh > far * (dg + 1) - ell))
@@ -165,7 +163,8 @@ CASES = (
         check=lambda g, src, h, k: (
             verify_spanner(g, h, None, hybrid_spec(k)),
             {"center_pair_violations": _center_pair_violations(
-                g, h, "centers_low", "centers_high", 2 * h.meta["t"])},
+                g, h, h.meta["centers_low"], h.meta["centers_high"],
+                hybrid_params(k).suffix_len, 2 * hybrid_params(k).t)},
         ),
         criteria=(
             (1, "hybrid stretch (adjacent <= 2k-1, others <= k*d)",
@@ -185,7 +184,7 @@ CASES = (
         check=lambda g, src, h, k: (
             verify_spanner(g, h, src.vertices, sourcewise_mult_spec(k)),
             {"center_pair_violations": _center_pair_violations(
-                g, h, "sources", "centers", 2 * (k - 1))},
+                g, h, src.vertices, h.meta["centers"], sw_params(k, src, g.n).suffix_len, 2 * (k - 1))},
         ),
         criteria=(
             (3, "sourcewise multiplicative stretch (adjacent <= 2k-1, others <= (2k-2)*d)",
@@ -337,7 +336,7 @@ def criterion_ratios(rows) -> CriterionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: BFS rows, searches and parents against a cubic all-pairs oracle
+# criterion 9: BFS rows, searches, parents and walk steps against a cubic oracle
 # ---------------------------------------------------------------------------
 
 
@@ -399,18 +398,23 @@ def run_oracle_check() -> list[GridRow]:
     for name, g in oracle_suite_graphs():
         t0 = time.perf_counter()
         want = floyd_warshall_oracle(g)
-        got_matrix = hop_distance_matrix(g)
-        matrix_ok = bool(np.array_equal(want, got_matrix))
+        parents = oracle_parents(want)
         # every singleton, then root sets whose vertices tie between roots
         ties = [[0, g.n - 1], list(range(0, g.n, 2)), list(range(1, g.n, 3))]
-        bfs_ok = all(bfs_matches_oracle(g, want, r) for r in [[v] for v in range(g.n)] + ties)
-        parents_ok = bool(np.array_equal(parent_rows(g.csr, want), oracle_parents(want)))
-        dt = time.perf_counter() - t0
-        extra = {"graph": name, "matrix_ok": matrix_ok, "bfs_ok": bfs_ok, "parents_ok": parents_ok}
+        # hybrid's suffix-walk step, at every cell one hop or more away
+        root, far = np.nonzero(want > 0)
+        step = _closer_neighbors(g.csr, want.reshape(-1), root, far, want[root, far] - 1)
+        checks = {
+            "matrix_ok": np.array_equal(want, hop_distance_matrix(g)),
+            "bfs_ok": all(bfs_matches_oracle(g, want, r) for r in [[v] for v in range(g.n)] + ties),
+            "parents_ok": np.array_equal(parent_rows(g.csr, want), parents),
+            "walk_ok": np.array_equal(step, parents[root, far]),
+        }
         rows.append(
             GridRow(
                 "oracle", g.n, None, None, None, g.m, None, 0.0, 0.0,
-                0 if matrix_ok and bfs_ok and parents_ok else 1, dt, extra=extra,
+                0 if all(checks.values()) else 1, time.perf_counter() - t0,
+                extra={"graph": name, **checks},
             )
         )
     return rows

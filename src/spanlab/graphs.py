@@ -4,20 +4,21 @@ distance core fed from edge sets, and seeded random-graph generation.
 
 One edge form: a Graph, a Spanner or an Emulator stores only its sorted
 int64 edge codes u*n + v (an Emulator with an aligned int64 weight array),
-and this module alone encodes and decodes them.  The CSR, the `edges`
-frozenset, a Graph's `adj` tuples and an Emulator's `weights` dict and
-per-weight CSRs are views built on first read.  `bfs` searches level by
-level over the CSR, with `csr_neighbors`, the one neighbor-list gather.
-The distance core serves every bulk row: one packed-bitset level loop (64
-sources per uint64 word, `_bfs_rows`) gives the hop rows of a graph or a
-spanner, over its kept CSR, and the weighted rows of an emulator, over one
-CSR per weight.  Only sources whose search runs past a fixed level cap
-take rows of `_dijkstra_rows`, one batched scipy Dijkstra over the same
-edge codes; scipy is imported there only, on first use.  `parent_rows`
-turns hop rows into rows of canonical min-id BFS parents, the parents
-`bfs` and `trace_parent_path` pick: the root at distance 1, and beyond it
-one neighbor rank at a time over the CSR.  `unique_codes` is the one
-edge-code dedupe, a sort and a neighbor comparison.
+and this module alone encodes and decodes them.  The CSR, an Emulator's
+per-weight CSRs and the tuple views `edges` and `weights`, kept only for
+external readers such as spanbench's digest, are built on first read.
+`bfs` searches level by level over the CSR, with `csr_neighbors`, the one
+neighbor-list gather.  The distance core serves every bulk row: one
+packed-bitset level loop (64 sources per uint64 word, `_bfs_rows`) gives
+the hop rows of a graph or a spanner, over its kept CSR, and the weighted
+rows of an emulator, over one CSR per weight.  Only sources whose search
+runs past a fixed level cap take rows of `_dijkstra_rows`, one batched
+scipy Dijkstra over the same edge codes; scipy is imported there only, on
+first use.  `parent_rows` turns hop rows into rows of canonical min-id BFS
+parents, the parents `bfs` and `trace_parent_path` pick: the root at
+distance 1, and beyond it one neighbor rank at a time over the CSR.
+`unique_codes` is the one edge-code dedupe, a sort and a neighbor
+comparison.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
 unreachable is the sentinel ``UNREACHED``.
@@ -40,17 +41,12 @@ class GraphFormatError(ValueError):
     """Malformed edge-list or emulator document."""
 
 
-def norm_edge(u: int, v: int) -> tuple[int, int]:
-    """Canonical (min, max) form of an undirected edge."""
-    return (u, v) if u < v else (v, u)
-
-
 class _CodedEdges:
     """The one stored edge form of a Graph, a Spanner or an Emulator:
     `codes`, sorted read-only int64 edge codes.  `csr` (read-only int64
     indptr and indices, neighbor lists ascending) and `edges` (a frozenset
-    of (u, v) tuples of plain ints) are views built on first read, then
-    kept."""
+    of (u, v) plain-int tuples, the one tuple view, kept for spanbench's
+    digest) are views built on first read, then kept."""
 
     def __init__(self, n: int, codes: np.ndarray):
         codes.flags.writeable = False
@@ -89,9 +85,8 @@ class Graph(_CodedEdges):
     pairs of integer ids.  An out-of-range id, a self-loop or a repeated
     edge (in either orientation) raises ValueError naming the first such
     pair in input order; a non-integer id raises TypeError and anything but
-    pairs ValueError.  Codes are u*n + v with u < v; `adj`, the ascending
-    neighbor tuples, is a view like `csr` and `edges`.  Instances are
-    immutable once built and safe to share.
+    pairs ValueError.  Codes are u*n + v with u < v; `csr` and `edges`
+    are views.  Instances are immutable once built and safe to share.
     """
 
     def __init__(self, n: int, edges: np.ndarray | Iterable[tuple[int, int]]):
@@ -106,25 +101,6 @@ class Graph(_CodedEdges):
     @property
     def m(self) -> int:
         return len(self.codes)
-
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        indptr, indices = self.csr
-        nbrs, bounds = indices.tolist(), indptr.tolist()
-        return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    def degree(self, u: int) -> int:
-        if not 0 <= u < self.n:
-            raise IndexError(f"vertex {u} out of range [0,{self.n})")
-        return self.csr[0].item(u + 1) - self.csr[0].item(u)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        u, v = norm_edge(u, v)
-        code = u * self.n + v
-        return 0 <= u < v < self.n and code in self.codes[np.searchsorted(self.codes, code):][:1]
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return edge_pairs(self.n, self.codes)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -287,10 +263,10 @@ class Emulator(_CodedEdges):
     out of range before a self-loop before a weight below 1.  Stored as
     `codes` and `weight`, the read-only int64 weights aligned with them;
     parallel entries keep the minimum weight, and a weight past int64 is
-    kept as the int64 maximum.  `weights`, a dict of plain ints keyed by
-    (u, v), and `weight_classes`, the per-weight CSRs that distance rows
-    are searched over, are views built on first read.  Equality and
-    hashing cover the weights.
+    kept as the int64 maximum.  `weight_classes`, the per-weight CSRs that
+    distance rows are searched over, and `weights`, a dict of plain ints
+    keyed by (u, v) kept for external readers such as spanbench's digest,
+    are views built on first read.  Equality and hashing cover the weights.
     """
 
     def __init__(self, n: int, weighted_edges: np.ndarray | Iterable[tuple[int, int, int]]):
@@ -660,7 +636,8 @@ def _bfs_rows(edges: _CodedEdges, sources: Optional[Sequence[int]], dtype) -> np
     (vertex, root), and level d ORs, per class w, the frontier words of
     level d - w over that class's CSR (`bitwise_or.reduceat`) and keeps the
     bits not yet seen.  A ring keeps the frontiers of the last W levels, W
-    the largest class weight; the search ends once all of them are empty.
+    the largest class weight; the search ends once all of them are empty
+    or every root has found every vertex.
     Levels are recorded bit-sliced (plane i gets the new bits of every
     level with bit i set) and unpacked once per block.  A root is deep when,
     after `_LEVEL_CAP` levels or when some edge is heavier than that, a
@@ -687,6 +664,7 @@ def _bfs_rows(edges: _CodedEdges, sources: Optional[Sequence[int]], dtype) -> np
         ring: list[Optional[np.ndarray]] = [None] * span
         ring[0] = packed.view(np.uint64)
         unseen = ~ring[0][:n]
+        unseen[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-b % 64)  # padding: never unseen
         planes: list[np.ndarray] = []
         for level in range(1, _LEVEL_CAP + 1):
             reached = None
@@ -710,10 +688,10 @@ def _bfs_rows(edges: _CodedEdges, sources: Optional[Sequence[int]], dtype) -> np
                     for i, plane in enumerate(planes):
                         if level >> i & 1:
                             plane |= new
-            if all(f is None for f in ring):
+            if all(f is None for f in ring) or not unseen.any():
                 break
         deep = np.empty(0, np.int64)
-        if heavy or any(f is not None for f in ring):
+        if (heavy or any(f is not None for f in ring)) and unseen.any():
             seen = np.zeros((n + 1, unseen.shape[1]), np.uint64)
             np.invert(unseen, out=seen[:n])
             reached = np.zeros_like(unseen)

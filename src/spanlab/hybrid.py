@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, _bfs_rows, edge_codes, norm_edge, unique_codes
+from .graphs import Graph, Spanner, _bfs_rows, edge_codes, unique_codes
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
@@ -55,7 +55,7 @@ def hybrid_params(k: int) -> HybridParams:
 
 
 def path_suffix(path: Sequence[int], ell: int, anchor: int) -> set:
-    """The min(ell, length) edges of `path` adjacent to the anchor endpoint."""
+    """The min(ell, length) edges of `path` next to the anchor end, as (min, max) tuples."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if not path:
@@ -66,7 +66,7 @@ def path_suffix(path: Sequence[int], ell: int, anchor: int) -> set:
         seg = path[: ell + 1]
     else:
         raise ValueError("anchor must be one of the path endpoints")
-    return {norm_edge(a, b) for a, b in zip(seg, seg[1:])}
+    return {(a, b) if a < b else (b, a) for a, b in zip(seg, seg[1:])}
 
 
 def hop_rows(g: Graph) -> np.ndarray:

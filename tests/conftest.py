@@ -83,20 +83,3 @@ def root_samples(n: int) -> list:
     """No root, one root, every vertex, and repeated unsorted roots."""
     rng = np.random.default_rng(n)
     return [[], [n // 3], list(range(n)), rng.integers(0, n, 40).tolist()]
-
-
-class _NoAdjGraph(Graph):
-    """A Graph whose adjacency tuples raise on every read."""
-
-    @property
-    def adj(self):
-        raise AssertionError("a search read the Python adjacency tuples")
-
-    @adj.setter
-    def adj(self, value):
-        pass
-
-
-def no_adj(g: Graph) -> Graph:
-    """The same graph as `g`, built so that reading its `adj` raises."""
-    return _NoAdjGraph(g.n, g.sorted_edges())

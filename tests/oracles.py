@@ -42,6 +42,17 @@ def _all_pairs(g) -> list[list[float]]:
     return floyd_warshall(g)
 
 
+@lru_cache(maxsize=16)
+def adjacency(g) -> tuple[tuple[int, ...], ...]:
+    """Ascending neighbor tuples per vertex, built from the `edges` set
+    alone and never from the library's CSR.  Cached per graph."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(x)) for x in nbrs)
+
+
 def canonical_path(g, u: int, v: int):
     """The min-id shortest u-v path: descend from v over u's Floyd-Warshall
     row, each step to the smallest neighbor one hop closer to u; None if
@@ -49,23 +60,25 @@ def canonical_path(g, u: int, v: int):
     dist = _all_pairs(g)[u]
     if dist[v] == INF:
         return None
+    nbrs = adjacency(g)
     path = [v]
     while path[-1] != u:
         x = path[-1]
-        path.append(min(w for w in g.adj[x] if dist[w] == dist[x] - 1))
+        path.append(min(w for w in nbrs[x] if dist[w] == dist[x] - 1))
     path.reverse()
     return path
 
 
 def hop_row(g, root: int) -> list[float]:
-    """Hop distances from `root` by a plain FIFO queue over `g.adj`; INF
-    where disconnected."""
+    """Hop distances from `root` by a plain FIFO queue over `adjacency`;
+    INF where disconnected."""
+    nbrs = adjacency(g)
     dist = [INF] * g.n
     dist[root] = 0
     queue = deque([root])
     while queue:
         x = queue.popleft()
-        for w in g.adj[x]:
+        for w in nbrs[x]:
             if dist[w] == INF:
                 dist[w] = dist[x] + 1
                 queue.append(w)
@@ -76,9 +89,9 @@ def canonical_parents(g, root: int) -> list[int]:
     """Per vertex the minimum-id neighbor one hop closer to `root` (over
     `hop_row`), found by reading every neighbor; -1 at the root and where
     the root does not reach."""
-    dist = hop_row(g, root)
+    dist, nbrs = hop_row(g, root), adjacency(g)
     return [
-        min(w for w in g.adj[v] if dist[w] == dist[v] - 1) if 0 < dist[v] < INF else -1
+        min(w for w in nbrs[v] if dist[w] == dist[v] - 1) if 0 < dist[v] < INF else -1
         for v in range(g.n)
     ]
 
@@ -125,7 +138,8 @@ def bellman_ford(emulator, root: int) -> list[float]:
 
 def recount_heavy(g, path, degree_threshold: int) -> int:
     """Heavy vertices on a path, recounted straight from adjacency lengths."""
-    return sum(1 for v in path if len(g.adj[v]) >= degree_threshold)
+    nbrs = adjacency(g)
+    return sum(1 for v in path if len(nbrs[v]) >= degree_threshold)
 
 
 def as_int_grid(dist) -> list[list[int]]:
@@ -138,20 +152,20 @@ def greedy_hub_clustering(g, size: int):
     has `size` unclustered neighbors, the minimum-id one becomes the hub of
     its `size` smallest-id unclustered neighbors.  Returns (clusters, hubs,
     kept edges, cluster index per vertex or -1)."""
-    n = g.n
+    n, nbrs = g.n, adjacency(g)
     unclustered = [True] * n
-    count = [len(g.adj[v]) for v in range(n)]
+    count = [len(nbrs[v]) for v in range(n)]
     cluster_index = [-1] * n
     clusters, hubs, kept = [], [], set()
     while True:
         hub = next((v for v in range(n) if count[v] >= size), None)
         if hub is None:
             break
-        members = [w for w in g.adj[hub] if unclustered[w]][:size]
+        members = [w for w in nbrs[hub] if unclustered[w]][:size]
         for w in members:
             unclustered[w] = False
             cluster_index[w] = len(clusters)
-            for x in g.adj[w]:
+            for x in nbrs[w]:
                 count[x] -= 1
             kept.add((min(hub, w), max(hub, w)))
         clusters.append(members)

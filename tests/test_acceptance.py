@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from spanlab import Emulator, bench, graphs
+from spanlab import Emulator, bench, graphs, hybrid
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_fast_grid_builds_no_edge_views(monkeypatch):
     assert len(hosts) == len(outputs) == len(bench.CASES)
     assert len(audited) == 2 * len(lb_rows) * bench.LB_CANDIDATES
     for g in hosts + audited:
-        assert not {"edges", "adj"} & set(vars(g))
+        assert "edges" not in vars(g)
     for h in outputs:
         assert not {"edges", "weights"} & set(vars(h))
     assert any(isinstance(h, Emulator) for h in outputs)
@@ -97,6 +97,20 @@ def test_criterion_1_hybrid_stretch(outcomes):
 
 def test_criterion_2_hybrid_center_pairs(outcomes):
     _report(outcomes[2])
+
+
+def test_criterion_2_takes_the_budget_from_the_parameters(monkeypatch):
+    # a builder that keeps one-edge suffixes records suffix_len = 1 in its
+    # meta; the check still holds its center pairs to hybrid_params(k)
+    params = hybrid.hybrid_params
+    monkeypatch.setattr(
+        hybrid, "hybrid_params", lambda k: dataclasses.replace(params(k), suffix_len=1)
+    )
+    case = next(c for c in bench.CASES if c.construction == "hybrid")
+    rows = bench.run_case(case)
+    assert all(r.violations == 0 for r in rows)  # criterion 1 still passes
+    assert bench._sum(rows, "center_pair_violations") == 97
+    assert bench._sum(bench.run_case(case, fast=True), "center_pair_violations") == 0
 
 
 def test_criterion_3_sourcewise_multiplicative(outcomes):
@@ -145,7 +159,28 @@ def test_criterion_9_checks_the_canonical_parents(monkeypatch):
     rows = bench.run_oracle_check()
     assert not all(r.extra["parents_ok"] for r in rows)
     assert all(r.violations == (not r.extra["parents_ok"]) for r in rows)
-    assert all(r.extra["matrix_ok"] and r.extra["bfs_ok"] for r in rows)
+    assert all(r.extra["matrix_ok"] and r.extra["bfs_ok"] and r.extra["walk_ok"] for r in rows)
+
+
+def test_criterion_9_checks_the_suffix_walk_step(monkeypatch):
+    rows = bench.run_oracle_check()
+    assert all(r.violations == 0 and r.extra["walk_ok"] for r in rows)
+
+    def max_id_step(csr, cells, r, v, want):
+        # the maximum-id closer neighbor: a rule that differs on ties
+        indptr, indices = csr
+        n = len(indptr) - 1
+        out = np.empty(len(v), np.int64)
+        for i, (root, x) in enumerate(zip(r, v)):
+            nbrs = indices[indptr[x]:indptr[x + 1]]
+            out[i] = nbrs[cells[root * n + nbrs] == want[i]].max()
+        return out
+
+    monkeypatch.setattr(bench, "_closer_neighbors", max_id_step)
+    rows = bench.run_oracle_check()
+    assert not all(r.extra["walk_ok"] for r in rows)
+    assert all(r.violations == (not r.extra["walk_ok"]) for r in rows)
+    assert all(r.extra["matrix_ok"] and r.extra["bfs_ok"] and r.extra["parents_ok"] for r in rows)
 
 
 def test_criterion_9_checks_the_multi_root_owners(monkeypatch):
@@ -166,7 +201,7 @@ def test_criterion_9_checks_the_multi_root_owners(monkeypatch):
     rows = bench.run_oracle_check()
     assert not all(r.extra["bfs_ok"] for r in rows)
     assert all(r.violations == (not r.extra["bfs_ok"]) for r in rows)
-    assert all(r.extra["matrix_ok"] and r.extra["parents_ok"] for r in rows)
+    assert all(r.extra["matrix_ok"] and r.extra["parents_ok"] and r.extra["walk_ok"] for r in rows)
     # singletons have no tie to break: only the multi-root sets catch it
     for _, g in bench.oracle_suite_graphs():
         want = bench.floyd_warshall_oracle(g)

@@ -25,7 +25,6 @@ from spanlab import (
     hub_clustering,
     classify_pairs,
     hop_distance_matrix,
-    norm_edge,
     random_graph,
     trace_parent_path,
     weighted_sssp,
@@ -41,7 +40,7 @@ from spanlab.additive import (
     _remove_cycles,
 )
 from conftest import pairs, parent_host, root_samples
-from oracles import canonical_path, floyd_warshall, recount_heavy
+from oracles import adjacency, canonical_path, floyd_warshall, recount_heavy
 
 INF = float("inf")
 
@@ -259,7 +258,7 @@ def test_caught_up_spanner_rows_are_the_oracle_rows():
         in_base = rng.random(len(host)) < 0.7
         kept = Graph(base, [e for e, b in zip(host, in_base) if b])
         adj = additive._adjacency(base, kept.codes)
-        assert [sorted(nbrs) for nbrs in adj] == [list(nbrs) for nbrs in kept.adj]
+        assert [sorted(nbrs) for nbrs in adj] == list(map(list, adjacency(kept)))
         assert any(not nbrs for nbrs in adj)  # isolated sources are covered
         rows = additive._spanner_rows(base, kept.codes, range(base))
         assert rows == floyd_warshall(kept)
@@ -269,7 +268,7 @@ def test_caught_up_spanner_rows_are_the_oracle_rows():
         for lo, hi in zip([0] + cuts, cuts + [len(bought)]):
             additive._insert_edges(adj, bought[lo:hi], [])
         full = Graph(base, host)
-        assert [sorted(nbrs) for nbrs in adj] == [list(nbrs) for nbrs in full.adj]
+        assert [sorted(nbrs) for nbrs in adj] == list(map(list, adjacency(full)))
         for row in rows:
             additive._relax_new_edges(adj, row, bought)
         assert rows == floyd_warshall(full)
@@ -315,7 +314,7 @@ def test_everything_light_keeps_all_edges():
     g = random_graph(64, 0.03, 3)  # max degree well below the threshold
     src = SourceSet.from_ids(range(40), 64)  # big source set pushes Y above degrees
     params = additive_params(g, src, 1)
-    assert all(g.degree(v) < params.heavy_degree for v in range(g.n))
+    assert all(len(nbrs) < params.heavy_degree for nbrs in adjacency(g))
     sp = build_sourcewise_additive(g, src, 1, seed=1)
     assert g.edges <= sp.edges
     dg = floyd_warshall(g)
@@ -424,7 +423,7 @@ def test_short_pairs_hold_without_any_sampled_trees():
     k = 1
     params = additive_params(g, src, k)
     heavy = _heavy_flags(g, params.heavy_degree)
-    assert heavy.tolist() == [g.degree(v) >= params.heavy_degree for v in range(g.n)]
+    assert heavy.tolist() == [len(nbrs) >= params.heavy_degree for nbrs in adjacency(g)]
     light = {e for e in g.edges if not (heavy[e[0]] and heavy[e[1]])}
     gc = hub_clustering(g, math.log(params.heavy_degree) / math.log(g.n))
     short_targets = {s: [] for s in src.vertices}
@@ -555,7 +554,7 @@ def test_emulator_shortcuts_are_the_brute_force_minimum(host):
         for members in gc.clusters:
             d, m = min((dist[s][x], x) for x in members)
             if 0 < d < INF:
-                want[norm_edge(s, m)] = d
+                want[min(s, m), max(s, m)] = d
     assert build_sourcewise_emulator2(g, src).weights == want
     clustered = [gc.cluster_index[s] >= 0 for s in src.vertices]
     unreached = [all(dist[s][x] == INF for s in src.vertices for x in c) for c in gc.clusters]
@@ -685,7 +684,7 @@ def test_tree_union_is_the_union_of_per_root_bfs_trees(monkeypatch, host, block)
     for roots in root_samples(g.n):
         want = set()
         for z in roots:
-            want |= {norm_edge(v, p) for v, p in enumerate(bfs(g, [z]).parent) if p >= 0}
+            want |= {(min(v, p), max(v, p)) for v, p in enumerate(bfs(g, [z]).parent) if p >= 0}
         got = additive.tree_union(g, roots)
         assert got.dtype == np.int64 and got.tolist() == sorted(got.tolist())
         assert len(got) == len(want) and pairs(g.n, got) == want

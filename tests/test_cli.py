@@ -224,7 +224,7 @@ def _gen_lb(tmp_path):
 def test_audit_refutes_sparse_candidate(tmp_path):
     paths = _gen_lb(tmp_path)
     g = load_graph((tmp_path / "lb.el").read_text())
-    edges = g.sorted_edges()[:60]  # below the |E|/k refutation budget
+    edges = sorted(g.edges)[:60]  # below the |E|/k refutation budget
     cand = tmp_path / "cand.el"
     cand.write_text("p 48 60\n" + "\n".join(f"{u} {v}" for u, v in edges) + "\n")
     report = tmp_path / "audit.json"
@@ -275,8 +275,8 @@ def test_candidate_vertex_count_mismatch_exits_1(tmp_path):
 
 def test_non_host_candidate_exits_1(tmp_path, capsys):
     g = _gen_random(tmp_path)
-    u, v = next((u, v) for u in range(60) for v in range(u + 1, 60)
-                if not load_graph(open(g).read()).has_edge(u, v))
+    host = load_graph(open(g).read()).edges
+    u, v = next((u, v) for u in range(60) for v in range(u + 1, 60) if (u, v) not in host)
     rogue = tmp_path / "rogue.el"
     rogue.write_text(f"p 60 1\n{u} {v}\n")
     assert main(["verify", "--graph", g, "--candidate", str(rogue), "--spec", "hybrid:k=2"]) == 1
@@ -287,7 +287,7 @@ def test_audit_candidate_vertex_count_mismatch_exits_1(tmp_path, capsys):
     paths = _gen_lb(tmp_path)
     g = load_graph((tmp_path / "lb.el").read_text())
     other = tmp_path / "other.el"
-    lines = [f"p {g.n + 1} {g.m}"] + [f"{u} {v}" for u, v in g.sorted_edges()]
+    lines = [f"p {g.n + 1} {g.m}"] + [f"{u} {v}" for u, v in sorted(g.edges)]
     other.write_text("\n".join(lines) + "\n")
     assert main(
         ["audit", "lb", "--graph", paths["graph"], "--meta", paths["meta"],

@@ -28,8 +28,9 @@ from spanlab import (
     trace_parent_path,
     weighted_sssp,
 )
-from conftest import no_adj, parent_host, parent_step_hosts, random_tree, root_samples
+from conftest import parent_host, parent_step_hosts, random_tree, root_samples
 from oracles import (
+    adjacency,
     as_int_grid,
     bellman_ford,
     canonical_parents,
@@ -47,7 +48,7 @@ from oracles import (
 def test_load_path_graph():
     g = load_graph("p 3 2\n0 1\n1 2\n")
     assert g.n == 3 and g.m == 2
-    assert g.adj == ((1,), (0, 2), (1,))
+    assert sorted(g.edges) == [(0, 1), (1, 2)]
 
 
 def test_load_rejects_self_loop():
@@ -128,7 +129,7 @@ def test_load_graph_keeps_the_first_repeat_among_many():
         load_graph(doc)
     assert str(info.value) == f"line {len(pairs) + 2}: duplicate edge (1,0)"
     g = load_graph(f"p 30 {len(pairs)}\n{body}")
-    assert g == Graph(30, pairs) and g.adj == Graph(30, pairs).adj
+    assert g == Graph(30, pairs)
     assert list(g.edges) == list(Graph(30, pairs).edges)
 
 
@@ -285,7 +286,7 @@ def test_graph_vertex_count_and_empty_edge_lists():
     for n in (0, 3):
         for empty in ([], (), iter([]), np.empty((0, 2), np.int64)):
             g = Graph(n, empty)
-            assert g.m == 0 and g.edges == frozenset() and g.adj == ((),) * n
+            assert g.m == 0 and g.edges == frozenset() and not np.diff(g.csr[0]).any()
 
 
 def test_graph_rejects_triples_and_non_integer_ids():
@@ -303,23 +304,23 @@ def test_graph_inputs_give_equal_graphs():
     for given in (pairs, (e for e in pairs), set(pairs), np.array(pairs),
                   np.array(pairs, np.int32), np.array(pairs, np.uint16)):
         h = Graph(g.n, given)
-        assert h == g and h.m == g.m and h.adj == g.adj
+        assert h == g and h.m == g.m and all(map(np.array_equal, h.csr, g.csr))
 
 
 def test_graph_stores_plain_shared_ints():
     # the one stored form is the sorted read-only int64 code array; the
-    # tuple views are built on first read, hold plain ints and are kept
+    # CSR and the tuple view are built on first read and kept, and the
+    # tuples hold plain ints
     assert Graph(3, [(True, 2)]).edges == {(1, 2)}
     for given in ([(np.int64(0), np.int64(1)), (True, 2)], np.array([[0, 1], [2, 1]], np.int32)):
         g = Graph(3, given)
         assert g.codes.dtype == np.int64 and g.codes.tolist() == [1, 5]
         assert not g.codes.flags.writeable
-        assert not {"edges", "adj", "csr"} & set(vars(g))
+        assert not {"edges", "csr"} & set(vars(g))
         assert g.edges == {(0, 1), (1, 2)} and g.edges is g.edges
-        assert g.adj == ((1,), (0, 2), (1,)) and g.adj is g.adj
+        assert np.diff(g.csr[0]).tolist() == [1, 2, 1] and g.csr is g.csr
         assert all(type(x) is int for e in g.edges for x in e)
-        assert all(type(x) is int for nbrs in g.adj for x in nbrs)
-        assert g.sorted_edges() == [(0, 1), (1, 2)]
+        assert sorted(g.edges) == [(0, 1), (1, 2)]
     g = random_graph(400, 0.05, 2)
     assert set(vars(g)) == {"n", "codes"}
     assert g.codes.tolist() == [u * g.n + v for u, v in sorted(g.edges)]
@@ -340,16 +341,16 @@ def test_graph_holds_codes_and_csr_only():
 @pytest.mark.parametrize("n, p", [(0, 0.5), (1, 0.5), (50, 0.1), (50, 1.0)])
 def test_graph_keeps_a_read_only_csr(n, p):
     g = random_graph(n, p, 3)
-    nbrs = [[] for _ in range(n)]
-    for u, v in g.sorted_edges():
-        nbrs[u].append(v)
-        nbrs[v].append(u)
     assert g.csr is g.csr
     for kept in g.csr:
         assert kept.dtype == np.int64 and not kept.flags.writeable
+    assert _csr_lists(g) == list(map(list, adjacency(g)))
+
+
+def _csr_lists(g) -> list[list[int]]:
+    """The neighbor lists that the kept CSR of `g` holds, as plain ints."""
     indptr, indices = g.csr
-    assert [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)] == [sorted(x) for x in nbrs]
-    assert [tuple(indices[indptr[v]:indptr[v + 1]]) for v in range(g.n)] == list(g.adj)
+    return [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)]
 
 
 def test_host_rows_read_the_kept_csr(monkeypatch):
@@ -453,7 +454,7 @@ def test_bfs_names_the_smallest_bad_root():
 
 def _root_cases():
     """Generator, repeated, isolated and all-vertex roots, and n = 1."""
-    g = Graph(30, random_graph(24, 0.15, 8).sorted_edges())  # 24..29 isolated
+    g = Graph(30, sorted(random_graph(24, 0.15, 8).edges))  # 24..29 isolated
     yield g, (r for r in (5, 26)), [5, 26]
     yield g, [9, 3, 9, 3, 3], [3, 9]
     yield g, [27, 29], [27, 29]
@@ -473,11 +474,11 @@ def test_bfs_root_forms_match_the_oracle():
 
 
 def test_bfs_reads_no_adjacency_tuples():
-    for g, _, roots in _root_cases():
-        bare = no_adj(g)
-        want, got = bfs(g, roots), bfs(bare, roots)
-        assert (got.dist, got.parent, got.owner) == (want.dist, want.parent, want.owner)
-        assert bfs_distances(bare, roots[:1]) == bfs_distances(g, roots[:1])
+    # searches read the CSR and never build the `edges` tuple view
+    for g, roots, plain in _root_cases():
+        bfs(g, roots)
+        bfs_distances(g, plain[:1])
+        assert "edges" not in vars(g)
 
 
 def _multi_root_instances():
@@ -499,11 +500,11 @@ def _oracle_owner_and_parent(g, roots):
         if dist[v] < float("inf") else -1
         for v in range(g.n)
     ]
-    parent = [-1] * g.n
+    parent, nbrs = [-1] * g.n, adjacency(g)
     for v in range(g.n):
         if 0 < dist[v] < float("inf"):
             parent[v] = min(
-                w for w in g.adj[v] if dist[w] == dist[v] - 1 and owner[w] == owner[v]
+                w for w in nbrs[v] if dist[w] == dist[v] - 1 and owner[w] == owner[v]
             )
     return as_int_grid([dist])[0], owner, parent
 
@@ -676,11 +677,11 @@ def test_random_graph_deterministic():
 
 def test_random_graph_invariants():
     g = random_graph(80, 0.07, 2)
-    for v in range(g.n):
-        assert list(g.adj[v]) == sorted(set(g.adj[v]))
-        assert v not in g.adj[v]
-        for w in g.adj[v]:
-            assert v in g.adj[w]
+    rows = _csr_lists(g)
+    assert rows == list(map(list, adjacency(g)))
+    for v, row in enumerate(rows):
+        assert row == sorted(set(row)) and v not in row
+        assert all(v in rows[w] for w in row)
 
 
 def test_hop_distance_matrix_agrees_with_bfs():
@@ -834,7 +835,8 @@ def kernel_host():
         base += part.n + 5
     order = np.random.default_rng(8).permutation(139)
     g = Graph(140, [(int(order[u]), int(order[v])) for u, v in edges])
-    assert g.degree(139) == 0 and sum(g.degree(v) == 0 for v in range(140)) > 1
+    degree = np.diff(g.csr[0])
+    assert degree[139] == 0 and (degree == 0).sum() > 1
     return g, as_int_grid(floyd_warshall(g))
 
 
@@ -877,10 +879,26 @@ def test_bitset_rows_on_tiny_hosts(n):
     assert hop_distance_matrix(g, roots).tolist() == [want[r] for r in roots]
 
 
+def test_level_loop_stops_once_every_root_has_found_every_vertex(monkeypatch):
+    # the ten roots of K_10, one padded 64-bit word, find every vertex at
+    # level 1: no second level and no deep-root check
+    g = Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
+    passes = []
+    inner = graphs._reach
+
+    def counted(frontier, spread):
+        passes.append(frontier.shape)
+        return inner(frontier, spread)
+
+    monkeypatch.setattr(graphs, "_reach", counted)
+    assert hop_distance_matrix(g).tolist() == [[int(u != v) for v in range(10)] for u in range(10)]
+    assert passes == [(11, 1)]
+
+
 def test_adjacency_csr_is_the_sorted_adjacency(kernel_host):
     g, _ = kernel_host
-    indptr, indices = Spanner(g.n, g.edges).csr  # laid out from the tuples
-    assert [tuple(indices[indptr[v]:indptr[v + 1]]) for v in range(g.n)] == list(g.adj)
+    # laid out from the tuples, checked against lists built from them alone
+    assert _csr_lists(Spanner(g.n, g.edges)) == list(map(list, adjacency(g)))
     for bad in [(0, 3), (-1, 1)]:
         with pytest.raises(ValueError, match="out of range"):
             hop_distance_matrix(Spanner(3, frozenset({bad}), {}))

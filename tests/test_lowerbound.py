@@ -11,10 +11,9 @@ from spanlab import (
     find_missing_chain,
     hop_distance_matrix,
     lb_audit,
-    norm_edge,
 )
 
-from oracles import layered_instance
+from oracles import adjacency, layered_instance
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +57,7 @@ def test_k1_is_complete_bipartite():
     lg = build_lb_graph(6, 1, 1.0)
     assert lg.level_sizes == [6, 6]
     assert lg.graph.m == 36
-    for u in lg.sources:
-        assert len(lg.graph.adj[u]) == 6
+    assert np.diff(lg.graph.csr[0])[lg.sources].tolist() == [6] * 6
 
 
 def test_vertex_id_roundtrip():
@@ -121,12 +119,12 @@ def test_diameter_stays_small():
 
 def _all_chains(lg):
     """Exhaustive level-chain enumeration for cross-checks."""
-    chains = [[v] for v in lg.sources]
+    chains, nbrs = [[v] for v in lg.sources], adjacency(lg.graph)
     for level in range(1, lg.k + 1):
         chains = [
             c + [w]
             for c in chains
-            for w in lg.graph.adj[c[-1]]
+            for w in nbrs[c[-1]]
             if lg.levels[w] == level + 1
         ]
     return chains
@@ -147,7 +145,7 @@ def test_empty_candidate_yields_first_chain():
 
 def test_chain_matches_exhaustive_enumeration():
     lg = build_lb_graph(16, 2, 1.0)
-    edge_list = lg.graph.sorted_edges()
+    edge_list = sorted(lg.graph.edges)
     rng = np.random.default_rng(17)
     for _ in range(5):
         keep = rng.choice(len(edge_list), size=60, replace=False)
@@ -156,7 +154,7 @@ def test_chain_matches_exhaustive_enumeration():
         missing_chains = [
             c
             for c in _all_chains(lg)
-            if all(norm_edge(a, b) not in kept for a, b in zip(c, c[1:]))
+            if all((min(a, b), max(a, b)) not in kept for a, b in zip(c, c[1:]))
         ]
         got = find_missing_chain(lg, h)
         assert missing_chains, "budget below |E|/k must leave a chain"
@@ -174,11 +172,12 @@ def test_candidate_not_subgraph_rejected():
 def test_malformed_pairs_are_not_instance_edges(kind):
     lg = build_lb_graph(16, 2, 1.0)
     n = lg.graph.n
-    u, v = lg.graph.sorted_edges()[-1]
+    edge_list = sorted(lg.graph.edges)
+    u, v = edge_list[-1]
     # (u - 1, v + n) would encode to u*n + v, the code of host edge (u, v)
     pair = {"reversed": (v, u), "loop": (u, u), "out of range": (u - 1, v + n),
             "non-host": (0, 1)}[kind]
-    for edges in ({pair}, set(lg.graph.sorted_edges()[:-1]) | {pair}):
+    for edges in ({pair}, set(edge_list[:-1]) | {pair}):
         h = Spanner(n, edges)
         with pytest.raises(ValueError, match="not a subgraph of the layered instance"):
             lb_audit(lg, h)
@@ -188,7 +187,7 @@ def test_malformed_pairs_are_not_instance_edges(kind):
 
 def test_audit_rejects_candidate_of_another_vertex_count():
     lg = build_lb_graph(16, 2, 1.0)
-    edges = frozenset(lg.graph.sorted_edges()[:60])
+    edges = frozenset(sorted(lg.graph.edges)[:60])
     for n in (lg.graph.n + 7, lg.graph.n + 1):
         with pytest.raises(ValueError, match="vertex count"):
             lb_audit(lg, Spanner(n, edges, {}))
@@ -197,7 +196,7 @@ def test_audit_rejects_candidate_of_another_vertex_count():
 
 def test_audit_certifies_sparse_candidates():
     lg = build_lb_graph(16, 2, 1.0)
-    edge_list = lg.graph.sorted_edges()
+    edge_list = sorted(lg.graph.edges)
     rng = np.random.default_rng(23)
     keep = rng.choice(len(edge_list), size=60, replace=False)  # < 128/2
     h = Spanner(lg.graph.n, frozenset(edge_list[i] for i in keep), {})
@@ -209,7 +208,7 @@ def test_audit_certifies_sparse_candidates():
 
 def _walks_avoiding(g, start, goal, banned_edges, max_len):
     """Count walks start->goal of length <= max_len avoiding banned edges."""
-    hits = 0
+    hits, nbrs = 0, adjacency(g)
     stack = [(start, 0)]
     while stack:
         v, depth = stack.pop()
@@ -218,8 +217,8 @@ def _walks_avoiding(g, start, goal, banned_edges, max_len):
             # longer continuations only repeat the level parity argument
         if depth == max_len:
             continue
-        for w in g.adj[v]:
-            if norm_edge(v, w) not in banned_edges:
+        for w in nbrs[v]:
+            if (min(v, w), max(v, w)) not in banned_edges:
                 stack.append((w, depth + 1))
     return hits
 
@@ -228,7 +227,7 @@ def test_every_short_walk_uses_a_chain_edge():
     # drop exactly the canonical chain's edges: the endpoints drift to >= 3k
     lg = build_lb_graph(16, 2, 1.0)
     chain = [0, 16, 32]
-    banned = {norm_edge(a, b) for a, b in zip(chain, chain[1:])}
+    banned = {(min(a, b), max(a, b)) for a, b in zip(chain, chain[1:])}
     h = Spanner(lg.graph.n, frozenset(lg.graph.edges - banned), {})
     assert find_missing_chain(lg, h).vertices == chain
     # exhaustive walk enumeration up to length 3k-1

@@ -103,7 +103,8 @@ def _sourcewise_violations(g, edges, sources, k):
         for v in range(g.n):
             if v == s or dg[s][v] == INF:
                 continue
-            limit = (2 * k - 1) * dg[s][v] if g.has_edge(s, v) else (2 * k - 2) * dg[s][v]
+            adjacent = (min(s, v), max(s, v)) in g.edges
+            limit = (2 * k - 1 if adjacent else 2 * k - 2) * dg[s][v]
             if dh[s][v] > limit:
                 bad += 1
     return bad

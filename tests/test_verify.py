@@ -163,7 +163,7 @@ def test_max_values_match_cubic_oracle():
 
 def test_adding_edges_never_hurts():
     g = random_graph(36, 0.15, 8)
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
     small = verify_spanner(g, _as_spanner(g, edges[: g.m // 2]), None, hybrid_spec(2))
     large = verify_spanner(g, _as_spanner(g, edges[: 3 * g.m // 4]), None, hybrid_spec(2))
     assert large.max_mult() <= small.max_mult()
@@ -258,7 +258,7 @@ def _perturbed_emulator(g, rng, mode):
     """Host edges at unit weight, then dropped (cut-off pairs), reweighted
     (overshoot) or joined by random shortcuts (undershoot, bridging)."""
     triples = []
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         if mode == 1 and rng.random() < 0.3:
             continue
         w = int(rng.integers(1, 5)) if mode == 2 and rng.random() < 0.3 else 1
@@ -370,7 +370,7 @@ def test_verifiers_refuse_non_integer_sources(path3):
 
 def test_blocked_verify_builds_the_candidate_csr_once(monkeypatch):
     g = random_graph(40, 0.15, 3)
-    h = _as_spanner(g, g.sorted_edges()[::2])
+    h = _as_spanner(g, sorted(g.edges)[::2])
     want = verify_spanner(g, h, None, hybrid_spec(2)).to_dict(violation_cap=10**9)
     built = []
     inner = graphs._csr
@@ -390,7 +390,7 @@ def test_blocked_verify_builds_the_candidate_csr_once(monkeypatch):
 
 def test_blocked_verify_builds_the_weight_classes_once(monkeypatch):
     g = random_graph(40, 0.15, 3)
-    triples = [(u, v, 1 + i % 3) for i, (u, v) in enumerate(g.sorted_edges()) if i % 4]
+    triples = [(u, v, 1 + i % 3) for i, (u, v) in enumerate(sorted(g.edges)) if i % 4]
     # vertex 0 is reached only over an entry heavier than the level cap, so
     # the roots that reach vertex 1 take rows of the Dijkstra fallback
     triples = [t for t in triples if 0 not in t[:2]] + [(0, 1, graphs._LEVEL_CAP + 30)]
@@ -443,8 +443,8 @@ def test_blocks_of_roots_report_as_one_block(monkeypatch):
     # edge as the candidate, an emulator that drops, lengthens and adds
     # edges (one into an isolated vertex), and repeated sources
     g = random_graph(60, 0.06, 7)
-    edges = g.sorted_edges()
-    isolated = [v for v in range(g.n) if not g.adj[v]]
+    edges = sorted(g.edges)
+    isolated = np.flatnonzero(np.diff(g.csr[0]) == 0).tolist()
     dist = hop_distance_matrix(g)
     firsts = [v for v in range(g.n) if (dist[v, :v] < 0).all()]  # one per component
     h = _as_spanner(g, {divmod(int(c), g.n) for c in tree_union(g, firsts)} | set(edges[::5]))
