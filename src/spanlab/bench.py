@@ -134,9 +134,10 @@ class Case:
 
     `flags` are the build flags it takes among k, retries, sources and seed;
     `build(g, src, k, seed, retries)` makes its output and `dump` writes it.
-    `full` and `fast` are (sizes, ks, eps targets, seeds); each instance
-    is a degree-8 G(n, p) with the lowest ceil(n**eps) ids as sources (no
-    sources when eps is None).  `check` returns the stretch report plus
+    `full` is (sizes, ks, eps targets, seeds), every combination an
+    instance, and `fast` lists (n, k, eps target, seed) instances one by
+    one; each instance is a degree-8 G(n, p) with the lowest ceil(n**eps)
+    ids as sources (no sources when eps is None).  `check` returns the stretch report plus
     the row's extra fields; each criterion is (number, name, pass rule per
     row, detail over the rows).
     """
@@ -158,7 +159,8 @@ CASES = (
     Case(
         "hybrid", "hybrid", "two-regime multiplicative spanner", ("k", "seed"), "hybrid",
         full=((128, 256, 512), (2, 3, 4), (None,), (1, 2, 3)),
-        fast=((64,), (2,), (None,), (1,)),
+        # n=128, k=4 is the smallest row whose check sees a shrunken suffix budget
+        fast=((64, 2, None, 1), (128, 4, None, 1)),
         build=lambda g, src, k, seed, _: build_hybrid(g, k, seed),
         check=lambda g, src, h, k: (
             verify_spanner(g, h, None, hybrid_spec(k)),
@@ -179,7 +181,7 @@ CASES = (
         "swmult", "swmult", "sourcewise multiplicative spanner", ("k", "sources", "seed"),
         "swmult",
         full=((128, 256, 512), (2, 3, 4), (0.25, 0.5), (1, 2, 3)),
-        fast=((64,), (2,), (0.5,), (1,)),
+        fast=((64, 2, 0.5, 1),),
         build=lambda g, src, k, seed, _: build_sourcewise_mult(g, src, k, seed),
         check=lambda g, src, h, k: (
             verify_spanner(g, h, src.vertices, sourcewise_mult_spec(k)),
@@ -197,7 +199,7 @@ CASES = (
         "swadd", "swadd", "additive +2k sourcewise spanner",
         ("k", "retries", "sources", "seed"), "swadd",
         full=((256, 512), (1, 2), (0.5,), (1, 2, 3)),
-        fast=((64,), (1,), (0.5,), (1,)),
+        fast=((64, 1, 0.5, 1),),
         build=build_sourcewise_additive,
         check=lambda g, src, h, k: (
             verify_spanner(g, h, src.vertices, additive_spec(2 * k)),
@@ -214,7 +216,7 @@ CASES = (
     Case(
         "emulator2", "emulator", "+2 sourcewise emulator (weighted)", ("sources",), "emu2",
         full=((256, 512), (None,), (0.5,), (1, 2, 3)),
-        fast=((64,), (None,), (0.5,), (1,)),
+        fast=((64, None, 0.5, 1),),
         build=lambda g, src, *_: build_sourcewise_emulator2(g, src),
         check=lambda g, src, h, k: (verify_emulator(g, h, src.vertices, beta=2), {}),
         criteria=(
@@ -228,7 +230,7 @@ CASES = (
     Case(
         "sw4", "sw4", "+4 sourcewise spanner for large source sets", ("sources",), "sw4",
         full=((512,), (None,), (2 / 3,), (1, 2, 3)),
-        fast=((64,), (None,), (2 / 3,), (1,)),
+        fast=((64, None, 2 / 3, 1),),
         build=lambda g, src, *_: build_sourcewise_additive4(g, src),
         check=lambda g, src, h, k: (verify_spanner(g, h, src.vertices, additive_spec(4)), {}),
         criteria=(
@@ -243,7 +245,7 @@ CASES = (
 def run_case(case: Case, fast: bool = False) -> list[GridRow]:
     """Build and check every instance of one construction grid."""
     rows = []
-    for n, k, eps, seed in itertools.product(*(case.fast if fast else case.full)):
+    for n, k, eps, seed in case.fast if fast else itertools.product(*case.full):
         g = random_graph(n, degree8_p(n), seed)
         src = None if eps is None else SourceSet.from_ids(pick_sources(n, eps), n)
         epsilon = None if src is None else src.epsilon

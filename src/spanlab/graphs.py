@@ -592,10 +592,14 @@ def _dijkstra_rows(n: int, codes: np.ndarray, weight, roots: np.ndarray) -> np.n
 # it bounds the ring of frontiers a weighted search keeps, and levels stay
 # below 128 so a block's rows fit int8.  An emulator weight above the cap
 # is in no level's weight class; a root that reaches such an edge goes to
-# Dijkstra too.  Rows are written _WRITE_CHUNK vertices at a time.
+# Dijkstra too.  Rows are written _WRITE_CHUNK vertices at a time, and
+# `_reach` gathers at most _GATHER_BYTES of frontier rows at once (more
+# only for a vertex whose neighbor list alone is larger), so its
+# temporary neither grows with m nor leaves the cache.
 _ROW_BLOCK = 1024
 _LEVEL_CAP = 64
 _WRITE_CHUNK = 64
+_GATHER_BYTES = 2 * 2**20
 
 
 def _unpack(words: np.ndarray, count: int) -> np.ndarray:
@@ -603,21 +607,38 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
 
 
-def _spread(csr: tuple[np.ndarray, np.ndarray]):
-    """(gather, starts, isolated) of a CSR for `_reach`: its indices with
-    the id n appended, so the last segment ends in range even when trailing
-    vertices are isolated, its segment starts, and the vertices without an
-    edge, whose rows `_reach` zeroes."""
+def _spread(csr: tuple[np.ndarray, np.ndarray], words: int):
+    """(ranges, isolated) of a CSR for `_reach` on frontiers of `words`
+    uint64 words per vertex.
+
+    Vertex ranges go in order, each the longest run whose neighbor rows fit
+    `_GATHER_BYTES`, or one vertex whose list alone does not.  A range
+    drops its trailing vertices without an edge, so its last segment ends
+    at the end of its gather, and keeps its neighbor ids (a view of the
+    CSR's indices) and its segment starts in them.  `isolated` lists the
+    vertices without an edge, whose rows `_reach` zeroes."""
     indptr, indices = csr
     n = len(indptr) - 1
-    return np.append(indices, n), indptr[:-1], np.flatnonzero(indptr[1:] == indptr[:-1])
+    budget = max(1, _GATHER_BYTES // (8 * words))  # gathered rows per range
+    ranges, a = [], 0
+    while a < n:
+        lo = indptr[a]
+        b = max(int(np.searchsorted(indptr, lo + budget, side="right")) - 1, a + 1)
+        end = int(np.searchsorted(indptr, indptr[b]))  # b, or its first trailing edgeless
+        if end > a:
+            ranges.append((a, end, indices[lo:indptr[b]], indptr[a:end] - lo))
+        a = b
+    return ranges, np.flatnonzero(indptr[1:] == indptr[:-1])
 
 
 def _reach(frontier: np.ndarray, spread) -> np.ndarray:
     """Per vertex the OR of the frontier words of its neighbors in one CSR
-    (`_spread`); `frontier` has n + 1 rows, the last one zero."""
-    gather, starts, isolated = spread
-    reached = np.bitwise_or.reduceat(frontier.take(gather, axis=0), starts, axis=0)
+    (`_spread`): range by range, `bitwise_or.reduceat` folds the gathered
+    neighbor rows into the range's slice of the output."""
+    ranges, isolated = spread
+    reached = np.empty_like(frontier)
+    for a, b, ids, starts in ranges:
+        np.bitwise_or.reduceat(frontier.take(ids, axis=0), starts, axis=0, out=reached[a:b])
     reached[isolated] = 0
     return reached
 
@@ -634,10 +655,14 @@ def _bfs_rows(edges: _CodedEdges, sources: Optional[Sequence[int]], dtype) -> np
     Level-synchronous search for `_ROW_BLOCK` roots at once, in Dial's
     bucket order on bit-parallel frontiers: a frontier holds one bit per
     (vertex, root), and level d ORs, per class w, the frontier words of
-    level d - w over that class's CSR (`bitwise_or.reduceat`) and keeps the
-    bits not yet seen.  A ring keeps the frontiers of the last W levels, W
-    the largest class weight; the search ends once all of them are empty
-    or every root has found every vertex.
+    level d - w over that class's CSR (`_reach`, which gathers them in
+    vertex ranges of at most `_GATHER_BYTES`) and keeps the bits not yet
+    seen.  A ring keeps the frontiers of the last W levels, W the largest
+    class weight; the search ends once all of them are empty or every root
+    has found every vertex.  Besides the output, a block holds O(n *
+    _ROW_BLOCK) bytes, its frontiers, level planes and unpacked rows, and
+    `_reach`'s gather of at most `_GATHER_BYTES` or one neighbor list's
+    rows: no temporary grows with the edge count.
     Levels are recorded bit-sliced (plane i gets the new bits of every
     level with bit i set) and unpacked once per block.  A root is deep when,
     after `_LEVEL_CAP` levels or when some edge is heavier than that, a
@@ -651,19 +676,19 @@ def _bfs_rows(edges: _CodedEdges, sources: Optional[Sequence[int]], dtype) -> np
         return out
     weight = edges.weight if isinstance(edges, Emulator) else None
     classes = ((1, edges.csr),) if weight is None else edges.weight_classes
-    spreads = [(w, _spread(c)) for w, c in classes]
-    span = max((w for w, _ in spreads if w <= _LEVEL_CAP), default=1)
-    heavy = bool(spreads) and spreads[-1][0] > _LEVEL_CAP
+    span = max((w for w, _ in classes if w <= _LEVEL_CAP), default=1)
+    heavy = bool(classes) and classes[-1][0] > _LEVEL_CAP
     for lo in range(0, len(roots), _ROW_BLOCK):
         block = roots[lo:lo + _ROW_BLOCK]
         b = len(block)
+        spreads = [(w, _spread(c, -(-b // 64))) for w, c in classes]
         col = np.arange(b)
-        packed = np.zeros((n + 1, -(-b // 64) * 8), np.uint8)
+        packed = np.zeros((n, -(-b // 64) * 8), np.uint8)
         np.bitwise_or.at(packed, (block, col >> 3), np.left_shift(1, col & 7).astype(np.uint8))
-        # ring[d % span] is the frontier of level d (row n zero), None if empty
+        # ring[d % span] is the frontier of level d, None if empty
         ring: list[Optional[np.ndarray]] = [None] * span
         ring[0] = packed.view(np.uint64)
-        unseen = ~ring[0][:n]
+        unseen = ~ring[0]
         unseen[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-b % 64)  # padding: never unseen
         planes: list[np.ndarray] = []
         for level in range(1, _LEVEL_CAP + 1):
@@ -676,12 +701,9 @@ def _bfs_rows(edges: _CodedEdges, sources: Optional[Sequence[int]], dtype) -> np
             # the slot of level - span, read above, takes this level's frontier
             frontier, ring[level % span] = ring[level % span], None
             if reached is not None:
-                if frontier is None:
-                    frontier = np.zeros((n + 1, reached.shape[1]), np.uint64)
-                new = frontier[:n]
-                np.bitwise_and(reached, unseen, out=new)
+                new = np.bitwise_and(reached, unseen, out=frontier)
                 if new.any():
-                    ring[level % span] = frontier
+                    ring[level % span] = new
                     unseen ^= new
                     while level.bit_length() > len(planes):  # weighted levels may skip
                         planes.append(np.zeros_like(unseen))
@@ -692,8 +714,7 @@ def _bfs_rows(edges: _CodedEdges, sources: Optional[Sequence[int]], dtype) -> np
                 break
         deep = np.empty(0, np.int64)
         if (heavy or any(f is not None for f in ring)) and unseen.any():
-            seen = np.zeros((n + 1, unseen.shape[1]), np.uint64)
-            np.invert(unseen, out=seen[:n])
+            seen = ~unseen
             reached = np.zeros_like(unseen)
             for _, spread in spreads:
                 reached |= _reach(seen, spread)

@@ -2,9 +2,10 @@
 maximum stretch, full violation lists, and size-versus-bound ratios.
 
 Both verifiers are front ends over one core that goes one block of
-`_ROW_BLOCK` sorted roots at a time: host and candidate rows, pair masks
-and per-class folds are arrays of one block's rows, so no n x n matrix is
-built once the roots outnumber a block.
+`_ROW_BLOCK` sorted roots at a time: host and candidate rows are arrays of
+one block's rows, so no n x n matrix is built once the roots outnumber a
+block, and pair masks and per-class folds take `_FOLD_CELLS` cells of a
+block at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .graphs import (
 )
 
 _EPS = 1e-9
+
+# Cells (root row x target column) of a block folded at once: the pair and
+# rule masks and `_class_from_mask`'s float64 copies stay this size, not a
+# whole _ROW_BLOCK x n block.
+_FOLD_CELLS = 2**17
 
 # scopes: which pairs a spec talks about
 ALL_PAIRS = "all-pairs"      # unordered pairs over the whole vertex set
@@ -166,7 +172,7 @@ _Rule = namedtuple("_Rule", "alpha beta select lower", defaults=(False,))
 
 
 def _class_from_mask(rep: ClassReport, block, dg, dh, mask, lower: bool) -> None:
-    """Fold the masked (root-row, target-column) pairs of one block into
+    """Fold the masked (root-row, target-column) pairs of some rows into
     `rep`: their count, their violations and, for an upper bound, their
     maximum stretch.  An unreachable candidate distance is infinite for an
     upper bound; a lower bound flags every candidate distance below the
@@ -199,28 +205,34 @@ def _verify_rows(g: Graph, h, candidate_rows, roots, scope: str, rules: dict) ->
     """The one verifier core: host rows (`hop_distance_matrix`) and the
     candidate's rows (`candidate_rows(h, block)`) from the sorted `roots`
     (None: every vertex), checked in range first, one block of `_ROW_BLOCK`
-    at a time.  Each rule folds its pairs of the block's scope into its
-    report; scope pairs that no rule counts are skipped."""
+    at a time.  A block's rows are folded `_FOLD_CELLS` cells at a time, as
+    whole rows and at least one: each rule folds its pairs of the rows'
+    scope into its report, and scope pairs that no rule counts are
+    skipped.  Rows go in root order, so violations stay (u, v)-sorted."""
     roots = _check_roots(g.n, roots)
     cols = np.arange(g.n)
+    in_set = np.isin(cols, roots) if scope == SETWISE else None
+    step = max(1, _FOLD_CELLS // max(g.n, 1))
     reports = {label: ClassReport(alpha=r.alpha, beta=r.beta) for label, r in rules.items()}
     skipped = 0
     for lo in range(0, len(roots), _ROW_BLOCK):
         block = roots[lo:lo + _ROW_BLOCK]
-        dg = hop_distance_matrix(g, block)
-        dh = candidate_rows(h, block)
-        if scope == SOURCEWISE:
-            pairs = cols != block[:, None]
-        else:  # unordered pairs, each once from its smaller end
-            pairs = cols > block[:, None]
-            if scope == SETWISE:
-                pairs &= np.isin(cols, roots)
-        counted = np.zeros_like(pairs)
-        for label, rule in rules.items():
-            mask = pairs & rule.select(dg, dh)
-            counted |= mask
-            _class_from_mask(reports[label], block, dg, dh, mask, rule.lower)
-        skipped += int(np.count_nonzero(pairs)) - int(np.count_nonzero(counted))
+        dg_rows = hop_distance_matrix(g, block)
+        dh_rows = candidate_rows(h, block)
+        for at in range(0, len(block), step):
+            part, dg, dh = block[at:at + step], dg_rows[at:at + step], dh_rows[at:at + step]
+            if scope == SOURCEWISE:
+                pairs = cols != part[:, None]
+            else:  # unordered pairs, each once from its smaller end
+                pairs = cols > part[:, None]
+                if in_set is not None:
+                    pairs &= in_set
+            counted = np.zeros_like(pairs)
+            for label, rule in rules.items():
+                mask = pairs & rule.select(dg, dh)
+                counted |= mask
+                _class_from_mask(reports[label], part, dg, dh, mask, rule.lower)
+            skipped += int(np.count_nonzero(pairs)) - int(np.count_nonzero(counted))
     return StretchReport(classes=reports, size=h.size, skipped_unreachable=skipped)
 
 

@@ -74,7 +74,7 @@ def test_fast_grid_builds_no_edge_views(monkeypatch):
         assert all(row.violations == 0 for row in rows)
     lb_rows = bench.run_lowerbound_check()
     assert all(row.violations == 0 for row in lb_rows)
-    assert len(hosts) == len(outputs) == len(bench.CASES)
+    assert len(hosts) == len(outputs) == sum(len(case.fast) for case in bench.CASES)
     assert len(audited) == 2 * len(lb_rows) * bench.LB_CANDIDATES
     for g in hosts + audited:
         assert "edges" not in vars(g)
@@ -110,7 +110,8 @@ def test_criterion_2_takes_the_budget_from_the_parameters(monkeypatch):
     rows = bench.run_case(case)
     assert all(r.violations == 0 for r in rows)  # criterion 1 still passes
     assert bench._sum(rows, "center_pair_violations") == 97
-    assert bench._sum(bench.run_case(case, fast=True), "center_pair_violations") == 0
+    # the fast grid's n=128, k=4 row sees it too
+    assert bench._sum(bench.run_case(case, fast=True), "center_pair_violations") > 0
 
 
 def test_criterion_3_sourcewise_multiplicative(outcomes):

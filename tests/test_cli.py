@@ -311,7 +311,7 @@ def test_bench_fast_smoke(tmp_path, capsys):
     assert all(c["passed"] for c in payload["criteria"])
     # the whole --json file, byte for byte
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "61fd5555360cee8985a4a291c5455b832d22945e2c2769bef24bcf5014fb12aa"
+        "c7950d7caa2f3324df39a66caee829704409a82e4170d63261c6cbe47206e1cb"
     )
 
 

@@ -892,7 +892,82 @@ def test_level_loop_stops_once_every_root_has_found_every_vertex(monkeypatch):
 
     monkeypatch.setattr(graphs, "_reach", counted)
     assert hop_distance_matrix(g).tolist() == [[int(u != v) for v in range(10)] for u in range(10)]
-    assert passes == [(11, 1)]
+    assert passes == [(10, 1)]
+
+
+@pytest.fixture(scope="module")
+def range_host():
+    """153 vertices: a dense random part (the longest neighbor lists), a
+    path past the level cap and a random tree as three components, three
+    isolated vertices after each, ids interleaved; the last vertex has
+    degree 0.  Returns the host and its Floyd-Warshall rows."""
+    long = graphs._LEVEL_CAP + 10
+    parts = [random_graph(40, 0.3, 2), Graph(long, [(i, i + 1) for i in range(long - 1)]),
+             random_tree(30, 6)]
+    edges, base = [], 0
+    for part in parts:
+        edges += [(u + base, v + base) for u, v in part.edges]
+        base += part.n + 3
+    order = np.random.default_rng(9).permutation(base - 1)
+    g = Graph(base, [(int(order[u]), int(order[v])) for u, v in edges])
+    assert np.diff(g.csr[0])[-1] == 0
+    return g, as_int_grid(floyd_warshall(g))
+
+
+# neighbor rows per gather range, given the CSRs a search runs over
+GATHER_RANGES = {
+    "one row": lambda csrs: 1,
+    "below the longest list": lambda csrs: max(int(np.diff(p).max()) for p, _ in csrs) - 1,
+    "a list boundary": lambda csrs: int(csrs[0][0][len(csrs[0][0]) // 2]),
+    "the whole gather": lambda csrs: max(len(i) for _, i in csrs),
+    "past the whole gather": lambda csrs: max(len(i) for _, i in csrs) + 100,
+}
+
+
+def _gather_budget(monkeypatch, csrs, words: int, ranges: str) -> None:
+    """Set `_GATHER_BYTES` to GATHER_RANGES[ranges] neighbor rows of
+    `words` words."""
+    monkeypatch.setattr(graphs, "_GATHER_BYTES", GATHER_RANGES[ranges](csrs) * words * 8)
+
+
+@pytest.mark.parametrize("ranges", list(GATHER_RANGES))
+@pytest.mark.parametrize("words", [1, 3])
+def test_reach_in_gather_ranges_is_the_neighbor_or(monkeypatch, range_host, words, ranges):
+    g, _ = range_host
+    _gather_budget(monkeypatch, [g.csr], words, ranges)
+    rng = np.random.default_rng(words)
+    frontier = rng.integers(0, 2**63, (g.n, words), dtype=np.uint64)
+    frontier[rng.random(g.n) < 0.5] = 0
+    want = np.zeros((g.n, words), np.uint64)
+    for v, nbrs in enumerate(adjacency(g)):
+        for w in nbrs:
+            want[v] |= frontier[w]
+    assert np.array_equal(graphs._reach(frontier, graphs._spread(g.csr, words)), want)
+
+
+@pytest.mark.parametrize("ranges", list(GATHER_RANGES))
+def test_hop_rows_in_gather_ranges_match_the_cubic_oracle(monkeypatch, range_host, ranges):
+    # 64 roots per block (one word); the path's far roots still go deep
+    g, want = range_host
+    monkeypatch.setattr(graphs, "_ROW_BLOCK", 64)
+    _gather_budget(monkeypatch, [g.csr], 1, ranges)
+    handed = _count_dijkstra_rows(monkeypatch)
+    roots = list(range(g.n))[::-1] + [0, g.n - 1]
+    assert hop_distance_matrix(g, roots).tolist() == [want[r] for r in roots]
+    deep = [r for r in roots if max(want[r]) > graphs._LEVEL_CAP]
+    assert sorted(handed) == sorted(deep) and deep
+
+
+@pytest.mark.parametrize("ranges", list(GATHER_RANGES))
+def test_weighted_rows_in_gather_ranges_match_bellman_ford(monkeypatch, weighted_host, ranges):
+    # every weight class, the one past the cap included, gathers in ranges
+    em, want, deep = weighted_host
+    monkeypatch.setattr(graphs, "_ROW_BLOCK", 64)
+    _gather_budget(monkeypatch, [csr for _, csr in em.weight_classes], 1, ranges)
+    handed = _count_dijkstra_rows(monkeypatch)
+    roots = list(range(em.n))[::-1]
+    assert emulator_distance_matrix(em, roots).tolist() == [want[r] for r in roots]
+    assert sorted(handed) == [r for r in range(em.n) if deep[r]]
 
 
 def test_adjacency_csr_is_the_sorted_adjacency(kernel_host):

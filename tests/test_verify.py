@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -470,6 +471,86 @@ def test_blocks_of_roots_report_as_one_block(monkeypatch):
         monkeypatch.setattr(verify, name, spy(getattr(verify, name)))
     assert _every_scope(g, h, em, sources) == one_block
     assert max(rows) == 7 and sum(rows) == 2 * (g.n + 3 * len(set(sources)))
+
+
+def _damaged(g: Graph) -> tuple[Spanner, Emulator]:
+    """A spanner of every third edge and an emulator that drops every fifth
+    entry, lengthens every third and adds two shortcuts: violations in
+    every class, root after root."""
+    edges = sorted(g.edges)
+    h = _as_spanner(g, edges[::3])
+    em = Emulator(g.n, [(u, v, 1 + (i % 3 == 0)) for i, (u, v) in enumerate(edges) if i % 5]
+                  + [(0, g.n - 1, 1), (2, 30, 1)])
+    return h, em
+
+
+@pytest.mark.parametrize("fold_rows", [1, 3, 200])
+def test_fold_chunks_report_as_one_fold(monkeypatch, fold_rows):
+    # two blocks of 40 roots; fold chunks of 1 and 3 rows split each, 200
+    # rows exceed a block: the reports equal the one-fold reports field for
+    # field, the order of every violation list included
+    g = random_graph(70, 0.06, 4)
+    h, em = _damaged(g)
+    sources = [3, 68, 0, 41, 12, 3, 55, 27, 9, 33, 61, 18, 2, 47, 30, 66, 5, 22, 39, 50]
+
+    def reports():
+        return [
+            verify_spanner(g, h, None, hybrid_spec(2)),
+            verify_spanner(g, h, sources, additive_spec(2)),
+            verify_spanner(g, h, sources, subsetwise_spec(0)),
+            verify_emulator(g, em, sources, beta=0),
+        ]
+
+    monkeypatch.setattr(verify, "_ROW_BLOCK", 40)
+    whole = reports()
+    assert all(rep.n_violations and rep.skipped_unreachable for rep in whole[:3])
+    assert whole[3].n_violations and all(c.pairs for c in whole[3].classes.values())
+    folded = []
+    inner = verify._class_from_mask
+
+    def spied(rep, block, dg, dh, mask, lower):
+        before = rep.n_violations
+        inner(rep, block, dg, dh, mask, lower)
+        folded.append((len(block), rep.n_violations > before))
+
+    monkeypatch.setattr(verify, "_class_from_mask", spied)
+    monkeypatch.setattr(verify, "_FOLD_CELLS", fold_rows * g.n)
+    got = reports()
+    assert got == whole
+    assert [rep.to_dict(violation_cap=10**9) for rep in got] == [
+        rep.to_dict(violation_cap=10**9) for rep in whole
+    ]
+    assert max(rows for rows, _ in folded) == min(fold_rows, 40)
+    # violations come from many chunks, not one
+    assert sum(hit for _, hit in folded) > (8 if fold_rows < 40 else 0)
+
+
+def test_rows_and_verify_stay_within_their_budgets(monkeypatch):
+    # all-pairs rows on G(512, 0.3): the whole neighbor gather of a block
+    # would be 2 * m rows of 8 words, 5 MB, 80 times the 64 KiB budget set
+    # here; the fold's chunks hold 8192 cells of at most 64 B of masks and
+    # float64 copies each.  The slack covers the block's uint8 unpacking.
+    g = random_graph(512, 0.3, 1)
+    h = _as_spanner(g, sorted(g.edges)[::2])
+    g.csr, h.csr
+    hop_distance_matrix(g, [0])  # imports and first-call set-up
+    monkeypatch.setattr(graphs, "_GATHER_BYTES", 2**16)
+    monkeypatch.setattr(verify, "_FOLD_CELLS", 2**13)
+    assert (2 * g.m + 1) * 8 * 8 >= 8 * graphs._GATHER_BYTES
+    rows_bytes, slack = 4 * g.n * g.n, 2**20
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: hop_distance_matrix(g)) <= rows_bytes + graphs._GATHER_BYTES + slack
+    assert peak(lambda: verify_spanner(g, h, None, hybrid_spec(2))) <= (
+        2 * rows_bytes + graphs._GATHER_BYTES + 64 * verify._FOLD_CELLS + slack
+    )
 
 
 # ---------------------------------------------------------------------------
