@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -476,6 +477,53 @@ def test_buyer_rows_are_exact_at_each_sources_turn(monkeypatch):
         g = random_graph(128, 8 / 127, seed)
         build_sourcewise_additive(g, SourceSet.from_ids(range(12), g.n), 2, seed, 2)
     assert len(caught_up) == 24 and any(caught_up)
+
+
+def _grid(rows: int, cols: int) -> Graph:
+    """rows x cols grid, no diagonals, vertex r * cols + c."""
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, right + down)
+
+
+def _grid_buy(g, sources, params, gc, parents=None):
+    """`_buy_short_paths` from the bare clustering, every reached pair short."""
+    dist = hop_distance_matrix(g, sources)
+    parents = graphs.parent_rows(g.csr, dist) if parents is None else parents
+    return _buy_short_paths(g, sources, dist, parents, dist >= 0, gc, gc.g_c, params)
+
+
+def test_rerouted_candidates_buy_on_a_grid(monkeypatch):
+    # a host where a candidate rejected at level 0 is rerouted and then
+    # buys edges at level 1; no G(n, p) host tried reaches that branch
+    g = _grid(12, 12)
+    params = AdditiveParams(k=2, epsilon=0.0, heavy_degree=1, long_threshold=20, level_factor=1.5)
+    # per visited target its path, then one reroute per level climbed, and
+    # one insertion per purchase
+    events = []
+
+    def recorded(name):
+        helper = getattr(additive, name)
+
+        def record(*args):
+            events.append(name)
+            return helper(*args)
+
+        monkeypatch.setattr(additive, name, record)
+
+    for name in ("parent_path", "_next_level_path", "_insert_edges"):
+        recorded(name)
+    codes, stats = _grid_buy(g, list(range(6)), params, hub_clustering(g, 0.2))
+    assert stats == {"paths_bought": 33, "edges_bought": 52, "levels": [498, 366, 0]}
+    bought_at = Counter()
+    for event in events:
+        level = 0 if event == "parent_path" else level + (event == "_next_level_path")
+        bought_at[level] += event == "_insert_edges"
+    assert bought_at == {0: 29, 1: 4}
+    assert len(codes) == 179
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == (
+        "6ecf1bd4150f2ff4f78492cbb048b1abed542e57387cfbb1e875bc1cc0ed6373"
+    )
 
 
 def test_swadd_split_is_classify_pairs():

@@ -39,6 +39,10 @@ CASES = {
                   "53bf2107fad1be99079edca51d9fc5976e72e8ed5b2fe757432e6c10ca2c0014"),
     "swadd-k1": (lambda: build_sourcewise_additive(G, S12, 1, 1, retries=2), 1798,
                  "f5fc959307b1059f0754526439fbbde46b31541272c1bdbf5a17076ada2a5b27"),
+    "swadd-k2": (lambda: build_sourcewise_additive(G, S12, 2, 1, retries=2), 1689,
+                 "337a3a5d80cfd586954af67f3eb5d3e59fe16db10aa554688bdc81d353e71bbb"),
+    "swadd-k3": (lambda: build_sourcewise_additive(G, S12, 3, 1, retries=2), 1611,
+                 "d6fb840c9e571cd4e8757a84065d43dbd958af9e7e4cbc14563011600e45d59e"),
     "emulator2": (lambda: build_sourcewise_emulator2(G, S12), 503,
                   "65c8e7d5f4204fb291a126e2e96673d11416c2db58405b699d082fec7c3a6bb7"),
     "sw4": (lambda: build_sourcewise_additive4(G, S26), 275,
@@ -55,6 +59,16 @@ def test_golden_digest(name):
     doc = dump_emulator(h) if isinstance(h, Emulator) else dump_graph(h)
     assert h.size == size < G.m
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+# path buying's per-level counts on the swadd cases: candidates bought at
+# each level, free ones included
+BUY_LEVELS = {"swadd-k1": [796, 740], "swadd-k2": [764, 772, 0], "swadd-k3": [797, 739, 0, 0]}
+
+
+@pytest.mark.parametrize("name", sorted(BUY_LEVELS))
+def test_swadd_buy_levels(name):
+    assert CASES[name][0]().meta["buy_levels"] == BUY_LEVELS[name]
 
 
 def test_golden_digest_where_sampled_trees_serve_long_pairs():
