@@ -13,6 +13,12 @@ emulator share one per-cluster minimum (`_nearest_members`).  Edge sets
 are sorted edge codes; path buying, which tests one edge at a time, keeps
 the growing spanner as neighbor sets built from them (`_adjacency`), and
 the edges it buys become codes once, at the end.
+
+Path buying does its array work once per source (`_source_costs`): it
+checks every canonical path the source's turn can visit and prices each
+against the spanner codes of that turn, so paths already kept are counted
+without a visit.  The other candidates are visited one by one, and the
+reroutes between two purchases share their spanner descents.
 """
 
 from __future__ import annotations
@@ -201,14 +207,17 @@ def _relax_new_edges(adj: list[set], dist: list[float], new_edges) -> list[int]:
     return improved
 
 
-def _descend(adj: list[set], dist: list[float], target: int) -> list[int]:
-    """Source-to-target path read off an exact distance array (min-id steps)."""
+def _descend(adj: list[set], dist: list[float], target: int, source: int) -> list[int]:
+    """Source-to-target path read off an exact distance array (min-id steps);
+    the step from distance 1 goes to the source, the one vertex at 0."""
     path = [target]
     v = target
-    while dist[v] > 0:
+    while dist[v] > 1:
         d1 = dist[v] - 1
         v = min(w for w in adj[v] if dist[w] == d1)
         path.append(v)
+    if v != source:
+        path.append(source)
     path.reverse()
     return path
 
@@ -272,25 +281,98 @@ def _missing_positions(path: Sequence[int], adj: list[set]) -> list[int]:
     return [i for i in range(1, len(path)) if path[i] not in adj[path[i - 1]]]
 
 
-def _check_candidate(path, source, target, level, base_dist, params, gc, adj):
-    """Invariants every candidate path must satisfy at its level; returns
-    the path's missing positions, whose count is its cost."""
-    if path[0] != source or path[-1] != target:
-        raise RuntimeError("candidate path endpoints drifted (internal bug)")
-    if len(path) - 1 > base_dist + 2 * level:
-        raise RuntimeError("candidate path length invariant violated (internal bug)")
-    counts: dict[int, int] = {}
+def _cluster_counts(path: Sequence[int], cluster_index: Sequence[int], counts=None) -> dict:
+    """Path vertices per cluster, added to `counts` (a fresh dict if None)."""
+    counts = {} if counts is None else counts
     for v in path:
-        cid = gc.cluster_index[v]
+        cid = cluster_index[v]
         if cid >= 0:
             counts[cid] = counts.get(cid, 0) + 1
-    if counts and max(counts.values()) > 3:
-        raise RuntimeError("cluster occupancy invariant violated (internal bug)")
+    return counts
+
+
+def _check_candidate(path, counts, source, target, level, base_dist, params, adj):
+    """Invariants a candidate path must satisfy at its level; returns the
+    path's missing positions, whose count is its cost.  From level 1 on
+    `counts` are the path's vertices per cluster (`_next_level_path`).  At
+    level 0 the path is canonical and the source's pass (`_source_costs`)
+    has checked its endpoints, its length and its clusters; only the
+    checks that read the spanner `adj` are left."""
+    if level:
+        if path[0] != source or path[-1] != target:
+            raise RuntimeError("candidate path endpoints drifted (internal bug)")
+        if len(path) - 1 > base_dist + 2 * level:
+            raise RuntimeError("candidate path length invariant violated (internal bug)")
+        if counts and max(counts.values()) > 3:
+            raise RuntimeError("cluster occupancy invariant violated (internal bug)")
     missing = _missing_positions(path, adj)
     budget = params.long_threshold / (params.level_factor ** level)
     if len(missing) > budget + _EPS:
         raise RuntimeError("missing-edge budget invariant violated (internal bug)")
     return missing
+
+
+def _member(codes: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each of `query` is one of the sorted `codes`."""
+    if not len(codes):
+        return np.zeros(len(query), bool)
+    return codes[np.minimum(np.searchsorted(codes, query), len(codes) - 1)] == query
+
+
+def _source_costs(source, dist_g, up, targets, kept, cluster):
+    """The array pass at `source`'s turn over its hop row `dist_g`, its
+    canonical parent row `up` and its short targets `targets`.
+
+    Checks the level-0 invariants that do not read the spanner, on the
+    canonical path of every target and every vertex the row reaches: each
+    parent step goes one hop closer and the chain ends at the source, and
+    no cluster (`cluster`, each vertex's id or -1) holds four vertices of a
+    target's path, counted over each path's ancestors.  Returns per vertex
+    its cost, the tree edges on its path that no sorted code array in
+    `kept` holds, and its cluster id if it is the first vertex of its
+    cluster on its path (else -1).  Costs only fall while the source's turn
+    goes on, so a target at cost 0 is free when its turn comes."""
+    n = len(dist_g)
+    on = (dist_g >= 0) | targets
+    on[source] = False
+    w = np.flatnonzero(on)
+    up_w = up[w]
+    if up[source] >= 0 or (up_w < 0).any():
+        raise RuntimeError("candidate path endpoints drifted (internal bug)")
+    if dist_g[source] != 0 or (dist_g[w] < 1).any() or (dist_g[up_w] != dist_g[w] - 1).any():
+        raise RuntimeError("candidate path length invariant violated (internal bug)")
+    # every chain from w now steps down one level at a time to the source,
+    # whose up is the pad n: walk them all at once, first counting each
+    # vertex's own cluster over its ancestors, then adding up the missing
+    # edges and the crowded vertices over the same ancestors
+    up_pad = np.append(up, n)
+    up_pad[source] = n
+    cl_pad = np.append(cluster, -1)
+    tree = edge_codes(n, w, up_w)
+    missing = np.zeros(n + 1, np.int64)
+    missing[w] = ~np.logical_or.reduce([_member(codes, tree) for codes in kept])
+    w = np.append(w, source)
+    depth = int(dist_g[w].max())
+    own = cluster[w]
+    occ = np.zeros(len(w), np.int64)
+    at = w
+    for _ in range(depth + 1):
+        occ += cl_pad[at] == own
+        at = up_pad[at]
+    crowded = np.zeros(n + 1, bool)
+    crowded[w] = (occ > 3) & (own >= 0)
+    cost, crowd = missing[w], crowded[w]
+    at = up_pad[w]
+    for _ in range(depth):
+        cost += missing[at]
+        crowd |= crowded[at]
+        at = up_pad[at]
+    if crowd[targets[w]].any():
+        raise RuntimeError("cluster occupancy invariant violated (internal bug)")
+    out = np.zeros((2, n), np.int64)
+    out[1] = -1
+    out[:, w] = cost, np.where(occ == 1, own, -1)
+    return out
 
 
 def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
@@ -299,48 +381,78 @@ def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
     3 * level_factor * value; failed levels reroute through a cluster that
     the path does not improve.  Row i of `dist_rows`, `parents` (hop and
     parent rows) and `short` (short targets) is from sources[i].  Starts
-    from the edge codes `base` and returns the codes of the spanner bought."""
+    from the edge codes `base` and returns the codes of the spanner bought.
+
+    Array work is done once per source, never once per purchase.  The
+    source's pass (`_source_costs`) checks the canonical paths and prices
+    them against the spanner at the source's turn; the targets it finds
+    free are counted without a visit.  It also finds each vertex that is
+    the first of its cluster on its canonical path, so a visited target's
+    value is a sum of flags that purchases clear.  Between two purchases
+    that buy edges the spanner, its rows and the cluster minima stay fixed,
+    so the reroutes of that epoch share one memo of spanner descents."""
     n = g.n
     adj = _adjacency(n, base)
+    base = unique_codes(base)
     bought: list[tuple[int, int]] = []
     phi = params.level_factor
     k = params.k
+    ci = gc.cluster_index
+    cluster = np.array(ci, np.int64)
     stats = {"paths_bought": 0, "edges_bought": 0, "levels": [0] * (k + 1)}
 
     rows = zip(sources, dist_rows, parents, short, _spanner_rows(n, base, sources))
     for s, row, up, targets, dist_h in rows:
-        dist_g, parent = row.tolist(), up.tolist()
         _relax_new_edges(adj, dist_h, bought)  # catch up with earlier sources' edges
         # per cluster the spanner distance to its nearest member and that
         # member, the minimum (dist_h, id); distances only decrease, so the
         # running minimum over improved members stays exact
-        cdist, nearest = (col[0].tolist() for col in _nearest_members([dist_h], gc))
-        for v in np.flatnonzero(targets).tolist():
-            path = parent_path(parent, v)
+        cdist, nearest = (col[0] for col in _nearest_members([dist_h], gc))
+        kept = [base, unique_codes(edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T))]
+        costs, first = _source_costs(s, row, up, targets, kept, cluster)
+        visit = np.flatnonzero(targets & (costs > 0)).tolist()
+        stats["levels"][0] += int(targets.sum()) - len(visit)
+        # a canonical path's value counts its vertices that are the first of
+        # their cluster on it and nearer than the spanner's nearest member:
+        # `gain` flags them, and a purchase that brings a cluster nearer
+        # clears the flags it overtakes
+        gain = ((first >= 0) & (row < np.append(cdist, 0)[first])).tolist()
+        dist_g, parent = row.tolist(), up.tolist()
+        cdist, nearest = cdist.tolist(), nearest.tolist()
+        descents: dict = {}  # the epoch's memo for `_next_level_path`
+        for v in visit:
+            path, counts = parent_path(parent, v), None
             base_dist = dist_g[v]
             level = 0
             while True:
-                missing = _check_candidate(path, s, v, level, base_dist, params, gc, adj)
+                missing = _check_candidate(path, counts, s, v, level, base_dist, params, adj)
                 cost = len(missing)
-                # a free path is bought whatever its value, which is >= 0
-                if cost == 0 or (
-                    cost <= 3.0 * phi * _path_value(path, gc.cluster_index, cdist) + _EPS
-                ):
+                value = 0  # a free path is bought whatever its value, which is >= 0
+                if cost and level:
+                    value = _path_value(path, ci, cdist)
+                elif cost:  # a canonical path is worth its flagged vertices
+                    value = sum(map(gain.__getitem__, path))
+                if cost <= 3.0 * phi * value + _EPS:
                     if cost:
                         new_edges = [(path[i - 1], path[i]) for i in missing]
                         [improved] = _insert_edges(adj, new_edges, [dist_h])
                         bought += new_edges
                         for x in improved:
-                            cid = gc.cluster_index[x]
+                            cid = ci[x]
                             if cid >= 0 and (dist_h[x], x) < (cdist[cid], nearest[cid]):
                                 cdist[cid], nearest[cid] = dist_h[x], x
+                                for a in gc.clusters[cid]:
+                                    gain[a] = gain[a] and dist_g[a] < dist_h[x]
+                        descents = {}
                         stats["paths_bought"] += 1
                         stats["edges_bought"] += len(new_edges)
                     stats["levels"][level] += 1
                     break
                 if level == k:
                     raise RuntimeError("top-level candidate has positive cost (internal bug)")
-                path = _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi)
+                path, counts = _next_level_path(
+                    path, cost, dist_h, cdist, nearest, adj, gc, phi, descents
+                )
                 level += 1
     return unique_codes(base, edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T)), stats
 
@@ -361,38 +473,45 @@ def _nearest_members(rows, gc: HubClustering) -> tuple[np.ndarray, np.ndarray]:
     return np.where(d < n, d, _INF), y
 
 
-def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi):
+def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi, descents):
     """Reroute a rejected candidate: keep the longest suffix with
     floor(cost/phi) missing edges, enter it through a cluster the spanner
     already reaches at least as fast as the path does, at the cluster's
-    nearest member (`nearest`, the minimum (dist_h, id))."""
+    nearest member (`nearest`, the minimum (dist_h, id)).  Returns the walk
+    and its vertices per cluster.  `descents` maps an entry y to its
+    spanner descent and that descent's vertices per cluster; it holds while
+    `adj` and `dist_h` do, and starts empty after every purchase."""
     missing = _missing_positions(path, adj)
     if len(missing) != cost or cost == 0:
         raise RuntimeError("stale cost during reroute (internal bug)")
     keep = int(cost / phi)
     r_start = missing[cost - keep - 1]
-    if gc.cluster_index[path[r_start]] < 0:
+    ci = gc.cluster_index
+    if ci[path[r_start]] < 0:
         raise RuntimeError("suffix head must be clustered (internal bug)")
 
-    pick = None
     for pos in range(len(path) - 1, r_start - 1, -1):
-        cid = gc.cluster_index[path[pos]]
+        cid = ci[path[pos]]
         if cid >= 0 and cdist[cid] <= pos:
-            pick = (pos, cid)
             break
-    if pick is None:
+    else:
         raise RuntimeError("no reroute cluster available (internal bug)")
-    pos, cid = pick
     x = path[pos]
     y = nearest[cid]
-    prefix = _descend(adj, dist_h, y)
-    mid = _cluster_route(y, x, gc.hubs[cid], adj)
-    tail = list(path[pos:])
-    if y == x:
-        walk = prefix + tail[1:]
-    else:
-        walk = prefix + mid + tail
-    return _enforce_cluster_cap(walk, gc, adj)
+    descent = descents.get(y)
+    if descent is None:
+        prefix = _descend(adj, dist_h, y, path[0])
+        descent = descents[y] = (prefix, _cluster_counts(prefix, ci))
+    prefix, counts = descent
+    rest = path[pos + 1:] if y == x else _cluster_route(y, x, gc.hubs[cid], adj) + path[pos:]
+    walk = prefix + rest
+    # a walk with no repeated vertex and no cluster at four is its own cap
+    if len(set(walk)) == len(walk):
+        counts = _cluster_counts(rest, ci, dict(counts))
+        if not counts or max(counts.values()) < 4:
+            return walk, counts
+    walk = _enforce_cluster_cap(walk, gc, adj)
+    return walk, _cluster_counts(walk, ci)
 
 
 def build_sourcewise_additive(

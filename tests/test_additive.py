@@ -196,11 +196,24 @@ def test_value_one_on_hand_built_instance():
 
 
 def test_value_requires_source_anchor():
-    # the buyer's candidate check rejects a path that leaves the source
-    clustering = _hand_clustering(4, [[2]], [1])
+    # the buyer's check of a rerouted candidate rejects a path that leaves
+    # the source (a canonical one is checked by the source's array pass)
     params = AdditiveParams(k=1, epsilon=0.5, heavy_degree=2, long_threshold=1, level_factor=2.0)
     with pytest.raises(RuntimeError, match="endpoints drifted"):
-        _check_candidate([1, 2], 0, 2, 0, 1, params, clustering, [set()] * 4)
+        _check_candidate([1, 2], {}, 0, 2, 1, 1, params, [set()] * 4)
+
+
+def test_rerouted_candidate_check_reads_length_and_cluster_counts():
+    params = AdditiveParams(k=2, epsilon=0.5, heavy_degree=2, long_threshold=10, level_factor=2.0)
+    adj = [set()] * 6
+    path = [0, 1, 2, 3, 4, 5]
+    assert _check_candidate(path, {0: 3}, 0, 5, 1, 3, params, adj) == [1, 2, 3, 4, 5]
+    with pytest.raises(RuntimeError, match="length invariant"):
+        _check_candidate(path, {0: 3}, 0, 5, 1, 2, params, adj)  # 5 hops > 2 + 2
+    with pytest.raises(RuntimeError, match="cluster occupancy"):
+        _check_candidate(path, {0: 4}, 0, 5, 1, 3, params, adj)
+    with pytest.raises(RuntimeError, match="missing-edge budget"):
+        _check_candidate(path, {0: 3}, 0, 5, 2, 3, params, adj)  # 5 missing > 10 / 4
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +251,9 @@ def test_reroute_keeps_the_budgeted_suffix():
     cdist = [INF, 2.0]  # cluster of vertex 3 reachable at distance 2
     nearest = [2, 3]  # each cluster's minimum (dist_h, id) member
     phi = 1.5  # floor(3 / 1.5) = 2 missing edges stay in the suffix
-    out = _next_level_path(path, 3, dist_h, cdist, nearest, adj, clustering, phi)
+    out, counts = _next_level_path(path, 3, dist_h, cdist, nearest, adj, clustering, phi, {})
     assert out == [0, 7, 3, 4, 5, 6]  # spanner prefix to 3, then the old tail
+    assert counts == {1: 1}  # vertex 3
     assert len(_missing_positions(out, adj)) == 2  # (3,4) and (5,6) kept
 
 
@@ -524,6 +538,55 @@ def test_rerouted_candidates_buy_on_a_grid(monkeypatch):
     assert hashlib.sha256(codes.tobytes()).hexdigest() == (
         "6ecf1bd4150f2ff4f78492cbb048b1abed542e57387cfbb1e875bc1cc0ed6373"
     )
+
+
+@pytest.mark.parametrize("plant, error", [
+    (2, "length invariant"),  # skips a level: vertex 26 is 4 hops out, vertex 2 is 2
+    (27, "length invariant"),  # steps away from the source
+    (-1, "endpoints drifted"),  # ends the chain short of the source
+])
+def test_buyer_checks_every_canonical_parent_step(plant, error):
+    # the source's array pass checks the parent rows before any purchase
+    g = _grid(12, 12)
+    params = AdditiveParams(k=2, epsilon=0.0, heavy_degree=1, long_threshold=20, level_factor=1.5)
+    gc = hub_clustering(g, 0.2)
+    parents = graphs.parent_rows(g.csr, hop_distance_matrix(g, [0]))
+    assert parents[0, 26] == 14
+    parents[0, 26] = plant
+    with pytest.raises(RuntimeError, match=error):
+        _grid_buy(g, [0], params, gc, parents)
+
+
+def test_buyer_checks_the_missing_edge_budget():
+    # a canonical path missing more edges than the level-0 budget allows
+    g = _grid(12, 12)
+    params = AdditiveParams(k=2, epsilon=0.0, heavy_degree=1, long_threshold=5, level_factor=1.5)
+    with pytest.raises(RuntimeError, match="missing-edge budget"):
+        _grid_buy(g, list(range(6)), params, hub_clustering(g, 0.2))
+
+
+@pytest.mark.parametrize("host, crowded", [
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], True),  # 0-1-2-3-4-5: all four on a path
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)], False),  # a star: at most one per path
+])
+def test_buyer_counts_cluster_members_on_each_path(host, crowded):
+    # a hand-built cluster of four members; only a path that holds all
+    # four breaks the occupancy invariant, even when the spanner already
+    # keeps every edge and no path is visited
+    g = Graph(7, host + [(5, 6)])
+    params = AdditiveParams(k=1, epsilon=0.0, heavy_degree=1, long_threshold=20, level_factor=2.0)
+    gc = _hand_clustering(7, [[1, 2, 3, 4]], [6])
+    dist = hop_distance_matrix(g, [0])
+    parents = graphs.parent_rows(g.csr, dist)
+
+    def buy():
+        return _buy_short_paths(g, [0], dist, parents, dist >= 0, gc, g.codes, params)
+
+    if crowded:
+        with pytest.raises(RuntimeError, match="cluster occupancy"):
+            buy()
+    else:
+        assert buy()[1]["levels"] == [7, 0]
 
 
 def test_swadd_split_is_classify_pairs():
