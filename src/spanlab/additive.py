@@ -24,7 +24,6 @@ reroutes between two purchases share their spanner descents.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -37,6 +36,8 @@ from .graphs import (
     Emulator,
     Graph,
     Spanner,
+    _check_root_set,
+    _member,
     edge_codes,
     edge_ends,
     hop_distance_matrix,
@@ -310,13 +311,6 @@ def _check_candidate(path, counts, source, target, level, base_dist, params, adj
     if len(missing) > budget + _EPS:
         raise RuntimeError("missing-edge budget invariant violated (internal bug)")
     return missing
-
-
-def _member(codes: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Whether each of `query` is one of the sorted `codes`."""
-    if not len(codes):
-        return np.zeros(len(query), bool)
-    return codes[np.minimum(np.searchsorted(codes, query), len(codes) - 1)] == query
 
 
 def _source_costs(source, dist_g, up, targets, kept, cluster):
@@ -621,11 +615,8 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     clustering subgraph, then sweep the set's pairs by nondecreasing graph
     distance and buy the full canonical path whenever a pair still exceeds
     the +2 budget."""
-    # operator.index refuses floats, which int() would truncate
-    zs = sorted(set(map(operator.index, members)))
-    if not zs:
-        raise ValueError("vertex set must be non-empty")
     n = g.n
+    zs = _check_root_set(n, members, "vertex")
     kappa = math.log(len(zs)) / math.log(n) if n >= 2 else 0.0
     gc = hub_clustering(g, kappa / 2.0)
     adj = _adjacency(n, gc.g_c)

@@ -147,7 +147,7 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_gen_lb(args) -> int:
-    lg = build_lb_graph(args.r, args.k, args.eps, max_vertices=args.max_vertices)
+    lg = build_lb_graph(args.r, args.k, args.eps)
     _write_text(args.out, dump_graph(lg.graph))
     _write_text(args.sources, "\n".join(str(v) for v in lg.sources) + "\n")
     meta = {
@@ -340,7 +340,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--sources", required=True)
     p.add_argument("--meta", required=True)
-    p.add_argument("--max-vertices", type=int, default=1_000_000)
     p.set_defaults(func=cmd_gen_lb)
 
     build = top.add_parser("build", help="construct spanners and emulators").add_subparsers(

@@ -240,10 +240,16 @@ class Spanner(_CodedEdges):
         self.meta = {} if meta is None else meta
 
 
+def _member(codes: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each of `query` is one of the sorted `codes`."""
+    if not len(codes):
+        return np.zeros(len(query), bool)
+    return codes[np.minimum(np.searchsorted(codes, query), len(codes) - 1)] == query
+
+
 def is_subgraph(h: Spanner, g: Graph) -> bool:
     """Whether each code of `h` is one of g's sorted codes."""
-    at = np.searchsorted(g.codes, h.codes)
-    return bool(np.all(at < g.m)) and np.array_equal(g.codes[np.minimum(at, g.m - 1)], h.codes)
+    return bool(_member(g.codes, h.codes).all())
 
 
 def _check_exact(weight: np.ndarray) -> np.ndarray:
@@ -445,14 +451,10 @@ def bfs_distances(g: Graph, roots: Iterable[int]) -> list[int]:
 
 def bfs(g: Graph, roots: Iterable[int]) -> BfsResult:
     """Multi-root BFS with canonical parents and minimum-id owners over the
-    kept CSR (`_bfs_arrays`); operator.index refuses float roots."""
-    rootlist = sorted(set(map(operator.index, roots)))
-    if not rootlist:
-        raise ValueError("root set must be non-empty")
-    for r in rootlist:
-        if not (0 <= r < g.n):
-            raise ValueError(f"root {r} out of range [0,{g.n})")
-    dist, parent, owner = _bfs_arrays(g.csr, np.array(rootlist, np.int64))
+    kept CSR (`_bfs_arrays`) from the root set (`_check_root_set`): ValueError
+    if it is empty or for its smallest root outside [0, n), TypeError for a
+    non-integer root."""
+    dist, parent, owner = _bfs_arrays(g.csr, np.array(_check_root_set(g.n, roots, "root")))
     return BfsResult(dist.tolist(), parent.tolist(), owner.tolist())
 
 
@@ -504,8 +506,12 @@ def trace_parent_path(g: Graph, dist: Sequence[int], target: int) -> Optional[li
     each vertex's ascending neighbor list in the kept CSR (as memoryviews,
     which read out plain ints).
 
-    Returns the root-to-target vertex sequence, or None if unreachable.
+    Returns the root-to-target vertex sequence, or None if unreachable; a
+    target outside [0, n) raises ValueError, a non-integer one TypeError.
     """
+    target = operator.index(target)
+    if not 0 <= target < g.n:
+        raise ValueError(f"target {target} out of range [0,{g.n})")
     if dist[target] < 0:
         return None
     indptr, indices = map(memoryview, g.csr)
@@ -523,8 +529,12 @@ def trace_parent_path(g: Graph, dist: Sequence[int], target: int) -> Optional[li
 
 
 def trace_owner_path(g: Graph, res: BfsResult, target: int) -> Optional[list[int]]:
-    """Owner-to-target path along the canonical parents of `res`; it stays
-    within the target's owning root.  None if unreachable."""
+    """Owner-to-target path along the canonical parents of `res`, within the
+    target's owning root; None if unreachable.  A target outside [0, n)
+    raises ValueError, a non-integer one TypeError."""
+    target = operator.index(target)
+    if not 0 <= target < g.n:
+        raise ValueError(f"target {target} out of range [0,{g.n})")
     if res.dist[target] < 0:
         return None
     return parent_path(res.parent, target)
@@ -546,14 +556,26 @@ def parent_path(parent: Sequence[int], target: int) -> list[int]:
 
 
 def _check_roots(n: int, sources: Optional[Sequence[int]]) -> np.ndarray:
-    """Sources (default: all vertices) as checked int64 ids: numpy would
-    wrap -1 to vertex n-1 and truncate a float id, which raises TypeError."""
+    """Sources (default: all vertices) as int64 ids in the order given, by the
+    one vertex-id rule: operator.index refuses a non-integer id (TypeError), and
+    the first id outside [0, n), past int64 too, raises ValueError quoting it."""
     if sources is None:
         return np.arange(n)
-    roots = np.fromiter(map(operator.index, np.ravel(sources).tolist()), np.int64)
+    given = sources.ravel().tolist() if isinstance(sources, np.ndarray) else list(sources)
+    roots = _int_array(given, operator.index)
     bad = (roots < 0) | (roots >= n)
     if bad.any():
-        raise ValueError(f"root {roots[bad][0]} out of range [0,{n})")
+        raise ValueError(f"root {given[int(np.argmax(bad))]} out of range [0,{n})")
+    return roots
+
+
+def _check_root_set(n: int, ids: Iterable[int], what: str) -> list[int]:
+    """The sorted distinct `ids` as plain ints, checked by `_check_roots` (so
+    the smallest bad id is named); ValueError if there is none."""
+    roots = sorted(set(map(operator.index, ids)))
+    if not roots:
+        raise ValueError(f"{what} set must be non-empty")
+    _check_roots(n, roots)
     return roots
 
 
@@ -772,9 +794,7 @@ def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndar
     return out
 
 
-def hop_distance_matrix(
-    g: Graph | Spanner, sources: Optional[Sequence[int]] = None
-) -> np.ndarray:
+def hop_distance_matrix(g: Graph | Spanner, sources: Optional[Sequence[int]] = None) -> np.ndarray:
     """Hop distances from each source (default: all vertices) over the kept
     `csr` of a Graph or a Spanner, as an int32 matrix from the
     packed-bitset BFS (`_bfs_rows`); UNREACHED where cut off.  Rows follow

@@ -11,8 +11,10 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, Spanner, edge_codes, hop_distance_matrix, is_subgraph
+from .graphs import Graph, Spanner, _member, edge_codes, hop_distance_matrix, is_subgraph
 from .util import ceil_int
+
+_MAX_VERTICES = 1_000_000  # the most vertices `build_lb_graph` materializes
 
 
 def _level_radices(k: int, width1: int, width2: int, level: int) -> list[int]:
@@ -62,12 +64,12 @@ class LayeredGraph:
         return _level_radices(self.k, self.width1, self.width2, level)
 
     def vertex_id(self, level: int, coords) -> int:
+        if not 1 <= level <= self.k + 1:
+            raise ValueError(f"level {level} out of range [1,{self.k + 1}]")
         return self.level_offsets[level - 1] + _rank(coords, self.radices(level))
 
 
-def build_lb_graph(
-    r: int, k: int, epsilon: float, max_vertices: int = 1_000_000
-) -> LayeredGraph:
+def build_lb_graph(r: int, k: int, epsilon: float) -> LayeredGraph:
     """Materialize the layered instance for the given parameters, in or out
     of its regime (`LayeredGraph.in_regime`).
 
@@ -85,10 +87,8 @@ def build_lb_graph(
     size1 = width1 ** k
     size_other = width2 * width1 ** (k - 1)
     total = size1 + k * size_other
-    if total > max_vertices:
-        raise ValueError(
-            f"instance would have {total} vertices (cap {max_vertices})"
-        )
+    if total > _MAX_VERTICES:
+        raise ValueError(f"instance would have {total} vertices (cap {_MAX_VERTICES})")
     level_sizes = [size1] + [size_other] * k
     level_offsets = np.cumsum([0] + level_sizes[:-1]).tolist()
     radices = [_level_radices(k, width1, width2, lv) for lv in range(1, k + 2)]
@@ -147,7 +147,7 @@ def find_missing_chain(lg: LayeredGraph, h: Spanner) -> Optional[MissingChain]:
     indptr, indices = lg.graph.csr
     tail = np.repeat(np.arange(n), np.diff(indptr))
     levels = np.asarray(lg.levels)
-    up = (levels[indices] == levels[tail] + 1) & ~np.isin(edge_codes(n, tail, indices), h.codes)
+    up = (levels[indices] == levels[tail] + 1) & ~_member(h.codes, edge_codes(n, tail, indices))
     nbrs, bounds = indices[up].tolist(), np.searchsorted(tail[up], np.arange(n + 1)).tolist()
 
     def extend(v: int, level: int, acc: list[int]) -> Optional[list[int]]:

@@ -5,12 +5,12 @@ source-adjacent pairs, 2k-2 for every other source/vertex pair.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 from .clustering import cluster_sequence
-from .graphs import Graph, Spanner, bfs_distances, pair_codes, trace_parent_path, unique_codes
+from .graphs import (Graph, Spanner, _check_root_set, bfs_distances, pair_codes,
+                     trace_parent_path, unique_codes)
 from .hybrid import path_suffix
 
 
@@ -24,14 +24,11 @@ class SourceSet:
 
     @classmethod
     def from_ids(cls, ids: Iterable[int], n: int) -> "SourceSet":
+        """The sorted distinct `ids` (`_check_root_set`): ValueError if there is
+        none or for the smallest outside [0, n), TypeError for a non-integer."""
         if n < 2:
             raise ValueError("host graph needs n >= 2")
-        # operator.index refuses floats, which int() would truncate
-        vs = tuple(sorted(set(map(operator.index, ids))))
-        if not vs:
-            raise ValueError("source set must be non-empty")
-        if vs[0] < 0 or vs[-1] >= n:
-            raise ValueError(f"source id out of range [0,{n})")
+        vs = tuple(_check_root_set(n, ids, "source"))
         eps = math.log(len(vs)) / math.log(n)
         return cls(vertices=vs, epsilon=eps, n=n)
 

@@ -22,7 +22,9 @@ from .graphs import (
     Emulator,
     Graph,
     Spanner,
+    _check_root_set,
     _check_roots,
+    _member,
     emulator_distance_matrix,
     hop_distance_matrix,
     is_subgraph,
@@ -211,7 +213,7 @@ def _verify_rows(g: Graph, h, candidate_rows, roots, scope: str, rules: dict) ->
     skipped.  Rows go in root order, so violations stay (u, v)-sorted."""
     roots = _check_roots(g.n, roots)
     cols = np.arange(g.n)
-    in_set = np.isin(cols, roots) if scope == SETWISE else None
+    in_set = _member(roots, cols) if scope == SETWISE else None
     step = max(1, _FOLD_CELLS // max(g.n, 1))
     reports = {label: ClassReport(alpha=r.alpha, beta=r.beta) for label, r in rules.items()}
     skipped = 0
@@ -236,13 +238,6 @@ def _verify_rows(g: Graph, h, candidate_rows, roots, scope: str, rules: dict) ->
     return StretchReport(classes=reports, size=h.size, skipped_unreachable=skipped)
 
 
-def _source_roots(sources: Sequence[int]) -> list:
-    roots = sorted(set(sources))
-    if not roots:
-        raise ValueError("source set must be non-empty")
-    return roots
-
-
 # host-reachable pairs split by host adjacency: dist_g is 1 exactly on edges
 _BY_ADJACENCY = {True: lambda dg, dh: dg == 1, False: lambda dg, dh: dg > 1}
 
@@ -264,7 +259,7 @@ def verify_spanner(
     if spec.scope in (SOURCEWISE, SETWISE):
         if sources is None:
             raise ValueError(f"spec {spec.name!r} needs a source set")
-        roots = _source_roots(sources)
+        roots = _check_root_set(g.n, sources, "source")
     rules = {
         label: _Rule(alpha, beta, _BY_ADJACENCY[label == ADJACENT])
         for label, (alpha, beta) in spec.bounds.items()
@@ -272,9 +267,7 @@ def verify_spanner(
     return _verify_rows(g, h, hop_distance_matrix, roots, spec.scope, rules)
 
 
-def verify_emulator(
-    g: Graph, h: Emulator, sources: Sequence[int], beta: int
-) -> StretchReport:
+def verify_emulator(g: Graph, h: Emulator, sources: Sequence[int], beta: int) -> StretchReport:
     """Weighted distances in the emulator against BFS in the host graph:
     the emulator may never undershoot a distance and may overshoot by at
     most beta on every (source, vertex) pair.  Host rows and emulator
@@ -282,7 +275,7 @@ def verify_emulator(
     its per-weight CSRs; only roots past the level cap take Dijkstra rows."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    roots = _source_roots(sources)
+    roots = _check_root_set(g.n, sources, "source")
     if h.n != g.n:
         raise ValueError("emulator and graph disagree on the vertex count")
     rules = {

@@ -414,6 +414,20 @@ def test_verify_rejects_unknown_and_repeated_spec_parameters(surface, built, spe
     assert name in capsys.readouterr().err
 
 
+def test_sources_file_with_an_id_out_of_range_exits_1(surface, built, capsys):
+    g, _, d = surface
+    far = _sources_file(d, [0, 75, 1, 90], name="far.txt")  # the host has 60 vertices
+    for argv in (
+        ["build", "swmult", "--k", "2", "--sources", far, "--seed", "3", "--in", g,
+         "--out", str(d / "far.el")],
+        ["verify", "--graph", g, "--candidate", built["swadd"], "--sources", far,
+         "--spec", "additive:beta=2"],
+    ):
+        assert main(argv) == 1
+        assert "root 75 out of range [0,60)" in capsys.readouterr().err
+    assert not (d / "far.el").exists()
+
+
 def test_verify_emulator_negative_beta_exits_1(surface, built, capsys):
     g, src, _ = surface
     assert main(

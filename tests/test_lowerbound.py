@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from spanlab import lowerbound
 from spanlab import (
     Spanner,
     build_lb_graph,
@@ -66,17 +67,27 @@ def test_vertex_id_roundtrip():
         assert lg.vertex_id(lg.levels[v], lg.coords[v]) == v
 
 
+def test_vertex_id_refuses_a_level_outside_one_to_k_plus_one():
+    lg = build_lb_graph(16, 2, 1.0)
+    assert lg.vertex_id(3, (1, 1)) == 32
+    # level 0 would wrap to the last level's offset, level k + 2 past the list
+    for level in (0, 4, -1):
+        with pytest.raises(ValueError, match=rf"level {level} out of range \[1,3\]"):
+            lg.vertex_id(level, (1, 1))
+
+
 def test_sources_are_level_one():
     lg = build_lb_graph(8, 3, 1.0)
     assert lg.sources == [v for v in range(lg.graph.n) if lg.levels[v] == 1]
 
 
-def test_size_cap():
-    with pytest.raises(ValueError, match="cap"):
-        build_lb_graph(16, 2, 1.0, max_vertices=10)
+def test_size_cap(monkeypatch):
+    monkeypatch.setattr(lowerbound, "_MAX_VERTICES", 10)
+    with pytest.raises(ValueError, match="cap 10"):
+        build_lb_graph(16, 2, 1.0)
 
 
-def test_matches_brute_force_enumeration():
+def test_matches_brute_force_enumeration(monkeypatch):
     # k = 1, eps = 0 (width1 = 1) and width2 > width1 included
     for r, k, eps in product((2, 3, 5, 16, 27, 64), (1, 2, 3, 4), (0.0, 0.5, 1.0)):
         lg = build_lb_graph(r, k, eps)
@@ -86,9 +97,12 @@ def test_matches_brute_force_enumeration():
         assert lg.sources == [v for v, lv in enumerate(levels) if lv == 1]
         assert lg.level_offsets == [levels.index(lv) for lv in range(1, k + 2)]
         assert lg.level_sizes == [levels.count(lv) for lv in range(1, k + 2)]
-        assert build_lb_graph(r, k, eps, max_vertices=len(levels)).graph == lg.graph
-        with pytest.raises(ValueError, match="cap"):
-            build_lb_graph(r, k, eps, max_vertices=len(levels) - 1)
+        with monkeypatch.context() as m:
+            m.setattr(lowerbound, "_MAX_VERTICES", len(levels))
+            assert build_lb_graph(r, k, eps).graph == lg.graph
+            m.setattr(lowerbound, "_MAX_VERTICES", len(levels) - 1)
+            with pytest.raises(ValueError, match="cap"):
+                build_lb_graph(r, k, eps)
 
 
 @pytest.mark.parametrize(

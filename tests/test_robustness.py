@@ -3,24 +3,36 @@ sets, and a small randomized sweep beyond the acceptance grid."""
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
 from spanlab import (
+    Emulator,
     Graph,
     SourceSet,
+    Spanner,
     additive_spec,
+    bfs,
+    bfs_distances,
     build_hybrid,
     build_sourcewise_additive,
     build_sourcewise_additive4,
     build_sourcewise_emulator2,
     build_sourcewise_mult,
     build_subsetwise_plus2,
+    emulator_distance_matrix,
+    hop_distance_matrix,
     hybrid_spec,
     random_graph,
     sourcewise_mult_spec,
     subsetwise_spec,
+    trace_owner_path,
+    trace_parent_path,
     verify_emulator,
     verify_spanner,
+    weighted_sssp,
 )
 from spanlab.util import ceil_int
 
@@ -105,3 +117,54 @@ def test_builders_reject_source_set_of_another_graph(build):
     for n in (10_000, 49):
         with pytest.raises(ValueError, match="source set is for n="):
             build(g, SourceSet.from_ids(range(4), n))
+
+
+# ---------------------------------------------------------------------------
+# vertex ids from the caller: one rule at every entry point that takes them
+# ---------------------------------------------------------------------------
+
+
+def _id_entry_points() -> dict:
+    """Per entry point that takes vertex ids, a call on a 3-vertex path that
+    passes one given id, beside good ones where it takes several."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    em = Emulator(3, [(0, 1, 1), (1, 2, 1)])
+    whole = Spanner(3, g.codes)
+    dist, res = bfs_distances(g, [0]), bfs(g, [0])
+    return {
+        "bfs": lambda v: bfs(g, [0, v]),
+        "bfs_distances": lambda v: bfs_distances(g, [v, 2]),
+        "hop_distance_matrix": lambda v: hop_distance_matrix(g, [1, v]),
+        "emulator_distance_matrix": lambda v: emulator_distance_matrix(em, [v, 0]),
+        "weighted_sssp": lambda v: weighted_sssp(em, v),
+        "verify_spanner-sourcewise": lambda v: verify_spanner(g, whole, [0, v], additive_spec(0)),
+        "verify_spanner-setwise": lambda v: verify_spanner(g, whole, [v, 1], subsetwise_spec(0)),
+        "verify_emulator": lambda v: verify_emulator(g, em, [0, v], 0),
+        "SourceSet.from_ids": lambda v: SourceSet.from_ids([2, v], 3),
+        "build_subsetwise_plus2": lambda v: build_subsetwise_plus2(g, [0, v]),
+        "trace_parent_path": lambda v: trace_parent_path(g, dist, v),
+        "trace_owner_path": lambda v: trace_owner_path(g, res, v),
+    }
+
+
+_ID_ENTRY_POINTS = _id_entry_points()
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 2**70, -2**70, 1.5, np.float64(2)], ids=repr)
+@pytest.mark.parametrize("entry", list(_ID_ENTRY_POINTS))
+def test_every_id_taking_entry_point_refuses_a_bad_id(entry, bad):
+    # an id past int64 once raised OverflowError; a -1 target once looped in
+    # trace_parent_path and came back as a path's end from trace_owner_path
+    call = _ID_ENTRY_POINTS[entry]
+    if isinstance(bad, float):
+        with pytest.raises(TypeError):
+            call(bad)
+    else:
+        with pytest.raises(ValueError, match=rf"(^| ){re.escape(str(bad))} out of range \[0,3\)"):
+            call(bad)
+
+
+def test_every_id_taking_entry_point_takes_good_ids():
+    for entry, call in _ID_ENTRY_POINTS.items():
+        call(np.int64(2))
+        call(1)
