@@ -9,10 +9,10 @@ kernel (`hop_distance_matrix`) and their canonical min-id parents from
 split (`_source_rows`).  The spanner rows of path buying and of the +2
 subsetwise helper come from one row kernel call (`_spanner_rows`), which
 `_relax_new_edges` keeps exact as edges are bought; path buying and the +2
-emulator share one per-cluster minimum (`_nearest_members`).  Edge sets
-are sorted edge codes; path buying, which tests one edge at a time, keeps
-the growing spanner as neighbor sets built from them (`_adjacency`), and
-the edges it buys become codes once, at the end.
+emulator share one per-cluster minimum (`clustering.cluster_minima`).  Edge
+sets are sorted edge codes; path buying, which tests one edge at a time,
+keeps the growing spanner as neighbor sets built from them (`_adjacency`),
+and the edges it buys become codes once, at the end.
 
 Path buying does its array work once per source (`_source_costs`): it
 checks every canonical path the source's turn can visit and prices each
@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clustering import HubClustering, hub_clustering
+from .clustering import HubClustering, cluster_minima, hub_clustering
 from .graphs import (
     _ROW_BLOCK,
     Emulator,
@@ -266,7 +266,7 @@ def _enforce_cluster_cap(walk: list[int], gc: HubClustering, adj: list[set]) -> 
         walk = walk[: a_pos + 1] + mid + walk[b_pos:]
 
 
-def _path_value(path: Sequence[int], cluster_index: Sequence[int], cdist: Sequence[float]) -> int:
+def _path_value(path: Sequence[int], cluster_index: Sequence[int], cdist: Sequence[int]) -> int:
     """Number of clusters the path reaches strictly earlier than the current
     spanner does: a cluster's first position along the path against cdist,
     the spanner distance from the source to its nearest member."""
@@ -398,10 +398,10 @@ def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
     rows = zip(sources, dist_rows, parents, short, _spanner_rows(n, base, sources))
     for s, row, up, targets, dist_h in rows:
         _relax_new_edges(adj, dist_h, bought)  # catch up with earlier sources' edges
-        # per cluster the spanner distance to its nearest member and that
-        # member, the minimum (dist_h, id); distances only decrease, so the
-        # running minimum over improved members stays exact
-        cdist, nearest = (col[0] for col in _nearest_members([dist_h], gc))
+        # per cluster the minimum (dist_h, id) over its members, n if none is
+        # reached; distances only decrease, so the running minimum over
+        # improved members stays exact
+        cdist, nearest = (col[0] for col in cluster_minima([dist_h], gc.members, gc.starts))
         kept = [base, unique_codes(edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T))]
         costs, first = _source_costs(s, row, up, targets, kept, cluster)
         visit = np.flatnonzero(targets & (costs > 0)).tolist()
@@ -449,22 +449,6 @@ def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
                 )
                 level += 1
     return unique_codes(base, edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T)), stats
-
-
-def _nearest_members(rows, gc: HubClustering) -> tuple[np.ndarray, np.ndarray]:
-    """Per row and cluster the minimum (dist, x) over the cluster's members
-    x, as (cdist, nearest) arrays of shape (rows, clusters): one masked
-    minimum over the member-ordered columns of `gc`.  `rows` is a block of
-    hop rows, cut-off cells UNREACHED in int rows or _INF in list rows; a
-    cluster with no member reached gets (_INF, its min-id member)."""
-    block = np.asarray(rows)
-    n = block.shape[1]
-    if not len(gc.members):
-        return np.empty((len(block), 0)), np.empty((len(block), 0), np.int64)
-    d = block[:, gc.members]
-    key = np.where((d >= 0) & (d < _INF), d, n).astype(np.int64) * n + gc.members
-    d, y = np.divmod(np.minimum.reduceat(key, gc.starts, axis=1), n)
-    return np.where(d < n, d, _INF), y
 
 
 def _next_level_path(path, cost, dist_h, cdist, nearest, adj, gc, phi, descents):
@@ -603,10 +587,10 @@ def build_sourcewise_emulator2(g: Graph, sources: SourceSet) -> Emulator:
     n = g.n
     u, v = edge_ends(n, gc.g_c)
     # per (source, cluster) the minimum (dist, id) over reached members
-    cdist, nearest = _nearest_members(hop_distance_matrix(g, sources.vertices), gc)
-    row, col = np.nonzero((cdist > 0) & (cdist < _INF))  # no source to itself
+    cdist, nearest = cluster_minima(hop_distance_matrix(g, sources.vertices), gc.members, gc.starts)
+    row, col = np.nonzero((cdist > 0) & (cdist < n))  # no source to itself
     roots = np.array(sources.vertices, np.int64)[row]
-    shortcuts = np.stack([roots, nearest[row, col], cdist[row, col].astype(np.int64)], axis=1)
+    shortcuts = np.stack([roots, nearest[row, col], cdist[row, col]], axis=1)
     return Emulator(n, np.concatenate([np.stack([u, v, np.ones_like(u)], axis=1), shortcuts]))
 
 

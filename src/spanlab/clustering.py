@@ -2,13 +2,13 @@
 escape edges for freshly unclustered vertices), each level one array search
 and one neighbor gather over the host's CSR, and the greedy fixed-size
 clustering with hub stars used by the additive constructions.  Both keep
-their edge sets as sorted int64 edge codes (`graphs.edge_codes`).
+their edge sets as sorted int64 edge codes (`graphs.edge_codes`) and their
+clusters as member-ordered columns, read by `cluster_minima`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -25,6 +25,34 @@ from .graphs import (
 from .util import ceil_int, subrng
 
 
+def _cluster_columns(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Member-ordered columns of a clustering given as each vertex's cluster
+    label (UNREACHED outside every cluster): clusters in label order, members
+    ascending, cluster i is members[starts[i]:starts[i + 1]]."""
+    order = np.argsort(label, kind="stable")
+    members = order[label[order] >= 0]
+    return members, np.flatnonzero(np.diff(label[members], prepend=-1))
+
+
+def cluster_minima(rows, members: np.ndarray, starts: np.ndarray):
+    """Per row and cluster the minimum (dist, x) over the cluster's members
+    x in the member-ordered columns `members`/`starts`, as two int64 arrays
+    of shape (rows, clusters).  `rows` holds hop rows over n vertices, cut
+    off at UNREACHED (int rows) or inf (list rows); a cluster with no member
+    reached gets (n, its min-id member), n being above every hop distance."""
+    block = np.asarray(rows)
+    n, bits = block.shape[1], block.shape[1].bit_length()  # every x < n < 2**bits
+    if not len(members):
+        return np.empty((2, len(block), 0), np.int64)
+    # `take` keeps C order: block[:, members] is F order, slow to reduce by rows
+    d = block.take(members, axis=1)
+    key = np.where((d >= 0) & (d < n), d, n).astype(np.int64)
+    key <<= bits
+    key |= members
+    key = np.minimum.reduceat(key, starts, axis=1)
+    return key >> bits, key & ((1 << bits) - 1)
+
+
 @dataclass
 class ClusterLevel:
     """One clustering level: centers, vertex assignment, spanning forest,
@@ -38,14 +66,10 @@ class ClusterLevel:
     forest: np.ndarray
     delta: list[int]
     q_edges: np.ndarray
-
-    def clusters(self) -> dict[int, list[int]]:
-        """center -> sorted member list (members include the center)."""
-        out: dict[int, list[int]] = {z: [] for z in self.centers}
-        for u, z in enumerate(self.assignment):
-            if z >= 0:
-                out[z].append(u)
-        return out
+    # member-ordered columns, clusters in center order: the cluster of
+    # centers[i] is members[starts[i]:starts[i + 1]]
+    members: np.ndarray = field(repr=False, compare=False)
+    starts: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -59,12 +83,6 @@ class ClusterSequence:
     n: int
     levels: list[ClusterLevel]
     spanner_edges: np.ndarray
-
-    def centers_at(self, tau: int) -> list[int]:
-        return self.levels[tau].centers
-
-    def clusters_at(self, tau: int) -> dict[int, list[int]]:
-        return self.levels[tau].clusters()
 
 
 def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
@@ -85,10 +103,11 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
         raise ValueError("k must be >= 1")
     n = g.n
     none = np.empty(0, np.int64)
-    levels = [ClusterLevel(0, list(range(n)), list(range(n)), [0] * n, none, [], none)]
-    kept = [none]
     prev_centers = list(range(n))
     prev_assignment = np.arange(n)
+    levels = [ClusterLevel(0, prev_centers, list(range(n)), [0] * n, none, [], none,
+                           prev_assignment, prev_assignment)]
+    kept = [none]
     in_all_prev = np.ones(n, bool)
     sample_prob = float(n) ** (-mu) if n > 0 else 0.0
     force_empty_last = mu * k >= 1.0 - 1e-12
@@ -122,7 +141,8 @@ def cluster_sequence(g: Graph, k: int, mu: float, seed: int) -> ClusterSequence:
 
         kept += [forest, q_edges]
         levels.append(ClusterLevel(
-            tau, centers, assignment.tolist(), dist.tolist(), forest, delta.tolist(), q_edges
+            tau, centers, assignment.tolist(), dist.tolist(), forest, delta.tolist(), q_edges,
+            *_cluster_columns(assignment),
         ))
         in_all_prev &= assignment >= 0
         prev_centers = centers
@@ -153,9 +173,7 @@ class HubClustering:
     starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = [len(c) for c in self.clusters]
-        self.members = np.fromiter(chain.from_iterable(self.clusters), np.int64, sum(sizes))
-        self.starts = np.cumsum([0] + sizes[:-1])
+        self.members, self.starts = _cluster_columns(np.array(self.cluster_index, np.int64))
 
 
 def hub_clustering(g: Graph, gamma: float) -> HubClustering:

@@ -4,7 +4,8 @@ between center pairs and between cluster pairs at complementary levels.
 
 The path phases are array-native: every vertex's hop row comes once from
 the packed-bitset BFS row kernel into one n x n matrix, closest cluster
-pairs are masked minima over it, and canonical-parent walks run on the
+pairs reduce its per-cluster minima (`clustering.cluster_minima`) over
+each level's member-ordered columns, and canonical-parent walks run on the
 pairs walked.  Every phase's edges are sorted edge codes, united into the
 output by `unique_codes`, the one sort-based dedupe.
 """
@@ -12,12 +13,11 @@ output by `unique_codes`, the one sort-based dedupe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .clustering import cluster_sequence
+from .clustering import cluster_minima, cluster_sequence
 from .graphs import Graph, Spanner, _bfs_rows, edge_codes, unique_codes
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
@@ -28,7 +28,6 @@ _BLOCK = 256
 # Neighbor ranks a canonical-parent step reads per round before it stops
 # the pairs that found their parent.
 _RANK_CHUNK = 8
-_NO_PAIR = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -141,42 +140,37 @@ def _closer_neighbors(csr, cells: np.ndarray, r, v, want) -> np.ndarray:
     return out
 
 
-def closest_pairs(
-    dist: np.ndarray, sources: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]
-):
+def closest_pairs(dist: np.ndarray, sources, targets):
     """Closest vertex pair between every source and target cluster.
 
-    For source cluster i and target cluster j (non-empty member lists) the
-    pick is the lexicographic minimum of (dist[m, u], m, u) over members m
-    of i and u of j with dist[m, u] >= 0: the nearest target under the
-    min-id nearest member, then the min-id target.  Returns arrays
-    (i, j, m, u, d) over the cluster pairs that have a pick.  Member rows
-    go `_BLOCK` at a time, so temporaries stay near _BLOCK * n entries.
+    Each side is a clustering as (members, starts) columns: cluster i is
+    members[starts[i]:starts[i + 1]], members ascending.  For source
+    cluster i and target cluster j the pick is the lexicographic minimum of
+    (dist[m, u], m, u) over members m of i and u of j with dist[m, u] >= 0:
+    `cluster_minima` gives every member row its nearest target member, and
+    the first of i's rows that is nearest wins.  Returns arrays (i, j, m,
+    u, d) over the cluster pairs that have a pick.  Member rows go `_BLOCK`
+    at a time, so temporaries stay near _BLOCK * n entries.
     """
     n = dist.shape[0]
-    best = np.full((len(sources), len(targets)), _NO_PAIR, np.int64)
-    if best.size:
-        cols = np.fromiter(chain.from_iterable(targets), np.int64)
-        col_starts = np.cumsum([0] + [len(c) for c in targets[:-1]])
-        rows = np.fromiter(chain.from_iterable(sources), np.int64)
-        owner = np.repeat(np.arange(len(sources)), [len(c) for c in sources])
-        for lo in range(0, len(rows), _BLOCK):
-            r, c = rows[lo:lo + _BLOCK], owner[lo:lo + _BLOCK]
-            key = dist[np.ix_(r, cols)].astype(np.int64)
-            cut = key < 0
-            key *= n
-            key += r[:, None]
-            key *= n
-            key += cols
-            key[cut] = _NO_PAIR
-            per_row = np.minimum.reduceat(key, col_starts, axis=1)
-            seg = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-            ids = c[seg]
-            best[ids] = np.minimum(best[ids], np.minimum.reduceat(per_row, seg, axis=0))
-    i, j = np.nonzero(best != _NO_PAIR)
-    d, rest = np.divmod(best[i, j], n * n)
-    m, u = np.divmod(rest, n)
-    return i, j, m, u, d
+    members, starts = sources
+    size = len(members)
+    owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=size))
+    # per cluster pair the minimum d << bits | row over the source rows, and that row's u
+    bits, low = size.bit_length(), (1 << size.bit_length()) - 1
+    best = np.full((len(starts), len(targets[1])), n << bits, np.int64)
+    pick = np.zeros_like(best)
+    for lo in range(0, size, _BLOCK):
+        key, u = cluster_minima(dist[members[lo:lo + _BLOCK]], *targets)
+        key <<= bits
+        key |= np.arange(lo, lo + len(u))[:, None]
+        ids, seg = np.unique(owner[lo:lo + _BLOCK], return_index=True)
+        key = np.minimum.reduceat(key, seg, axis=0)
+        take = key < best[ids]
+        best[ids] = np.where(take, key, best[ids])
+        pick[ids] = np.where(take, np.take_along_axis(u, (key & low) - lo, axis=0), pick[ids])
+    i, j = np.nonzero(best >> bits < n)
+    return i, j, members[best[i, j] & low], pick[i, j], best[i, j] >> bits
 
 
 def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
@@ -203,8 +197,8 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
     dist = hop_rows(g)
 
     # Center pairs across the split levels.
-    z_low = cs.centers_at(params.t_prime)
-    z_high = cs.centers_at(params.t)
+    z_low = cs.levels[params.t_prime].centers
+    z_high = cs.levels[params.t].centers
     roots = np.repeat(np.asarray(z_low, np.int64), len(z_high))
     e2 = suffix_walk(g.csr, dist, roots, np.tile(np.asarray(z_high, np.int64), len(z_low)),
                      params.suffix_len)
@@ -214,14 +208,15 @@ def build_hybrid(g: Graph, k: int, seed: int) -> Spanner:
     for tau in range(k):
         sigma = k - 1 - tau
         ell = params.suffix_len if tau in (params.t, params.t_prime) else params.edge_budget
-        side1 = cs.clusters_at(tau)
-        side2 = cs.clusters_at(sigma)
-        if not side1 or not side2:
+        side1, side2 = cs.levels[tau], cs.levels[sigma]
+        if not len(side1.starts) or not len(side2.starts):
             continue
-        sources = [side1[z] for z in sorted(side1)]
-        targets = [side2[z] for z in sorted(side2)]
-        for lo in range(0, len(sources), _BLOCK):
-            _, _, m, u, _ = closest_pairs(dist, sources[lo:lo + _BLOCK], targets)
+        # blocks of source clusters, sliced off the level's columns
+        bounds = np.append(side1.starts, len(side1.members))
+        for lo in range(0, len(side1.starts), _BLOCK):
+            a, b = bounds[lo], bounds[min(lo + _BLOCK, len(side1.starts))]
+            sources = side1.members[a:b], side1.starts[lo:lo + _BLOCK] - a
+            _, _, m, u, _ = closest_pairs(dist, sources, (side2.members, side2.starts))
             e3.append(suffix_walk(g.csr, dist, m, u, ell))
 
     e3 = unique_codes(*e3)

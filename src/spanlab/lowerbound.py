@@ -133,10 +133,13 @@ class MissingChain:
 
 
 def find_missing_chain(lg: LayeredGraph, h: Spanner) -> Optional[MissingChain]:
-    """Backtracking search for a level chain of candidate-missing edges.
+    """The lexicographically first level chain of candidate-missing edges.
 
     Guaranteed to succeed when the candidate keeps fewer than |E|/k edges;
-    returns None when every chain has a surviving edge.
+    returns None when every chain has a surviving edge.  Marks, level by
+    level from the top, the vertices that still climb to level k+1 over
+    missing edges, then walks from the first marked source through each
+    vertex's min-id marked up-neighbor: every vertex is settled once.
     """
     if h.n != lg.graph.n:
         raise ValueError("candidate and graph disagree on the vertex count")
@@ -148,24 +151,20 @@ def find_missing_chain(lg: LayeredGraph, h: Spanner) -> Optional[MissingChain]:
     tail = np.repeat(np.arange(n), np.diff(indptr))
     levels = np.asarray(lg.levels)
     up = (levels[indices] == levels[tail] + 1) & ~_member(h.codes, edge_codes(n, tail, indices))
-    nbrs, bounds = indices[up].tolist(), np.searchsorted(tail[up], np.arange(n + 1)).tolist()
-
-    def extend(v: int, level: int, acc: list[int]) -> Optional[list[int]]:
-        acc.append(v)
-        if level == k + 1:
-            return acc
-        for w in nbrs[bounds[v]:bounds[v + 1]]:
-            found = extend(w, level + 1, acc)
-            if found is not None:
-                return found
-        acc.pop()
+    tail, head = tail[up], indices[up]
+    # every missing edge climbs one level, so pass i marks level k+1-i
+    climbs = levels == k + 1
+    for _ in range(k):
+        climbs[tail[climbs[head]]] = True
+    first = np.flatnonzero(climbs[lg.sources])
+    if not len(first):
         return None
-
-    for v1 in lg.sources:
-        found = extend(v1, 1, [])
-        if found is not None:
-            return MissingChain(vertices=found)
-    return None
+    bounds = np.searchsorted(tail, np.arange(n + 1))
+    chain = [lg.sources[first[0]]]
+    for _ in range(k):
+        nxt = head[bounds[chain[-1]]:bounds[chain[-1] + 1]]
+        chain.append(int(nxt[climbs[nxt]][0]))  # neighbor lists ascend
+    return MissingChain(vertices=chain)
 
 
 def lb_audit(lg: LayeredGraph, h: Spanner) -> dict:

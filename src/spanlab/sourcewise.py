@@ -66,7 +66,7 @@ def build_sourcewise_mult(g: Graph, sources: SourceSet, k: int, seed: int) -> Sp
     params = sw_params(k, sources, g.n)
     cs = cluster_sequence(g, k, params.mu, seed)
     hk = cs.spanner_edges
-    centers = cs.centers_at(k - 1)
+    centers = cs.levels[k - 1].centers
 
     suffixes: set = set()
     for s_j in sources.vertices:

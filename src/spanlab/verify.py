@@ -255,11 +255,11 @@ def verify_spanner(
         raise ValueError("candidate and graph disagree on the vertex count")
     if not is_subgraph(h, g):
         raise ValueError("candidate is not a subgraph of the host graph")
-    roots = None
-    if spec.scope in (SOURCEWISE, SETWISE):
-        if sources is None:
-            raise ValueError(f"spec {spec.name!r} needs a source set")
-        roots = _check_root_set(g.n, sources, "source")
+    roots = None if sources is None else _check_root_set(g.n, sources, "source")
+    if spec.scope not in (SOURCEWISE, SETWISE):
+        roots = None  # every vertex is a root, whatever source set was checked
+    elif roots is None:
+        raise ValueError(f"spec {spec.name!r} needs a source set")
     rules = {
         label: _Rule(alpha, beta, _BY_ADJACENCY[label == ADJACENT])
         for label, (alpha, beta) in spec.bounds.items()

@@ -289,37 +289,6 @@ def test_caught_up_spanner_rows_are_the_oracle_rows():
         assert rows == floyd_warshall(full)
 
 
-def test_nearest_members_is_the_per_cluster_minimum():
-    # the loop it replaced is the reference: minimum (dist, id) per row and
-    # cluster, (_INF, min-id member) when no member is reached; cut-off
-    # cells are UNREACHED in int rows and _INF in list rows
-    rng = np.random.default_rng(4)
-    inf = additive._INF
-    for trial in range(20):
-        n = int(rng.integers(4, 40))
-        ids = rng.permutation(n).tolist()
-        cuts = sorted(set(rng.integers(1, n, int(rng.integers(0, 6))).tolist()))
-        clusters = [sorted(ids[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-        gc = _hand_clustering(n, clusters, [c[0] for c in clusters])
-        hops = rng.integers(0, 5, (4, n))
-        hops[rng.random((4, n)) < 0.4] = UNREACHED
-        hops[:, clusters[0][-1]] = UNREACHED
-        hops[1] = UNREACHED  # a row that reaches nothing
-        if trial % 3 == 0:
-            hops[:, clusters[-1]] = UNREACHED
-        lists = [[inf if d == UNREACHED else d for d in row] for row in hops.tolist()]
-        want = [[min((row[x], x) for x in c) for c in clusters] for row in lists]
-        for block, rows in [(hops.astype(np.int32), want), (hops, want), (lists, want),
-                            (lists[2:3], want[2:3])]:
-            cdist, nearest = additive._nearest_members(block, gc)
-            assert cdist.shape == nearest.shape == (len(block), len(clusters))
-            assert [list(zip(*pair)) for pair in zip(cdist.tolist(), nearest.tolist())] == rows
-    no_clusters = _hand_clustering(2, [], [])
-    for block in ([[0, 1]], np.array([[0, UNREACHED]], np.int32)):
-        cdist, nearest = additive._nearest_members(block, no_clusters)
-        assert cdist.shape == nearest.shape == (1, 0)
-
-
 # ---------------------------------------------------------------------------
 # the +2k builder
 # ---------------------------------------------------------------------------
@@ -467,7 +436,7 @@ def test_buyer_rows_are_exact_at_each_sources_turn(monkeypatch):
     # catches up with the edges earlier sources bought: when its turn comes
     # it is the hop row over the spanner bought so far
     spanners, caught_up = [], []
-    adjacency, nearest_members = additive._adjacency, additive._nearest_members
+    adjacency, cluster_minima = additive._adjacency, additive.cluster_minima
 
     def recorded_adjacency(n, codes):
         spanners.append((Spanner(n, codes), adjacency(n, codes)))
@@ -476,17 +445,17 @@ def test_buyer_rows_are_exact_at_each_sources_turn(monkeypatch):
     def hop_row(h, s):
         return [INF if d == UNREACHED else d for d in hop_distance_matrix(h, [s])[0].tolist()]
 
-    def checked_nearest_members(rows, gc):
+    def checked_cluster_minima(rows, members, starts):
         if isinstance(rows, list):  # the buyer passes one source's row
             [row] = rows
             base, adj = spanners[-1]
             kept = Graph(len(adj), [(a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b])
             assert row == hop_row(kept, row.index(0))
             caught_up.append(row != hop_row(base, row.index(0)))
-        return nearest_members(rows, gc)
+        return cluster_minima(rows, members, starts)
 
     monkeypatch.setattr(additive, "_adjacency", recorded_adjacency)
-    monkeypatch.setattr(additive, "_nearest_members", checked_nearest_members)
+    monkeypatch.setattr(additive, "cluster_minima", checked_cluster_minima)
     for seed in (1, 2):
         g = random_graph(128, 8 / 127, seed)
         build_sourcewise_additive(g, SourceSet.from_ids(range(12), g.n), 2, seed, 2)

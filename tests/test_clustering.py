@@ -6,6 +6,7 @@ import numpy as np
 
 from spanlab import clustering
 from spanlab import (
+    UNREACHED,
     Graph,
     Spanner,
     hub_clustering,
@@ -17,6 +18,44 @@ from conftest import pairs
 from oracles import floyd_warshall, greedy_hub_clustering
 
 INF = float("inf")
+
+
+# ---------------------------------------------------------------------------
+# cluster_minima
+# ---------------------------------------------------------------------------
+
+
+def test_cluster_minima_is_the_per_cluster_minimum():
+    # the loop it replaced is the reference: minimum (dist, id) per row and
+    # cluster, (n, min-id member) when no member is reached; cut-off cells
+    # are UNREACHED in int rows and inf in list rows
+    rng = np.random.default_rng(4)
+    for trial in range(20):
+        n = int(rng.integers(4, 40))
+        ids = rng.permutation(n).tolist()
+        cuts = sorted(set(rng.integers(1, n, int(rng.integers(0, 6))).tolist()))
+        clusters = [sorted(ids[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        members = np.array([x for c in clusters for x in c], np.int64)
+        starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
+        hops = rng.integers(0, 5, (4, n))
+        hops[rng.random((4, n)) < 0.4] = UNREACHED
+        hops[:, clusters[0][-1]] = UNREACHED
+        hops[1] = UNREACHED  # a row that reaches nothing
+        if trial % 3 == 0:
+            hops[:, clusters[-1]] = UNREACHED
+        lists = [[INF if d == UNREACHED else d for d in row] for row in hops.tolist()]
+        want = [[min((n if row[x] == INF else row[x], x) for x in c) for c in clusters]
+                for row in lists]
+        for block, rows in [(hops.astype(np.int32), want), (hops, want), (lists, want),
+                            (lists[2:3], want[2:3])]:
+            cdist, nearest = clustering.cluster_minima(block, members, starts)
+            assert cdist.shape == nearest.shape == (len(block), len(clusters))
+            assert cdist.dtype == nearest.dtype == np.int64
+            assert [list(zip(*pair)) for pair in zip(cdist.tolist(), nearest.tolist())] == rows
+    none = np.empty(0, np.int64)
+    for block in ([[0, 1]], np.array([[0, UNREACHED]], np.int32)):
+        cdist, nearest = clustering.cluster_minima(block, none, none)
+        assert cdist.shape == nearest.shape == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +95,7 @@ def _audit_levels(g, cs):
             assert codes.dtype == np.int64 and codes.tolist() == sorted(set(codes.tolist()))
             assert pairs(g.n, codes) <= g.edges
         # forest: per cluster a spanning tree rooted at the center
-        clusters = level.clusters()
+        clusters = dict(zip(level.centers, _column_clusters(level.members, level.starts)))
         index_of = {u: z for z, members in clusters.items() for u in members}
         forest = pairs(g.n, level.forest)
         for a, b in forest:
@@ -83,6 +122,33 @@ def _audit_levels(g, cs):
                 frontier = nxt
             assert seen == set(members)
         prev_centers = centers
+
+
+def _column_clusters(members, starts):
+    """The member lists that member-ordered columns hold, in column order."""
+    bounds = starts.tolist() + [len(members)]
+    return [members[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+
+
+def _label_clusters(label, order):
+    """Per cluster label in `order` its vertices, ascending."""
+    return [[u for u, z in enumerate(label) if z == c] for c in order]
+
+
+def test_level_columns_are_the_assignment_clusters(petersen):
+    # clusters in center order, members ascending, each assigned vertex once
+    cases = [(petersen, 2, 0.5, 3), (Graph(1, []), 2, 0.5, 1), (Graph(7, [(0, 1), (2, 3)]), 2, 0.5, 2)]
+    cases += [(random_graph(80, 0.08, s), k, 1 / k, s) for s in (1, 2) for k in (2, 3, 4)]
+    cases += [(random_graph(70, 0.1, 4), 3, 0.2, 5), (random_graph(60, 0.3, 3), 2, 0.5, 1)]
+    sizes = set()
+    for g, k, mu, seed in cases:
+        for level in cluster_sequence(g, k, mu, seed).levels:
+            assert level.members.dtype == level.starts.dtype == np.int64
+            want = _label_clusters(level.assignment, level.centers)
+            assert _column_clusters(level.members, level.starts) == want
+            assert sorted(level.members.tolist()) == [u for u, z in enumerate(level.assignment) if z >= 0]
+            sizes |= {len(c) for c in want}
+    assert max(sizes) > 3 and 1 in sizes
 
 
 def test_level_zero_is_singletons():
@@ -245,6 +311,8 @@ def test_hub_clustering_star():
 
 def _audit_hub_clustering(g, c):
     n = g.n
+    # the member-ordered columns hold the clusters, members ascending
+    assert _column_clusters(c.members, c.starts) == [sorted(m) for m in c.clusters]
     assert len(c.clusters) <= math.ceil(n ** (1 - c.gamma) + 1e-9)
     assert c.g_c.dtype == np.int64 and c.g_c.tolist() == sorted(set(c.g_c.tolist()))
     kept = pairs(n, c.g_c)

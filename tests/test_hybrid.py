@@ -96,9 +96,15 @@ def _walked(g, dist, roots, targets, ell):
     return {divmod(int(c), g.n) for c in codes}
 
 
+def _columns(clusters):
+    """Member-ordered (members, starts) columns of sorted member lists."""
+    members = np.array([v for c in clusters for v in c], np.int64)
+    return members, np.cumsum([0] + [len(c) for c in clusters[:-1]])
+
+
 def _closest_pair_path(g, c1, c2):
     dist = hop_rows(g)
-    _, _, m, u, _ = closest_pairs(dist, [sorted(c1)], [sorted(c2)])
+    _, _, m, u, _ = closest_pairs(dist, _columns([sorted(c1)]), _columns([sorted(c2)]))
     if not len(m):
         return None
     m, u = int(m[0]), int(u[0])
@@ -139,7 +145,7 @@ def test_closest_pairs_and_walks_match_reference_chain(seed):
     g = random_graph(n, float(rng.choice([0.02, 0.05, 0.1, 0.3])), seed)
     dist = hop_rows(g)
     side1, side2 = _random_clusters(rng, n), _random_clusters(rng, n)
-    i, j, m, u, d = closest_pairs(dist, side1, side2)
+    i, j, m, u, d = closest_pairs(dist, _columns(side1), _columns(side2))
     picks = {(a, b): (c, e, f) for a, b, c, e, f in zip(*(x.tolist() for x in (i, j, m, u, d)))}
     for ell in (0, 1, 2, n):
         union: set = set()
@@ -308,7 +314,8 @@ def test_center_paths_add_edges_on_a_dense_instance():
 def test_output_does_not_depend_on_block_size(monkeypatch, k):
     g = random_graph(40, 0.3, 2)
     # a cluster above 3 members spans several member-row blocks at size 3
-    assert max(map(len, cluster_sequence(g, k, 1.0 / k, 2).clusters_at(1).values())) > 3
+    level = cluster_sequence(g, k, 1.0 / k, 2).levels[1]
+    assert np.diff(level.starts, append=len(level.members)).max() > 3
     ref = build_hybrid(g, k, 2)
     for block in (1, 3, g.n + 5):
         monkeypatch.setattr(hybrid, "_BLOCK", block)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spanlab import lowerbound
+from spanlab.graphs import edge_ends
 from spanlab import (
     Spanner,
     build_lb_graph,
@@ -157,22 +158,52 @@ def test_empty_candidate_yields_first_chain():
     assert find_missing_chain(lg, h).vertices == [0, 16, 32]
 
 
+def _missing(chain, kept):
+    return all((min(a, b), max(a, b)) not in kept for a, b in zip(chain, chain[1:]))
+
+
 def test_chain_matches_exhaustive_enumeration():
-    lg = build_lb_graph(16, 2, 1.0)
-    edge_list = sorted(lg.graph.edges)
+    # random candidates, and candidates that keep the top edges of some
+    # level-k vertices: chains that climb to those vertices over missing
+    # edges end there, dead ends a search must back out of
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        keep = rng.choice(len(edge_list), size=60, replace=False)
-        h = Spanner(lg.graph.n, frozenset(edge_list[i] for i in keep), {})
-        kept = h.edges
-        missing_chains = [
-            c
-            for c in _all_chains(lg)
-            if all((min(a, b), max(a, b)) not in kept for a, b in zip(c, c[1:]))
-        ]
-        got = find_missing_chain(lg, h)
-        assert missing_chains, "budget below |E|/k must leave a chain"
-        assert got.vertices == min(missing_chains)
+    dead_ends = refuted = 0
+    for r, k in [(16, 2), (8, 3), (27, 3), (64, 3)]:
+        lg = build_lb_graph(r, k, 1.0)
+        edge_list = sorted(lg.graph.edges)
+        chains = _all_chains(lg)
+        for trial in range(8):
+            if trial < 3:
+                keep = rng.choice(len(edge_list), size=int(len(edge_list) * rng.uniform(0.2, 0.6)),
+                                  replace=False)
+                kept = {edge_list[i] for i in keep}
+            else:
+                level_k = lg.level_offsets[k - 1] + np.arange(lg.level_sizes[k - 1])
+                size = len(level_k) * (trial - 2) // 5  # all of level k at the last trial
+                closed = set(rng.choice(level_k, size=size, replace=False).tolist())
+                kept = {(a, b) for a, b in edge_list if a in closed and lg.levels[b] == k + 1}
+                kept |= {e for e in edge_list if rng.random() < 0.1 * (trial - 3)}
+                dead_ends += any(_missing(c[:-1], kept) and c[-2] in closed for c in chains)
+            missing_chains = [c for c in chains if _missing(c, kept)]
+            got = find_missing_chain(lg, Spanner(lg.graph.n, frozenset(kept), {}))
+            if len(kept) < lg.graph.m / k:
+                assert missing_chains, "budget below |E|/k must leave a chain"
+            assert (got and got.vertices) == min(missing_chains, default=None), (r, k, trial)
+            refuted += got is None
+    assert dead_ends and refuted
+
+
+def test_chain_search_settles_each_vertex_once():
+    # a candidate that keeps exactly the edges into level k+1 on a
+    # 103,680-vertex instance: every chain dies one step short of the top,
+    # which a search that revisits dead ends from every prefix takes
+    # seconds to learn
+    lg = build_lb_graph(20000, 4, 1.0)
+    n = lg.graph.n
+    _, v = edge_ends(n, lg.graph.codes)
+    h = Spanner(n, lg.graph.codes[np.asarray(lg.levels)[v] == lg.k + 1])
+    assert h.size == lg.graph.m // lg.k
+    assert find_missing_chain(lg, h) is None
 
 
 def test_candidate_not_subgraph_rejected():

@@ -139,6 +139,7 @@ def _id_entry_points() -> dict:
         "weighted_sssp": lambda v: weighted_sssp(em, v),
         "verify_spanner-sourcewise": lambda v: verify_spanner(g, whole, [0, v], additive_spec(0)),
         "verify_spanner-setwise": lambda v: verify_spanner(g, whole, [v, 1], subsetwise_spec(0)),
+        "verify_spanner-allpairs": lambda v: verify_spanner(g, whole, [v, 0], hybrid_spec(2)),
         "verify_emulator": lambda v: verify_emulator(g, em, [0, v], 0),
         "SourceSet.from_ids": lambda v: SourceSet.from_ids([2, v], 3),
         "build_subsetwise_plus2": lambda v: build_subsetwise_plus2(g, [0, v]),
