@@ -4,15 +4,17 @@ for large source sets.
 
 The +2k spanner reads every host search off arrays: the hop rows of the
 sources and of the sampled tree roots come from the packed-bitset BFS
-kernel (`hop_distance_matrix`) and their canonical min-id parents from
-`parent_rows`; pair classification and path buying share one source
-split (`_source_rows`).  The spanner rows of path buying and of the +2
-subsetwise helper come from one row kernel call (`_spanner_rows`), which
-`_relax_new_edges` keeps exact as edges are bought; path buying and the +2
-emulator share one per-cluster minimum (`clustering.cluster_minima`).  Edge
-sets are sorted edge codes; path buying, which tests one edge at a time,
-keeps the growing spanner as neighbor sets built from them (`_adjacency`),
-and the edges it buys become codes once, at the end.
+kernel (`hop_distance_matrix`) and all their canonical min-id parents from
+`parent_rows`; pair classification and path buying share one source split
+(`_source_rows`).  The +2 subsetwise helper walks only the paths it buys,
+one pair step (`_closer_neighbors`) per hop over its hop rows.  The
+spanner rows of both come from one row kernel call (`_spanner_rows`),
+which `_relax_new_edges` keeps exact as edges are bought; path buying and
+the +2 emulator share one per-cluster minimum
+(`clustering.cluster_minima`).  Edge sets are sorted edge codes; path
+buying, which tests one edge at a time, keeps the growing spanner as
+neighbor sets built from them (`_adjacency`), and the edges it buys become
+codes once, at the end.
 
 Path buying does its array work once per source (`_source_costs`): it
 checks every canonical path the source's turn can visit and prices each
@@ -37,6 +39,7 @@ from .graphs import (
     Graph,
     Spanner,
     _check_root_set,
+    _closer_neighbors,
     _member,
     edge_codes,
     edge_ends,
@@ -323,9 +326,8 @@ def _source_costs(source, dist_g, up, targets, kept, cluster):
     no cluster (`cluster`, each vertex's id or -1) holds four vertices of a
     target's path, counted over each path's ancestors.  Returns per vertex
     its cost, the tree edges on its path that no sorted code array in
-    `kept` holds, and its cluster id if it is the first vertex of its
-    cluster on its path (else -1).  Costs only fall while the source's turn
-    goes on, so a target at cost 0 is free when its turn comes."""
+    `kept` holds.  Costs only fall while the source's turn goes on, so a
+    target at cost 0 is free when its turn comes."""
     n = len(dist_g)
     on = (dist_g >= 0) | targets
     on[source] = False
@@ -363,9 +365,8 @@ def _source_costs(source, dist_g, up, targets, kept, cluster):
         at = up_pad[at]
     if crowd[targets[w]].any():
         raise RuntimeError("cluster occupancy invariant violated (internal bug)")
-    out = np.zeros((2, n), np.int64)
-    out[1] = -1
-    out[:, w] = cost, np.where(occ == 1, own, -1)
+    out = np.zeros(n, np.int64)
+    out[w] = cost
     return out
 
 
@@ -380,11 +381,10 @@ def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
     Array work is done once per source, never once per purchase.  The
     source's pass (`_source_costs`) checks the canonical paths and prices
     them against the spanner at the source's turn; the targets it finds
-    free are counted without a visit.  It also finds each vertex that is
-    the first of its cluster on its canonical path, so a visited target's
-    value is a sum of flags that purchases clear.  Between two purchases
-    that buy edges the spanner, its rows and the cluster minima stay fixed,
-    so the reroutes of that epoch share one memo of spanner descents."""
+    free are counted without a visit, and a visited candidate is valued by
+    `_path_value` at every level.  Between two purchases that buy edges the
+    spanner, its rows and the cluster minima stay fixed, so the reroutes of
+    that epoch share one memo of spanner descents."""
     n = g.n
     adj = _adjacency(n, base)
     base = unique_codes(base)
@@ -403,14 +403,9 @@ def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
         # improved members stays exact
         cdist, nearest = (col[0] for col in cluster_minima([dist_h], gc.members, gc.starts))
         kept = [base, unique_codes(edge_codes(n, *np.array(bought, np.int64).reshape(-1, 2).T))]
-        costs, first = _source_costs(s, row, up, targets, kept, cluster)
+        costs = _source_costs(s, row, up, targets, kept, cluster)
         visit = np.flatnonzero(targets & (costs > 0)).tolist()
         stats["levels"][0] += int(targets.sum()) - len(visit)
-        # a canonical path's value counts its vertices that are the first of
-        # their cluster on it and nearer than the spanner's nearest member:
-        # `gain` flags them, and a purchase that brings a cluster nearer
-        # clears the flags it overtakes
-        gain = ((first >= 0) & (row < np.append(cdist, 0)[first])).tolist()
         dist_g, parent = row.tolist(), up.tolist()
         cdist, nearest = cdist.tolist(), nearest.tolist()
         descents: dict = {}  # the epoch's memo for `_next_level_path`
@@ -421,11 +416,8 @@ def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
             while True:
                 missing = _check_candidate(path, counts, s, v, level, base_dist, params, adj)
                 cost = len(missing)
-                value = 0  # a free path is bought whatever its value, which is >= 0
-                if cost and level:
-                    value = _path_value(path, ci, cdist)
-                elif cost:  # a canonical path is worth its flagged vertices
-                    value = sum(map(gain.__getitem__, path))
+                # a free path is bought whatever its value, which is >= 0
+                value = _path_value(path, ci, cdist) if cost else 0
                 if cost <= 3.0 * phi * value + _EPS:
                     if cost:
                         new_edges = [(path[i - 1], path[i]) for i in missing]
@@ -435,8 +427,6 @@ def _buy_short_paths(g, sources, dist_rows, parents, short, gc, base, params):
                             cid = ci[x]
                             if cid >= 0 and (dist_h[x], x) < (cdist[cid], nearest[cid]):
                                 cdist[cid], nearest[cid] = dist_h[x], x
-                                for a in gc.clusters[cid]:
-                                    gain[a] = gain[a] and dist_g[a] < dist_h[x]
                         descents = {}
                         stats["paths_bought"] += 1
                         stats["edges_bought"] += len(new_edges)
@@ -606,20 +596,23 @@ def build_subsetwise_plus2(g: Graph, members: Iterable[int]) -> Spanner:
     adj = _adjacency(n, gc.g_c)
 
     dist = hop_distance_matrix(g, zs)
-    dist_g = dict(zip(zs, dist.tolist()))
-    parents = dict(zip(zs, parent_rows(g.csr, dist).tolist()))
-    order = sorted(
-        ((dist_g[a][b], a, b) for a in zs for b in zs if a < b and dist_g[a][b] >= 0)
-    )
+    # the member pairs a < b by (distance, a, b), as indices into the ascending
+    # zs; the unreached ones sort first, at distance -1, and are dropped
+    a, b = np.triu_indices(len(zs), 1)
+    d = dist[:, zs][a, b]
+    order = np.lexsort((b, a, d))[np.count_nonzero(d < 0):]
     # spanner distances per member, kept exact by repair after every purchase
-    rows = dict(zip(zs, _spanner_rows(n, gc.g_c, zs)))
+    rows = _spanner_rows(n, gc.g_c, zs)
     bought = 0
     bought_edges: list[tuple[int, int]] = []
-    for dg, a, b in order:
-        if rows[a][b] > dg + 2:
-            path = parent_path(parents[a], b)
+    for i, j, dg in zip(a[order].tolist(), b[order].tolist(), d[order].tolist()):
+        if rows[i][zs[j]] > dg + 2:
+            path = [zs[j]]  # walked back to zs[i], one pair step per hop over its row
+            for want in range(dg - 1, -1, -1):
+                step = _closer_neighbors(g.csr, dist[i], np.array([0]), np.array(path[-1:]), np.array([want]))
+                path.append(int(step[0]))
             new_edges = [(x, y) for x, y in zip(path, path[1:]) if y not in adj[x]]
-            _insert_edges(adj, new_edges, rows.values())
+            _insert_edges(adj, new_edges, rows)
             bought_edges += new_edges
             bought += 1
     codes = unique_codes(gc.g_c, edge_codes(n, *np.array(bought_edges, np.int64).reshape(-1, 2).T))

@@ -21,6 +21,7 @@ from .additive import (
 from .graphs import (
     Graph,
     Spanner,
+    _closer_neighbors,
     bfs,
     dump_emulator,
     dump_graph,
@@ -29,7 +30,7 @@ from .graphs import (
     parent_rows,
     random_graph,
 )
-from .hybrid import _closer_neighbors, build_hybrid, hybrid_params
+from .hybrid import build_hybrid, hybrid_params
 from .lowerbound import build_lb_graph, lb_audit
 from .sourcewise import SourceSet, build_sourcewise_mult, sw_params
 from .util import ceil_int
@@ -403,14 +404,17 @@ def run_oracle_check() -> list[GridRow]:
         parents = oracle_parents(want)
         # every singleton, then root sets whose vertices tie between roots
         ties = [[0, g.n - 1], list(range(0, g.n, 2)), list(range(1, g.n, 3))]
-        # hybrid's suffix-walk step, at every cell one hop or more away
-        root, far = np.nonzero(want > 0)
-        step = _closer_neighbors(g.csr, want.reshape(-1), root, far, want[root, far] - 1)
+        # the pair step at every cell one hop or more away, over every row and
+        # over every other vertex's row, whose row index is then not its root
+        walk_ok = all(
+            np.array_equal(_closer_neighbors(g.csr, d.ravel(), *np.nonzero(d > 0), d[d > 0] - 1), p[d > 0])
+            for d, p in ((want, parents), (want[::2], parents[::2]))
+        )
         checks = {
             "matrix_ok": np.array_equal(want, hop_distance_matrix(g)),
             "bfs_ok": all(bfs_matches_oracle(g, want, r) for r in [[v] for v in range(g.n)] + ties),
             "parents_ok": np.array_equal(parent_rows(g.csr, want), parents),
-            "walk_ok": np.array_equal(step, parents[root, far]),
+            "walk_ok": walk_ok,
         }
         rows.append(
             GridRow(

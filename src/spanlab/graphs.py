@@ -14,10 +14,14 @@ the hop rows of a graph or a spanner, over its kept CSR, and the weighted
 rows of an emulator, over one CSR per weight.  Only sources whose search
 runs past a fixed level cap take rows of `_dijkstra_rows`, one batched
 scipy Dijkstra over the same edge codes; scipy is imported there only, on
-first use.  `parent_rows` turns hop rows into rows of canonical min-id BFS
-parents, the parents `bfs` and `trace_parent_path` pick: the root at
-distance 1, and beyond it one neighbor rank at a time over the CSR.
-`unique_codes` is the one edge-code dedupe, a sort and a neighbor
+first use.  This module alone knows the canonical parent, the min-id
+neighbor one hop closer to the root that `bfs` and `trace_parent_path`
+pick, and gives it from hop rows in two forms: `parent_rows` fills whole
+parent rows for callers that read every parent (swadd's source rows and
+`tree_union`), and the pair step `_closer_neighbors` finds the parents of
+given (row, vertex) pairs for walks that read a few (hybrid's
+`suffix_walk`, the +2 subsetwise helper's bought paths, the oracle
+check).  `unique_codes` is the one edge-code dedupe, a sort and a neighbor
 comparison.
 
 Distances are hop counts, or emulator weights in the weighted matrices;
@@ -622,6 +626,7 @@ _ROW_BLOCK = 1024
 _LEVEL_CAP = 64
 _WRITE_CHUNK = 64
 _GATHER_BYTES = 2 * 2**20
+_RANK_CHUNK = 8  # neighbor ranks a pair step reads per round (`_closer_neighbors`)
 
 
 def _unpack(words: np.ndarray, count: int) -> np.ndarray:
@@ -758,7 +763,8 @@ def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndar
     """Canonical BFS parents of hop rows: out[i, v] is the minimum-id
     neighbor of v one hop closer to row i's root, the parent that `bfs`
     gives from that one root and the step `trace_parent_path` takes;
-    UNREACHED at the root and where the row does not reach.
+    UNREACHED at the root and where the row does not reach.  For callers
+    that read every parent; walks take the pair step (`_closer_neighbors`).
 
     `dist` holds exact hop rows over the CSR graph, as `hop_distance_matrix`
     gives them.  A vertex at distance 1 takes the row's root, its only 0.
@@ -791,6 +797,34 @@ def parent_rows(csr: tuple[np.ndarray, np.ndarray], dist: np.ndarray) -> np.ndar
             v, row = np.nonzero(hit)
             parent[todo[v], row] = nbr[v]
             need &= ~hit
+    return out
+
+
+def _closer_neighbors(csr, cells: np.ndarray, r, v, want) -> np.ndarray:
+    """The pair step: per pair i the minimum-id neighbor w of v[i] with
+    dist[r[i], w] == want[i], where `cells` is a flattened matrix of exact
+    hop rows over the CSR graph, r[i] a row index of it (not necessarily
+    the row's root), and every pair has such a neighbor.  With want[i] =
+    dist[r[i], v[i]] - 1 it is `parent_rows`' parent of that cell.
+
+    The ascending neighbor lists are read `_RANK_CHUNK` ranks at a time,
+    and a pair stops at its first hit, which lies inside its own list: the
+    ranks past its end that a chunk reads (the next lists) are never taken.
+    """
+    indptr, indices = csr
+    start = indptr[v]
+    base = r * (len(indptr) - 1)
+    out = np.empty(len(v), np.int64)
+    todo = np.arange(len(v))
+    rank = np.arange(_RANK_CHUNK)
+    for lo in range(0, int((indptr[v + 1] - start).max(initial=0)), _RANK_CHUNK):
+        nbr = indices.take(start[todo, None] + (lo + rank), mode="clip")
+        hit = cells[base[todo, None] + nbr] == want[todo, None]
+        found = hit.any(axis=1)
+        out[todo[found]] = nbr[found, hit[found].argmax(axis=1)]
+        todo = todo[~found]
+        if not len(todo):
+            break
     return out
 
 

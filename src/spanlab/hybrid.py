@@ -5,9 +5,10 @@ between center pairs and between cluster pairs at complementary levels.
 The path phases are array-native: every vertex's hop row comes once from
 the packed-bitset BFS row kernel into one n x n matrix, closest cluster
 pairs reduce its per-cluster minima (`clustering.cluster_minima`) over
-each level's member-ordered columns, and canonical-parent walks run on the
-pairs walked.  Every phase's edges are sorted edge codes, united into the
-output by `unique_codes`, the one sort-based dedupe.
+each level's member-ordered columns, and canonical-parent walks take each
+step for all their pairs at once with the pair step of `graphs`
+(`_closer_neighbors`).  Every phase's edges are sorted edge codes, united
+into the output by `unique_codes`, the one sort-based dedupe.
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import cluster_minima, cluster_sequence
-from .graphs import Graph, Spanner, _bfs_rows, edge_codes, unique_codes
+from .graphs import Graph, Spanner, _bfs_rows, _closer_neighbors, edge_codes, unique_codes
 # spanbench's tracer self-test reads spanlab.hybrid.bfs_distances: keep the binding.
 from .graphs import bfs_distances  # noqa: F401
 
 # Source clusters per closest-pair block and member rows per chunk of it,
 # so temporaries stay near _BLOCK * n entries; walks go _BLOCK**2 at a time.
 _BLOCK = 256
-# Neighbor ranks a canonical-parent step reads per round before it stops
-# the pairs that found their parent.
-_RANK_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -108,35 +106,6 @@ def suffix_walk(csr, dist: np.ndarray, roots, targets, ell: int) -> np.ndarray:
             codes.append(edge_codes(n, cur, parent))
             cur = parent
         out = unique_codes(*codes)
-    return out
-
-
-def _closer_neighbors(csr, cells: np.ndarray, r, v, want) -> np.ndarray:
-    """Per pair i the minimum-id neighbor w of v[i] with dist[r[i], w] ==
-    want[i], where `cells` is the flattened n x n matrix of exact hop rows
-    and every pair has such a neighbor.
-
-    The ascending neighbor lists are read `_RANK_CHUNK` ranks at a time,
-    and a pair stops at its first hit: most canonical parents sit among a
-    vertex's smallest neighbors, so the scan seldom reads a whole list.
-    A pair's first hit lies inside its own list, so the ranks past its end
-    that a chunk reads (the next lists in the CSR) are never taken.
-    """
-    indptr, indices = csr
-    n = len(indptr) - 1
-    start = indptr[v]
-    base = r * n
-    out = np.empty(len(v), np.int64)
-    todo = np.arange(len(v))
-    rank = np.arange(_RANK_CHUNK)
-    for lo in range(0, int((indptr[v + 1] - start).max(initial=0)), _RANK_CHUNK):
-        nbr = indices.take(start[todo, None] + (lo + rank), mode="clip")
-        hit = cells[base[todo, None] + nbr] == want[todo, None]
-        found = hit.any(axis=1)
-        out[todo[found]] = nbr[found, hit[found].argmax(axis=1)]
-        todo = todo[~found]
-        if not len(todo):
-            break
     return out
 
 

@@ -710,6 +710,12 @@ def test_subsetwise_builds_without_per_root_paths(monkeypatch):
     want = [build_subsetwise_plus2(g, members) for g, members in cases]
     assert all(sp.meta["paths_bought"] > 0 for sp in want)
     _forbid_per_root_searches(monkeypatch)
+
+    def whole_rows(*args):
+        raise AssertionError("whole parent rows where only bought paths are walked")
+
+    for module in (graphs, additive):
+        monkeypatch.setattr(module, "parent_rows", whole_rows)
     for (g, members), sp in zip(cases, want):
         got = build_subsetwise_plus2(g, members)
         assert got.edges == sp.edges and got.meta == sp.meta

@@ -1155,6 +1155,26 @@ def test_parent_rows_are_the_oracle_parents(monkeypatch, block):
         assert got.tolist() == [canonical_parents(g, z) for z in roots]
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_pair_step_is_the_parent_rows_step(monkeypatch, chunk):
+    # the pair step over row sets that are not square, in an order where a
+    # row's index is not its root: every cell one hop or more away gets the
+    # parent of `parent_rows` and of the oracle, at any number of ranks per chunk
+    if chunk is not None:
+        monkeypatch.setattr(graphs, "_RANK_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    for g in parent_step_hosts():
+        subsets = [list(range(g.n))[::-1]]
+        subsets += [rng.choice(g.n, size, replace=False).tolist() for size in {1, max(1, g.n // 3)}]
+        for roots in subsets:
+            dist = hop_distance_matrix(g, roots)
+            row, v = np.nonzero(dist > 0)
+            got = graphs._closer_neighbors(g.csr, dist.reshape(-1), row, v, dist[row, v] - 1)
+            assert got.tolist() == graphs.parent_rows(g.csr, dist)[row, v].tolist()
+            oracle = [canonical_parents(g, z) for z in roots]
+            assert got.tolist() == [oracle[i][x] for i, x in zip(row.tolist(), v.tolist())]
+
+
 def test_parent_rows_on_tiny_hosts():
     for g in (Graph(0, []), Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])):
         for roots in ([], list(range(g.n))):

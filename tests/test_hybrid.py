@@ -15,7 +15,7 @@ from spanlab import (
     size_bound,
     trace_owner_path,
 )
-from spanlab import hybrid
+from spanlab import graphs, hybrid
 from spanlab.hybrid import closest_pairs, hop_rows, suffix_walk
 from conftest import broom, pairs, parent_step_hosts, random_tree
 from oracles import (
@@ -174,7 +174,7 @@ def test_suffix_walk_is_the_oracle_walk(monkeypatch, chunk):
     # every ordered pair, unreachable and distance-0 ones included, walked
     # over oracle hop rows, at any number of ranks per chunk
     if chunk is not None:
-        monkeypatch.setattr(hybrid, "_RANK_CHUNK", chunk)
+        monkeypatch.setattr(graphs, "_RANK_CHUNK", chunk)
     rng = np.random.default_rng(5)
     for g in parent_step_hosts():
         dist = np.array(as_int_grid([hop_row(g, r) for r in range(g.n)]), np.int16)
