@@ -4,8 +4,10 @@ maximum stretch, full violation lists, and size-versus-bound ratios.
 Both verifiers are front ends over one core that goes one block of
 `_ROW_BLOCK` sorted roots at a time: host and candidate rows are arrays of
 one block's rows, so no n x n matrix is built once the roots outnumber a
-block, and pair masks and per-class folds take `_FOLD_CELLS` cells of a
-block at a time.
+block.  A block is folded `_FOLD_CELLS` cells at a time, each chunk as one
+(dist_g, dist_h) histogram: every pair class reads its count, maximum
+stretch and bound off the distinct bins, and the cells are walked for
+violations only in a chunk where some bin breaks a bound.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .graphs import (
 
 _EPS = 1e-9
 
-# Cells (root row x target column) of a block folded at once: the pair and
-# rule masks and `_class_from_mask`'s float64 copies stay this size, not a
-# whole _ROW_BLOCK x n block.
+# Cells (root row x target column) of a block folded at once: the histogram
+# keys and, in a chunk that breaks a bound, the pair masks stay this size,
+# not a whole _ROW_BLOCK x n block.
 _FOLD_CELLS = 2**17
 
 # scopes: which pairs a spec talks about
@@ -167,40 +169,106 @@ class StretchReport:
         }
 
 
-# A pair class of the verifier core: `select(dg, dh)` masks the block cells
-# it counts among the scope's pairs, and it bounds the candidate distance by
-# dist_h <= alpha * dist_g + beta, or by dist_h >= dist_g when `lower`.
+# A pair class of the verifier core: `select(dg, dh)` picks the
+# (dist_g, dist_h) values it counts among the scope's pairs, and it bounds
+# the candidate distance by dist_h <= alpha * dist_g + beta, or by
+# dist_h >= dist_g when `lower`.
 _Rule = namedtuple("_Rule", "alpha beta select lower", defaults=(False,))
 
 
-def _class_from_mask(rep: ClassReport, block, dg, dh, mask, lower: bool) -> None:
-    """Fold the masked (root-row, target-column) pairs of some rows into
-    `rep`: their count, their violations and, for an upper bound, their
-    maximum stretch.  An unreachable candidate distance is infinite for an
-    upper bound; a lower bound flags every candidate distance below the
-    host's, and every one the host cannot match (reported with dist_g -1)."""
-    pairs = int(np.count_nonzero(mask))
-    if pairs == 0:
-        return
-    if lower:
-        dgm, dhm = dg[mask], dh[mask]
-        bad = (dhm >= 0) & ((dhm < dgm) | (dgm < 0))
+def _far(dh: np.ndarray) -> np.ndarray:
+    """Candidate distances as float64, unreachable ones infinite."""
+    return np.where(dh < 0, np.inf, dh)
+
+
+def _breaks(rule: _Rule, dg: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """Which (dist_g, dist_h) values, of histogram bins or of cells alike,
+    break `rule`: an upper bound is broken by a candidate distance over
+    alpha * dist_g + beta (an unreachable one is infinite), a lower bound
+    by every candidate distance below the host's and every one the host
+    cannot match."""
+    if rule.lower:
+        return (dh >= 0) & ((dh < dg) | (dg < 0))
+    return _far(dh) > rule.alpha * dg.astype(np.float64) + rule.beta + _EPS
+
+
+def _bins(dg: np.ndarray, dh: np.ndarray, own: np.ndarray):
+    """The distinct (dist_g, dist_h) values of the cells of `dg` and `dh`
+    but the flat positions `own`, as arrays (dist_g, dist_h, count) with
+    every count positive: one bincount of (dg + 1) * w + dh + 1 when the
+    value grid is no larger than the cells, else `np.unique` of the cells'
+    pairs, so no grid array is built for wide distance ranges."""
+    wg, wh = int(dg.max()) + 2, int(dh.max()) + 2
+    if wg * wh <= dg.size:
+        key = np.multiply(dg, wh, dtype=np.int32)  # every key is below dg.size
+        key += dh.astype(np.int32, copy=False)
+        key += wh + 1
+        key = key.ravel()
+        counts = np.bincount(key, minlength=wg * wh)
+        np.subtract.at(counts, key[own], 1)
+        at = np.flatnonzero(counts)
+        bg, bh = np.divmod(at, wh)
+        return bg - 1, bh - 1, counts[at]
+    keep = np.ones(dg.size, bool)
+    keep[own] = False
+    cells = np.stack([dg.ravel()[keep], dh.ravel()[keep]], -1)
+    pairs, counts = np.unique(cells, axis=0, return_counts=True)
+    return pairs[:, 0], pairs[:, 1], counts
+
+
+def _fold_chunk(reports: dict, rules: dict, scope: str, part, dg, dh, in_set) -> int:
+    """Fold one chunk of a block into `reports` and return its count of
+    scope pairs that no rule counts.  The chunk's rows `dg`, `dh` (from
+    the sorted roots `part`) become one (dist_g, dist_h) histogram, and
+    each rule's pair count, maximum stretch and bound are read off its
+    bins.  A sourcewise row counts every cell but its own; an all-pairs
+    or setwise row (setwise: its `in_set` columns only) counts the same,
+    so each unordered pair is counted from both ends and the caller
+    halves the counts.  Only where some bin breaks a bound are the cells
+    walked, as the scope's pairs from each row's smaller end for
+    unordered scopes, listing that rule's violations in (u, v) order."""
+    rows = np.arange(len(part))
+    if in_set is None:
+        own = rows * dg.shape[1] + part
+        bg, bh, counts = _bins(dg, dh, own)
     else:
-        dgm = dg[mask].astype(np.float64)
-        dhm = dh[mask].astype(np.float64)
-        dhm[dhm < 0] = np.inf
-        mult, add = float(np.max(dhm / dgm)), float(np.max(dhm - dgm))
-        if rep.pairs:
-            mult, add = max(rep.max_mult, mult), max(rep.max_add, add)
-        rep.max_mult, rep.max_add = mult, add
-        bad = dhm > rep.alpha * dgm + rep.beta + _EPS
-    rep.pairs += pairs
-    if bad.any():
-        rows, cols = (x[bad] for x in np.nonzero(mask))
-        # rows ascend with the sorted roots, so violations stay (u, v)-sorted
-        found = zip(block[rows].tolist(), cols.tolist(), dg[rows, cols].tolist(),
-                    dh[rows, cols].tolist())
-        rep.violations += [(u, v, a, None if b < 0 else b) for u, v, a, b in found]
+        members = np.flatnonzero(in_set)
+        own = rows * len(members) + np.searchsorted(members, part)
+        bg, bh, counts = _bins(dg[:, members], dh[:, members], own)
+    counted = np.zeros(len(counts), bool)
+    walk = []
+    for label, rule in rules.items():
+        sel = rule.select(bg, bh)
+        if not sel.any():
+            continue
+        counted |= sel
+        rep, g, h = reports[label], bg[sel], bh[sel]
+        if not rule.lower:
+            far, near = _far(h), g.astype(np.float64)
+            mult, add = float(np.max(far / near)), float(np.max(far - near))
+            if rep.pairs:
+                mult, add = max(rep.max_mult, mult), max(rep.max_add, add)
+            rep.max_mult, rep.max_add = mult, add
+        rep.pairs += int(counts[sel].sum())
+        if _breaks(rule, g, h).any():
+            walk.append((rep, rule))
+    if walk:
+        cols = np.arange(dg.shape[1])
+        if scope == SOURCEWISE:
+            pairs = cols != part[:, None]
+        else:  # unordered pairs, each once from its smaller end
+            pairs = cols > part[:, None]
+            if in_set is not None:
+                pairs &= in_set
+        for rep, rule in walk:
+            r, c = np.nonzero(pairs & rule.select(dg, dh))
+            g, h = dg[r, c], dh[r, c]
+            bad = _breaks(rule, g, h)
+            # rows ascend with the sorted roots, so violations stay (u, v)-sorted
+            found = zip(part[r[bad]].tolist(), c[bad].tolist(), g[bad].tolist(),
+                        h[bad].tolist())
+            rep.violations += [(u, v, a, None if b < 0 else b) for u, v, a, b in found]
+    return int(counts.sum()) - int(counts[counted].sum())
 
 
 def _verify_rows(g: Graph, h, candidate_rows, roots, scope: str, rules: dict) -> StretchReport:
@@ -208,12 +276,13 @@ def _verify_rows(g: Graph, h, candidate_rows, roots, scope: str, rules: dict) ->
     candidate's rows (`candidate_rows(h, block)`) from the sorted `roots`
     (None: every vertex), checked in range first, one block of `_ROW_BLOCK`
     at a time.  A block's rows are folded `_FOLD_CELLS` cells at a time, as
-    whole rows and at least one: each rule folds its pairs of the rows'
-    scope into its report, and scope pairs that no rule counts are
-    skipped.  Rows go in root order, so violations stay (u, v)-sorted."""
+    whole rows and at least one, by `_fold_chunk`: each chunk is one
+    (dist_g, dist_h) histogram that every rule reads its pairs and maxima
+    off, and its cells are walked only where a bin breaks a bound.  Scope
+    pairs that no rule counts are skipped.  Rows go in root order, so
+    violations stay (u, v)-sorted."""
     roots = _check_roots(g.n, roots)
-    cols = np.arange(g.n)
-    in_set = _member(roots, cols) if scope == SETWISE else None
+    in_set = _member(roots, np.arange(g.n)) if scope == SETWISE else None
     step = max(1, _FOLD_CELLS // max(g.n, 1))
     reports = {label: ClassReport(alpha=r.alpha, beta=r.beta) for label, r in rules.items()}
     skipped = 0
@@ -222,19 +291,12 @@ def _verify_rows(g: Graph, h, candidate_rows, roots, scope: str, rules: dict) ->
         dg_rows = hop_distance_matrix(g, block)
         dh_rows = candidate_rows(h, block)
         for at in range(0, len(block), step):
-            part, dg, dh = block[at:at + step], dg_rows[at:at + step], dh_rows[at:at + step]
-            if scope == SOURCEWISE:
-                pairs = cols != part[:, None]
-            else:  # unordered pairs, each once from its smaller end
-                pairs = cols > part[:, None]
-                if in_set is not None:
-                    pairs &= in_set
-            counted = np.zeros_like(pairs)
-            for label, rule in rules.items():
-                mask = pairs & rule.select(dg, dh)
-                counted |= mask
-                _class_from_mask(reports[label], part, dg, dh, mask, rule.lower)
-            skipped += int(np.count_nonzero(pairs)) - int(np.count_nonzero(counted))
+            skipped += _fold_chunk(reports, rules, scope, block[at:at + step],
+                                   dg_rows[at:at + step], dh_rows[at:at + step], in_set)
+    if scope != SOURCEWISE:  # every root's row is here: each pair was seen twice
+        for rep in reports.values():
+            rep.pairs //= 2
+        skipped //= 2
     return StretchReport(classes=reports, size=h.size, skipped_unreachable=skipped)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -484,6 +485,21 @@ def _damaged(g: Graph) -> tuple[Spanner, Emulator]:
     return h, em
 
 
+def _spy_folds(monkeypatch) -> list:
+    """Record (rows, whether it added a violation) for each fold chunk."""
+    folded = []
+    inner = verify._fold_chunk
+
+    def spied(reports, rules, scope, part, dg, dh, in_set):
+        before = sum(rep.n_violations for rep in reports.values())
+        skipped = inner(reports, rules, scope, part, dg, dh, in_set)
+        folded.append((len(part), sum(rep.n_violations for rep in reports.values()) > before))
+        return skipped
+
+    monkeypatch.setattr(verify, "_fold_chunk", spied)
+    return folded
+
+
 @pytest.mark.parametrize("fold_rows", [1, 3, 200])
 def test_fold_chunks_report_as_one_fold(monkeypatch, fold_rows):
     # two blocks of 40 roots; fold chunks of 1 and 3 rows split each, 200
@@ -505,15 +521,7 @@ def test_fold_chunks_report_as_one_fold(monkeypatch, fold_rows):
     whole = reports()
     assert all(rep.n_violations and rep.skipped_unreachable for rep in whole[:3])
     assert whole[3].n_violations and all(c.pairs for c in whole[3].classes.values())
-    folded = []
-    inner = verify._class_from_mask
-
-    def spied(rep, block, dg, dh, mask, lower):
-        before = rep.n_violations
-        inner(rep, block, dg, dh, mask, lower)
-        folded.append((len(block), rep.n_violations > before))
-
-    monkeypatch.setattr(verify, "_class_from_mask", spied)
+    folded = _spy_folds(monkeypatch)
     monkeypatch.setattr(verify, "_FOLD_CELLS", fold_rows * g.n)
     got = reports()
     assert got == whole
@@ -525,11 +533,147 @@ def test_fold_chunks_report_as_one_fold(monkeypatch, fold_rows):
     assert sum(hit for _, hit in folded) > (8 if fold_rows < 40 else 0)
 
 
+def _oracle_spanner_report(dg, dh, size, sources, spec) -> dict:
+    """`verify_spanner(...).to_dict(violation_cap=10**9)` rebuilt from the
+    Floyd-Warshall rows `dg` of the host and `dh` of a candidate of `size`
+    edges, each bound checked in exact rationals."""
+    n = len(dg)
+    if spec.scope == verify.SOURCEWISE:
+        pairs = [(s, v) for s in sorted(set(sources)) for v in range(n) if v != s]
+    else:
+        ids = range(n) if spec.scope == verify.ALL_PAIRS else sorted(set(sources))
+        pairs = [(u, v) for u in ids for v in ids if u < v]
+    classes = []
+    for label in sorted(spec.bounds):
+        alpha, beta = spec.bounds[label]
+        cls = {"class": label, "alpha": alpha, "beta": beta, "pairs": 0,
+               "max_mult": 0.0, "max_add": 0.0, "violations": []}
+        for u, v in pairs:
+            a, b = dg[u][v], dh[u][v]
+            if a == INF or (a == 1) != (label == verify.ADJACENT):
+                continue
+            cls["pairs"] += 1
+            cls["max_mult"] = max(cls["max_mult"], b / a)
+            cls["max_add"] = max(cls["max_add"], b - a)
+            if b > Fraction(alpha) * a + Fraction(beta):
+                cls["violations"].append(
+                    {"pair": [u, v], "dist_g": a, "dist_h": None if b == INF else b}
+                )
+        for key in ("max_mult", "max_add"):
+            cls[key] = None if cls[key] == INF else cls[key]
+        cls["n_violations"] = len(cls["violations"])
+        classes.append(cls)
+    return {
+        "classes": classes,
+        "size": size,
+        "n_violations": sum(c["n_violations"] for c in classes),
+        "skipped_unreachable": sum(dg[u][v] == INF for u, v in pairs),
+        "bound_ratio": None,
+    }
+
+
+def _two_parts() -> Graph:
+    """Two random 24-vertex parts (ids 0-23 and 24-47) and two isolated
+    vertices, 48 and 49: pairs across them are cut off."""
+    a, b = random_graph(24, 0.2, 5), random_graph(24, 0.2, 6)
+    return Graph(50, sorted(a.edges) + [(u + 24, v + 24) for u, v in sorted(b.edges)])
+
+
+def test_only_breaking_chunks_are_walked_and_reports_stay_exact(monkeypatch):
+    # three-row fold chunks: the candidate keeps the low part whole and
+    # every other edge of the high part, so chunks of low roots break no
+    # bound, chunks of high roots do, and every report equals the oracle's
+    g = _two_parts()
+    low = sorted(e for e in g.edges if e[1] < 24)
+    high = sorted(e for e in g.edges if e[0] >= 24)
+    h = _as_spanner(g, low + high[::2])
+    sources = [1, 5, 9, 14, 20, 26, 31, 37, 44, 48]
+    em = Emulator(g.n, [(u, v, 1) for u, v in low]
+                  + [(u, v, 1 + 2 * (i % 4 == 0)) for i, (u, v) in enumerate(high)]  # overshoots
+                  + [(25, 45, 1), (30, 46, 1)]  # undershoots within the high part
+                  + [(40, 48, 2)])  # a path the host cannot match
+    folded = _spy_folds(monkeypatch)
+    monkeypatch.setattr(verify, "_FOLD_CELLS", 3 * g.n)
+    dg, dh = floyd_warshall(g), floyd_warshall(h)
+    for roots, spec in ((None, hybrid_spec(2)), (sources, additive_spec(2)),
+                        (sources, subsetwise_spec(0))):
+        folded.clear()
+        rep = verify_spanner(g, h, roots, spec)
+        assert rep.to_dict(violation_cap=10**9) == _oracle_spanner_report(dg, dh, h.size, roots, spec)
+        assert {hit for _, hit in folded} == {False, True}
+    folded.clear()
+    for beta in (0, 1):
+        rep = _assert_matches_oracle(g, em, sources, beta)
+        assert any(a < 0 for _, _, a, _ in rep.classes["lower-sandwich"].violations)
+        assert rep.classes["additive-upper"].violations and rep.skipped_unreachable
+    assert {hit for _, hit in folded} == {False, True}
+
+
+def test_wide_distance_ranges_report_exactly(monkeypatch):
+    # a 300-vertex path: rows past the level cap come from Dijkstra, and
+    # its (dist_g, dist_h) grid of 301 x 301 values outgrows the one fold
+    # chunk of 300 rows, so the pairs are counted without a grid
+    wide = []
+    inner = verify._bins
+
+    def spied(dg, dh, own):
+        wide.append((int(dg.max()) + 2) * (int(dh.max()) + 2) > dg.size)
+        return inner(dg, dh, own)
+
+    monkeypatch.setattr(verify, "_bins", spied)
+    n = 300
+    path = [(i, i + 1) for i in range(n - 1)]
+    bare = Graph(n, path)
+    rep = verify_spanner(bare, _as_spanner(bare), None, hybrid_spec(2))
+    along = floyd_warshall(bare)
+    assert rep.to_dict(violation_cap=10**9) == _oracle_spanner_report(
+        along, along, n - 1, None, hybrid_spec(2))
+    assert rep.ok and rep.max_mult() == 1.0
+    # a 200-vertex path with a chord (i, i + 3) every 10 vertices, the bare
+    # path as its candidate, and 10-row chunks: each row reaches distance 80
+    # or more, past any 10-row grid
+    n = 200
+    path = [(i, i + 1) for i in range(n - 1)]
+    g = Graph(n, path + [(i, i + 3) for i in range(0, n - 3, 10)])
+    h = _as_spanner(g, path)
+    monkeypatch.setattr(verify, "_FOLD_CELLS", 10 * n)
+    tight = verify.StretchSpec("plus1", verify.ALL_PAIRS,
+                               {verify.ADJACENT: (1, 1), verify.NONADJACENT: (1, 1)})
+    dg, dh = floyd_warshall(g), floyd_warshall(h)
+    for roots, spec in ((None, tight), (None, hybrid_spec(2)), ([0, 100, 199], additive_spec(2))):
+        rep = verify_spanner(g, h, roots, spec)
+        assert rep.to_dict(violation_cap=10**9) == _oracle_spanner_report(dg, dh, h.size, roots, spec)
+        assert rep.n_violations or spec.name == "hybrid"
+    # one emulator entry of weight 2**40: its overshoots spread the range too
+    host = Graph(20, [(i, i + 1) for i in range(19)])
+    em = Emulator(20, [(i, i + 1, 2**40 if i == 9 else 1) for i in range(19)])
+    for beta in (0, 2):
+        rep = _assert_matches_oracle(host, em, [0, 12, 19], beta)
+        assert max(b for _, _, _, b in rep.classes["additive-upper"].violations) > 2**40
+    assert len(wide) > 40 and all(wide)
+
+
+def test_fractional_bounds_flag_the_oracles_violations():
+    # alpha 1.5 and beta 0.5: an odd host distance puts the bound on an
+    # integer, which a candidate distance may meet but not pass
+    g = random_graph(40, 0.12, 3)
+    h = _as_spanner(g, sorted(g.edges)[: g.m * 3 // 4])
+    spec = verify.StretchSpec("frac", verify.ALL_PAIRS,
+                              {verify.ADJACENT: (1.5, 0.5), verify.NONADJACENT: (1.5, 0.5)})
+    rep = verify_spanner(g, h, None, spec)
+    dg, dh = floyd_warshall(g), floyd_warshall(h)
+    assert rep.to_dict(violation_cap=10**9) == _oracle_spanner_report(dg, dh, h.size, None, spec)
+    assert rep.n_violations
+    # a pair on the bound, not flagged
+    assert any(2 * b == 3 * a + 1 for ga, ha in zip(dg, dh) for a, b in zip(ga, ha))
+
+
 def test_rows_and_verify_stay_within_their_budgets(monkeypatch):
     # all-pairs rows on G(512, 0.3): the whole neighbor gather of a block
     # would be 2 * m rows of 8 words, 5 MB, 80 times the 64 KiB budget set
-    # here; the fold's chunks hold 8192 cells of at most 64 B of masks and
-    # float64 copies each.  The slack covers the block's uint8 unpacking.
+    # here; the fold's chunks hold 8192 cells of at most 64 B of histogram
+    # keys and, where a bound breaks, pair masks and gathered cells each.
+    # The slack covers the block's uint8 unpacking.
     g = random_graph(512, 0.3, 1)
     h = _as_spanner(g, sorted(g.edges)[::2])
     g.csr, h.csr
